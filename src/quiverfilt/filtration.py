@@ -184,14 +184,17 @@ def x_socle_filtration(m: Rep, sb: SemiBrickCert) -> FiltrationResult:
 def verify_filtration(filt: Filtration, sb: SemiBrickCert) -> bool:
     """Re-check a filtration witness without rerunning the search.
 
-    Verifies: the chain starts at zero and ends at the ambient object, each
-    inclusion factors through the next with strictly growing dimension, each
-    recorded layer equals the image of the next chain step in the quotient
-    by the current one, and each layer witness is an isomorphism from the
-    stated member multiplicities.
+    Verifies: every chain step is a subobject of the ambient object, the
+    chain starts at zero and ends at the ambient object, each inclusion
+    factors through the next with strictly growing dimension, each recorded
+    layer equals the image of the next chain step in the quotient by the
+    current one, and each layer witness is an isomorphism onto the layer from
+    the direct sum of the members at the stated multiplicities.
     """
     try:
         chain = filt.chain
+        if any(step.ambient != filt.ambient for step in chain):
+            return False
         if chain[0].sub.dim_total != 0:
             return False
         last = chain[-1]
@@ -219,6 +222,14 @@ def verify_filtration(filt: Filtration, sb: SemiBrickCert) -> bool:
                 len(hom_basis(member, filt.layer_reps[i])) for member in sb.members
             ]
             if dec.multiplicities != expected_mults:
+                return False
+            parts = [
+                member
+                for member, mult in zip(sb.members, expected_mults)
+                for _ in range(mult)
+            ]
+            source = direct_sum(parts)[0] if parts else Rep.zero(sb.quiver, sb.field)
+            if dec.witness.source != source:
                 return False
         return True
     except InvariantError:

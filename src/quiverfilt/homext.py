@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import InvariantError
+from .errors import InvariantError, UndecidedError
 from .linalg import (
     Matrix,
     hstack,
     mat_from_cols,
+    nonzero_items,
+    reduce_against,
     rref,
     solve,
     vstack,
@@ -179,7 +181,7 @@ class ExtSpace:
             self._row_off[aid] = off
             off += to_rep.dims[t] * from_rep.dims[s]
         reduced, pivots = rref(phi.transpose())
-        self._ech = [reduced.row(i) for i in range(len(pivots))]
+        self._ech = [(c, nonzero_items(reduced.row(i), c)) for i, c in enumerate(pivots)]
         self._pivots = pivots
         pivot_set = set(pivots)
         self._free = [c for c in range(self._nrows) if c not in pivot_set]
@@ -207,15 +209,10 @@ class ExtSpace:
 
     def reduce(self, c: ExtCocycle) -> list:
         """Coordinates of the class of c in the canonical cokernel basis."""
-        f = self.from_rep.field
-        vec = self._flatten(c)
-        for row, p in zip(self._ech, self._pivots):
-            factor = vec[p]
-            if factor != f.zero:
-                vec = [f.sub(x, f.mul(factor, r)) for x, r in zip(vec, row)]
-        for p in self._pivots:
-            if vec[p] != f.zero:
-                raise InvariantError("cocycle reduction failed to clear pivots")
+        p = self.from_rep.field.characteristic
+        vec = reduce_against(self._flatten(c), self._ech, p)
+        if any(vec[pivot] for pivot in self._pivots):
+            raise InvariantError("cocycle reduction failed to clear pivots")
         return [vec[c_idx] for c_idx in self._free]
 
     def is_zero_class(self, c: ExtCocycle) -> bool:
@@ -538,9 +535,10 @@ def ses_equivalence_witness(
         compose(f, bottom.proj) == compose(top.proj, g)
 
     for f : top.middle -> bottom.middle, which the five lemma forces to be
-    an isomorphism.  Returns None if no equivalence was found; the negative
-    answer is certified when either exactly one class is zero or the
-    invertibility sweep was exhaustive.
+    an isomorphism.  Returns None when no equivalence exists: either no
+    endomorphism g matches the classes, or the invertibility sweep over the
+    matching ones was exhaustive.  Raises ``UndecidedError`` when the sweep
+    would be too large to be exhaustive and found no automorphism.
     """
     if top.sub != bottom.sub or top.quot != bottom.quot:
         raise InvariantError(
@@ -579,7 +577,12 @@ def ses_equivalence_witness(
             fld, len(nulls), build, radius=quot.dim_total
         )
         if g_found is None:
-            return None
+            if certified:
+                return None
+            raise UndecidedError(
+                f"automorphism search too large: {len(nulls)} free coordinates "
+                f"over {fld!r}"
+            )
     # ladder solve for f : top.middle -> bottom.middle
     tm, bm = top.middle, bottom.middle
     quiver = tm.quiver
@@ -649,6 +652,7 @@ def ses_equivalent(e1: ShortExactSequence, e2: ShortExactSequence) -> bool:
 
     Equivalence allows an automorphism of the quotient, so this captures
     "the same extension up to relabeling the copies", not just equality of
-    cocycle classes.
+    cocycle classes.  Raises ``UndecidedError`` when the answer could not be
+    certified (see ``ses_equivalence_witness``).
     """
     return ses_equivalence_witness(e1, e2) is not None

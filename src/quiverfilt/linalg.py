@@ -1,9 +1,15 @@
 """Exact dense linear algebra over the rationals and prime fields.
 
 Scalars are plain Python values: ``fractions.Fraction`` over the rationals,
-``int`` in the range [0, p) over GF(p).  A ``Field`` object owns the
-arithmetic so the elimination routines stay generic.  Everything here is
-exact; no floats appear anywhere in the package.
+``int`` in the range [0, p) over GF(p).  A ``Field`` object owns the scalar
+arithmetic.  Everything here is exact; no floats appear anywhere in the
+package.
+
+The hot kernels (``rref``, ``Matrix.mul`` and the row kernels below) bypass
+``Field`` and specialise on the characteristic: ``int`` arithmetic with one
+``% p`` per result over GF(p), ``Fraction`` operators over the rationals.
+They skip zeros by truthiness, so they require canonical entries, the values
+``Field.of`` returns: a ``Fraction`` over QQ, an ``int`` in [0, p) over GF(p).
 
 Matrices are immutable by convention: no public routine mutates its inputs,
 and ``Matrix`` instances may be shared freely.
@@ -297,20 +303,25 @@ class Matrix:
         if self.cols != other.rows:
             raise InvariantError(f"cannot multiply {self.shape} by {other.shape}")
         f = self.field
+        p = f.characteristic
         n, m, k = self.rows, self.cols, other.cols
-        z = f.zero
-        out = [z] * (n * k)
-        se, oe = self.entries, other.entries
+        oe = other.entries
+        # nonzero_items of each row of other, inlined: most products are tiny
+        pattern = [
+            [(j, x) for j, x in enumerate(oe[l * k : (l + 1) * k]) if x] for l in range(m)
+        ]
+        se = self.entries
+        zero = f.zero
+        out = []
         for i in range(n):
-            base = i * m
-            for l in range(m):
-                a = se[base + l]
-                if a == z:
-                    continue
-                ob = l * k
-                rb = i * k
-                for j in range(k):
-                    out[rb + j] = f.add(out[rb + j], f.mul(a, oe[ob + j]))
+            acc = [zero] * k
+            for a, items in zip(se[i * m : (i + 1) * m], pattern):
+                if a:
+                    for j, v in items:
+                        acc[j] += a * v
+            out += acc
+        if p:
+            out = [x % p for x in out]
         return Matrix(f, n, k, out)
 
     def transpose(self) -> "Matrix":
@@ -380,43 +391,85 @@ def mat_from_cols(field: Field, nrows: int, cols: Iterable[Sequence]) -> Matrix:
 # -- elimination -----------------------------------------------------------
 
 
+def nonzero_items(row: list, start: int = 0) -> list:
+    """The nonzero ``(column, value)`` pairs of ``row`` from column ``start`` on."""
+    return [(j, x) for j, x in enumerate(row[start:], start) if x]
+
+
+def scale_to_unit(row: list, start: int, p: int) -> list:
+    """Scale ``row`` in place so its entry at ``start`` is 1.
+
+    Every entry before ``start`` must be zero.  Returns the nonzero pairs of
+    the scaled row; ``p`` is the field characteristic, 0 for the rationals.
+    """
+    lead = row[start]
+    if lead == 1:
+        return nonzero_items(row, start)
+    if p:
+        inv = pow(lead, -1, p)
+        items = [(j, x * inv % p) for j, x in enumerate(row[start:], start) if x]
+    else:
+        inv = 1 / lead
+        items = [(j, x * inv) for j, x in enumerate(row[start:], start) if x]
+    for j, x in items:
+        row[j] = x
+    return items
+
+
+def subtract_multiple(row: list, factor, items: list, p: int) -> None:
+    """In place, ``row -= factor * v`` for the row ``v`` given by its nonzero ``items``.
+
+    ``p`` is the field characteristic, 0 for the rationals.
+    """
+    if p:
+        for j, v in items:
+            row[j] = (row[j] - factor * v) % p
+    else:
+        for j, v in items:
+            row[j] -= factor * v
+
+
+def reduce_against(vec: list, echelon: list, p: int) -> list:
+    """Reduce ``vec`` in place by echelon rows, returning it.
+
+    ``echelon`` lists ``(pivot, items)`` pairs in insertion order; each row
+    has a 1 at its pivot and a 0 at the pivots of the rows before it.
+    """
+    for pivot, items in echelon:
+        factor = vec[pivot]
+        if factor:
+            subtract_multiple(vec, factor, items, p)
+    return vec
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with leftmost pivots and unit leading entries.
 
     Returns the reduced matrix and the tuple of pivot column indices.  The
     output is canonical: equal row spaces give equal results.
     """
-    f = m.field
-    z = f.zero
+    p = m.field.characteristic
     rows = [m.row(i) for i in range(m.rows)]
     pivots: list[int] = []
     r = 0
     for c in range(m.cols):
-        pivot_row = None
         for i in range(r, len(rows)):
-            if rows[i][c] != z:
-                pivot_row = i
+            if rows[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        lead = rows[r][c]
-        if lead != f.one:
-            inv = f.inv(lead)
-            rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i == r:
-                continue
-            factor = rows[i][c]
-            if factor != z:
-                ri, rr = rows[i], rows[r]
-                rows[i] = [f.sub(ri[j], f.mul(factor, rr[j])) for j in range(m.cols)]
+        rows[r], rows[i] = rows[i], rows[r]
+        pivot = rows[r]
+        items = scale_to_unit(pivot, c, p)
+        for row in [row for row in rows if row[c]]:
+            if row is not pivot:
+                subtract_multiple(row, row[c], items, p)
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
     flat = [x for row in rows for x in row]
-    return Matrix(f, m.rows, m.cols, flat), tuple(pivots)
+    return Matrix(m.field, m.rows, m.cols, flat), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:

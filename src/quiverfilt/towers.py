@@ -24,7 +24,16 @@ from .homext import (
     extension_middle,
     hom_basis,
 )
-from .linalg import Matrix, hstack, is_invertible, mat_from_cols, rank, solve
+from .linalg import (
+    Matrix,
+    hstack,
+    is_invertible,
+    mat_from_cols,
+    rank,
+    reduce_against,
+    scale_to_unit,
+    solve,
+)
 from .reps import Morphism, Rep, cokernel, compose, direct_sum, image
 
 DEFAULT_DIMENSION_BUDGET = 512
@@ -50,31 +59,19 @@ class _RowSpan:
     def __init__(self, field, width):
         self.field = field
         self.width = width
-        self.rows = []  # echelonized, pivot -> row
-        self.pivots = []
+        self.echelon = []  # (pivot, nonzero items) per row, in insertion order
 
     def _reduce(self, vec):
-        f = self.field
-        vec = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            factor = vec[p]
-            if factor != f.zero:
-                vec = [f.sub(x, f.mul(factor, r)) for x, r in zip(vec, row)]
-        return vec
+        return reduce_against(list(vec), self.echelon, self.field.characteristic)
 
     def contains(self, vec) -> bool:
-        f = self.field
-        return all(x == f.zero for x in self._reduce(vec))
+        return not any(self._reduce(vec))
 
     def add(self, vec) -> bool:
-        f = self.field
         red = self._reduce(vec)
         for i, x in enumerate(red):
-            if x != f.zero:
-                inv = f.inv(x)
-                red = [f.mul(inv, y) for y in red]
-                self.rows.append(red)
-                self.pivots.append(i)
+            if x:
+                self.echelon.append((i, scale_to_unit(red, i, self.field.characteristic)))
                 return True
         return False
 

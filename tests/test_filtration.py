@@ -21,7 +21,8 @@ from quiverfilt import (
     x_socle_filtration,
 )
 from quiverfilt.errors import InvariantError
-from quiverfilt.filtration import Filtration
+from quiverfilt.filtration import Filtration, SemisimpleDecomposition, _zero_inclusion
+from quiverfilt.reps import Morphism, SubrepInclusion
 
 from conftest import make_x11
 
@@ -140,6 +141,20 @@ def test_verify_filtration_rejects_gap(r0, sb0):
         layer_reps=[filt.layer_reps[0], filt.layer_reps[1]],
     )
     assert not verify_filtration(broken, sb0)
+
+
+def test_verify_filtration_rejects_forged_layer_witness(r0, r1, sb0):
+    # one step 0 < R1 whose layer claims zero copies of R0 yet is witnessed
+    # by the identity of R1
+    witness = Morphism.identity(r1)
+    forged = Filtration(
+        ambient=r1,
+        chain=[_zero_inclusion(r1), SubrepInclusion(r1, r1, witness)],
+        layers=[SemisimpleDecomposition(True, [0], witness, r1, None)],
+        layer_reps=[r1],
+    )
+    assert not filt_membership(r1, sb0).ok
+    assert not verify_filtration(forged, sb0)
 
 
 def test_wild_singleton_filtration(k3):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverfilt import (
+    GF,
     QQ,
     ExtCocycle,
     ExtSpace,
@@ -29,7 +30,7 @@ from quiverfilt import (
     standard_module,
     universal_sequence,
 )
-from quiverfilt.errors import InvariantError
+from quiverfilt.errors import InvariantError, UndecidedError
 from quiverfilt.homext import pullback_with_map, pushout_with_map
 from quiverfilt.linalg import columns_contained, is_invertible
 from quiverfilt.reps import linear_combination
@@ -288,6 +289,20 @@ def test_ses_equivalent_across_basis_rescale(r0):
     f, g = ses_equivalence_witness(top, bottom)
     assert compose(top.incl, f) == bottom.incl
     assert compose(f, bottom.proj) == compose(top.proj, g)
+
+
+def test_ses_equivalent_refuses_inconclusive_search():
+    # quot = R0 + R0 over GF(1009): the endomorphisms matching the split class
+    # form a 2-dimensional family with no automorphism, and 1009^2 candidates
+    # exceed the search cap, so the negative answer cannot be certified
+    r = quasi_simple(GF(1009), 0)
+    quot, _, _ = direct_sum([r, r])
+    split = extension_middle(quot, r, ExtCocycle.zero(quot, r))
+    nonsplit = extension_middle(quot, r, ExtSpace(quot, r).basis()[0])
+    with pytest.raises(UndecidedError):
+        ses_equivalent(split, nonsplit)
+    with pytest.raises(UndecidedError):
+        ses_equivalence_witness(split, nonsplit)
 
 
 def test_ses_equivalence_requires_matching_ends(r0, r1):

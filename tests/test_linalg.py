@@ -191,3 +191,87 @@ def test_solve_consistent_systems(m, coeffs):
     b = m.mul(x)
     sol = solve(m, b)
     assert sol is not None and m.mul(sol) == b
+
+
+# ---------------------------------------------------------------------------
+# differential: the field-specialised kernels against plain Field arithmetic
+
+
+def _reference_rref(m):
+    f = m.field
+    rows = [m.row(i) for i in range(m.rows)]
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        found = [i for i in range(r, m.rows) if rows[i][c] != f.zero]
+        if not found:
+            continue
+        rows[r], rows[found[0]] = rows[found[0]], rows[r]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(inv, x) for x in rows[r]]
+        for i in range(m.rows):
+            if i != r:
+                factor = f.neg(rows[i][c])
+                rows[i] = [f.add(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return Matrix(f, m.rows, m.cols, [x for row in rows for x in row]), tuple(pivots)
+
+
+def _reference_mul(a, b):
+    f = a.field
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = f.zero
+            for l in range(a.cols):
+                acc = f.add(acc, f.mul(a.at(i, l), b.at(l, j)))
+            out.append(acc)
+    return Matrix(f, a.rows, b.cols, out)
+
+
+_kernel_fields = st.sampled_from([QQ, F2, F5, GF(101)])
+_kernel_dims = st.integers(min_value=0, max_value=8)
+
+
+def _scalar(field):
+    """Canonical scalars, zero about half the time; fractional over QQ."""
+    if field.characteristic == 0:
+        nonzero = st.builds(
+            Fraction,
+            st.integers(min_value=-6, max_value=6).filter(bool),
+            st.integers(min_value=1, max_value=5),
+        )
+    else:
+        nonzero = st.integers(min_value=1, max_value=field.characteristic - 1)
+    return st.one_of(st.just(field.zero), nonzero)
+
+
+def _sparse_matrix(field, rows, cols):
+    return st.lists(
+        _scalar(field), min_size=rows * cols, max_size=rows * cols
+    ).map(lambda ent: Matrix(field, rows, cols, ent))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(_kernel_fields, _kernel_dims, _kernel_dims).flatmap(
+        lambda t: _sparse_matrix(*t)
+    )
+)
+def test_rref_matches_reference_and_keeps_input(m):
+    before = list(m.entries)
+    assert rref(m) == _reference_rref(m)
+    assert m.entries == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(_kernel_fields, _kernel_dims, _kernel_dims, _kernel_dims).flatmap(
+        lambda t: st.tuples(_sparse_matrix(t[0], t[1], t[2]), _sparse_matrix(t[0], t[2], t[3]))
+    )
+)
+def test_mul_matches_reference_and_keeps_inputs(pair):
+    a, b = pair
+    before = (list(a.entries), list(b.entries))
+    assert a.mul(b) == _reference_mul(a, b)
+    assert (a.entries, b.entries) == before
