@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import InvariantError
 from .homext import ExtSpace, hom_basis
 from .linalg import Matrix, is_invertible, mat_from_cols, rank, solve
-from .reps import Morphism, Rep, compose, is_isomorphic
+from .reps import Morphism, Rep, compose, is_isomorphic, linear_combination
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,7 @@ class AlgebraPresentation:
         return out
 
     def element(self, coords: list) -> Morphism:
-        f = self.field
-        out = Morphism.zero(self.rep, self.rep)
-        for c, b in zip(coords, self.basis):
-            out = out.add(b.scale(c))
-        return out
+        return linear_combination(self.basis, coords)
 
     def operator_matrix(self, coords: list) -> Matrix:
         """Left multiplication by the element with the given coordinates."""

@@ -55,22 +55,28 @@ def _intertwine_matrix(m: Rep, n: Rep) -> Matrix:
     for aid, s, t in m.quiver.arrows:
         row_off[aid] = nrows
         nrows += n.dims[t] * m.dims[s]
+    p = f.characteristic
     flat = [f.zero] * (nrows * ncols)
+    # The quiver is acyclic, so s != t and each entry is written at most once.
     for aid, s, t in m.quiver.arrows:
-        ma = m.arrow_maps[aid]
-        na = n.arrow_maps[aid]
+        ma = m.arrow_maps[aid].entries
+        na = n.arrow_maps[aid].entries
+        ms, mt, ns = m.dims[s], m.dims[t], n.dims[s]
         for i in range(n.dims[t]):
-            for j in range(m.dims[s]):
-                r = row_off[aid] + i * m.dims[s] + j
-                base = r * ncols
+            for j in range(ms):
+                base = (row_off[aid] + i * ms + j) * ncols
                 # F_t[i, l] contributes M_a[l, j]
-                for l in range(m.dims[t]):
-                    c = col_off[t] + i * m.dims[t] + l
-                    flat[base + c] = f.add(flat[base + c], ma.at(l, j))
+                first = base + col_off[t] + i * mt
+                for l in range(mt):
+                    x = ma[l * ms + j]
+                    if x:
+                        flat[first + l] = x
                 # F_s[l, j] contributes -N_a[i, l]
-                for l in range(n.dims[s]):
-                    c = col_off[s] + l * m.dims[s] + j
-                    flat[base + c] = f.sub(flat[base + c], na.at(i, l))
+                first = base + col_off[s] + j
+                for l in range(ns):
+                    x = na[i * ns + l]
+                    if x:
+                        flat[first + l * ms] = (-x) % p if p else -x
     return Matrix(f, nrows, ncols, flat)
 
 

@@ -11,8 +11,14 @@ Conventions used throughout the package:
 * ``compose(f, g)`` means "apply f, then g"; on blocks this is the matrix
   product ``g_v * f_v``.
 
-All constructors validate their data eagerly and raise ``InvariantError``
-on malformed input, so downstream code can assume well-formed objects.
+Public constructors, parsing and the certificate checkers validate their
+data eagerly and raise ``InvariantError`` on malformed input, so downstream
+code can assume well-formed objects.  Morphism arithmetic on morphisms that
+are already valid (``compose``, ``add``, ``sub``, ``scale``, ``inverse``,
+``linear_combination``, ``zero``, ``identity``) yields morphisms by
+linearity or by construction; with exact arithmetic nothing can drift, so
+those results are built through ``Morphism._trusted`` without re-checking
+the intertwining squares.
 """
 
 from __future__ import annotations
@@ -132,33 +138,49 @@ class Morphism:
         self.blocks = dict(blocks)
 
     @classmethod
+    def _trusted(cls, source: Rep, target: Rep, blocks: dict) -> "Morphism":
+        """A morphism whose blocks are known to intertwine; validates nothing.
+
+        Only for results of arithmetic on valid morphisms, with a fresh
+        ``blocks`` dict that the caller does not keep.
+        """
+        out = object.__new__(cls)
+        out.source = source
+        out.target = target
+        out.blocks = blocks
+        return out
+
+    @classmethod
     def zero(cls, source: Rep, target: Rep) -> "Morphism":
+        if source.quiver != target.quiver or source.field != target.field:
+            raise InvariantError("zero morphism needs a common quiver and field")
         blocks = {
             v: Matrix.zeros(source.field, target.dims[v], source.dims[v])
             for v in source.quiver.vertices
         }
-        return cls(source, target, blocks)
+        return cls._trusted(source, target, blocks)
 
     @classmethod
     def identity(cls, rep: Rep) -> "Morphism":
         blocks = {v: Matrix.identity(rep.field, rep.dims[v]) for v in rep.quiver.vertices}
-        return cls(rep, rep, blocks)
+        return cls._trusted(rep, rep, blocks)
 
     def block(self, v) -> Matrix:
         return self.blocks[v]
 
     def add(self, other: "Morphism") -> "Morphism":
-        if self.source != other.source or self.target != other.target:
-            raise InvariantError("morphism sum needs equal endpoints")
+        _require_endpoints(self, other, "morphism sum needs equal endpoints")
         blocks = {v: self.blocks[v].add(other.blocks[v]) for v in self.blocks}
-        return Morphism(self.source, self.target, blocks)
+        return Morphism._trusted(self.source, self.target, blocks)
 
     def sub(self, other: "Morphism") -> "Morphism":
-        return self.add(other.scale(self.source.field.of(-1)))
+        _require_endpoints(self, other, "morphism difference needs equal endpoints")
+        blocks = {v: self.blocks[v].sub(other.blocks[v]) for v in self.blocks}
+        return Morphism._trusted(self.source, self.target, blocks)
 
     def scale(self, c) -> "Morphism":
         blocks = {v: self.blocks[v].scale(c) for v in self.blocks}
-        return Morphism(self.source, self.target, blocks)
+        return Morphism._trusted(self.source, self.target, blocks)
 
     def is_zero(self) -> bool:
         return all(b.is_zero() for b in self.blocks.values())
@@ -179,7 +201,7 @@ class Morphism:
             if ib is None:
                 raise InvariantError("morphism is not invertible")
             inv_blocks[v] = ib
-        return Morphism(self.target, self.source, inv_blocks)
+        return Morphism._trusted(self.target, self.source, inv_blocks)
 
     def __eq__(self, other):
         return (
@@ -193,23 +215,53 @@ class Morphism:
         return f"Morphism({self.source!r} -> {self.target!r})"
 
 
+def _same_rep(a: Rep, b: Rep) -> bool:
+    return a is b or a == b
+
+
+def _require_endpoints(f: Morphism, g: Morphism, message: str) -> None:
+    if not (_same_rep(f.source, g.source) and _same_rep(f.target, g.target)):
+        raise InvariantError(message)
+
+
 def compose(f: Morphism, g: Morphism) -> Morphism:
     """f followed by g; blocks multiply as g_v * f_v."""
-    if f.target != g.source:
+    if not _same_rep(f.target, g.source):
         raise InvariantError("compose needs f.target == g.source")
     blocks = {v: g.blocks[v].mul(f.blocks[v]) for v in f.blocks}
-    return Morphism(f.source, g.target, blocks)
+    return Morphism._trusted(f.source, g.target, blocks)
 
 
 def linear_combination(basis: list[Morphism], coeffs) -> Morphism:
+    """The sum of ``c * b`` over coefficients and basis morphisms, in one pass.
+
+    Every basis element must share one source and one target.  Each block
+    is accumulated entrywise, skipping zero coefficients and zero entries:
+    ``Fraction`` operators over the rationals, ``int`` with one ``% p`` per
+    entry over GF(p).
+    """
     if not basis:
         raise InvariantError("empty basis in linear_combination")
     if len(coeffs) != len(basis):
         raise InvariantError("coefficient count mismatch")
-    out = Morphism.zero(basis[0].source, basis[0].target)
-    for c, b in zip(coeffs, basis):
-        out = out.add(b.scale(c))
-    return out
+    first = basis[0]
+    for b in basis:
+        _require_endpoints(first, b, "linear_combination needs a common source and target")
+    field = first.source.field
+    p = field.characteristic
+    terms = [(c, b.blocks) for c, b in zip(map(field.of, coeffs), basis) if c]
+    zero = field.zero
+    blocks = {}
+    for v, template in first.blocks.items():
+        acc = [zero] * len(template.entries)
+        for c, bb in terms:
+            for i, x in enumerate(bb[v].entries):
+                if x:
+                    acc[i] += c * x
+        if p:
+            acc = [x % p for x in acc]
+        blocks[v] = Matrix(field, template.rows, template.cols, acc)
+    return Morphism._trusted(first.source, first.target, blocks)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import strategies as st
 
 from quiverfilt import GF, QQ, Matrix, Rep, kronecker, linear_quiver, quasi_simple
 
@@ -50,3 +53,27 @@ def make_x11(quiver, field, scalars):
 @pytest.fixture(scope="session")
 def fields():
     return [QQ, GF(5)]
+
+
+def field_scalar(field):
+    """Canonical scalars, zero about half the time; fractional over QQ."""
+    if field.characteristic == 0:
+        nonzero = st.builds(
+            Fraction,
+            st.integers(min_value=-6, max_value=6).filter(bool),
+            st.integers(min_value=1, max_value=5),
+        )
+    else:
+        nonzero = st.integers(min_value=1, max_value=field.characteristic - 1)
+    return st.one_of(st.just(field.zero), nonzero)
+
+
+def draw_rep(data, quiver, field, max_dim=2):
+    """A random rep with dims in 0..max_dim, drawn through Hypothesis ``data``."""
+    dims = {v: data.draw(st.integers(min_value=0, max_value=max_dim)) for v in quiver.vertices}
+    maps = {}
+    for aid, s, t in quiver.arrows:
+        n = dims[t] * dims[s]
+        entries = data.draw(st.lists(field_scalar(field), min_size=n, max_size=n))
+        maps[aid] = Matrix(field, dims[t], dims[s], entries)
+    return Rep(quiver, field, dims, maps)

@@ -22,6 +22,7 @@ from quiverfilt import (
     image,
     is_split,
     kronecker,
+    linear_quiver,
     pullback,
     pushout,
     quasi_simple,
@@ -31,11 +32,11 @@ from quiverfilt import (
     universal_sequence,
 )
 from quiverfilt.errors import InvariantError, UndecidedError
-from quiverfilt.homext import pullback_with_map, pushout_with_map
-from quiverfilt.linalg import columns_contained, is_invertible
+from quiverfilt.homext import _intertwine_matrix, pullback_with_map, pushout_with_map
+from quiverfilt.linalg import Matrix, columns_contained, is_invertible
 from quiverfilt.reps import linear_combination
 
-from conftest import make_x11
+from conftest import draw_rep, make_x11
 
 
 def x_k3():
@@ -356,3 +357,43 @@ def test_split_iff_zero_class(coeffs):
     e = sp.basis()[0].scale(QQ.of(coeffs[0]))
     ses = extension_middle(r0, r0, e)
     assert is_split(ses) == sp.is_zero_class(e)
+
+
+def _reference_intertwine_matrix(m, n):
+    """The Hom(m, n) equations written entry by entry through Field.add/sub."""
+    f = m.field
+    quiver = m.quiver
+    col_off, ncols = {}, 0
+    for v in quiver.vertices:
+        col_off[v] = ncols
+        ncols += n.dims[v] * m.dims[v]
+    nrows = sum(n.dims[t] * m.dims[s] for _, s, t in quiver.arrows)
+    flat = [f.zero] * (nrows * ncols)
+    r = 0
+    for aid, s, t in quiver.arrows:
+        ma, na = m.arrow_maps[aid], n.arrow_maps[aid]
+        for i in range(n.dims[t]):
+            for j in range(m.dims[s]):
+                base = r * ncols
+                for l in range(m.dims[t]):
+                    c = base + col_off[t] + i * m.dims[t] + l
+                    flat[c] = f.add(flat[c], ma.at(l, j))
+                for l in range(n.dims[s]):
+                    c = base + col_off[s] + l * m.dims[s] + j
+                    flat[c] = f.sub(flat[c], na.at(i, l))
+                r += 1
+    return Matrix(f, nrows, ncols, flat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(2), GF(101)]),
+    st.sampled_from([kronecker(2), kronecker(3), linear_quiver(3)]),
+    st.data(),
+)
+def test_intertwine_matrix_matches_reference(field, quiver, data):
+    m = draw_rep(data, quiver, field, max_dim=3)
+    n = draw_rep(data, quiver, field, max_dim=3)
+    got = _intertwine_matrix(m, n)
+    assert got == _reference_intertwine_matrix(m, n)
+    assert all(type(x) is type(field.zero) for x in got.entries)

@@ -22,6 +22,8 @@ from quiverfilt.linalg import (
     vstack,
 )
 
+from conftest import field_scalar
+
 F2 = GF(2)
 F5 = GF(5)
 
@@ -233,22 +235,9 @@ _kernel_fields = st.sampled_from([QQ, F2, F5, GF(101)])
 _kernel_dims = st.integers(min_value=0, max_value=8)
 
 
-def _scalar(field):
-    """Canonical scalars, zero about half the time; fractional over QQ."""
-    if field.characteristic == 0:
-        nonzero = st.builds(
-            Fraction,
-            st.integers(min_value=-6, max_value=6).filter(bool),
-            st.integers(min_value=1, max_value=5),
-        )
-    else:
-        nonzero = st.integers(min_value=1, max_value=field.characteristic - 1)
-    return st.one_of(st.just(field.zero), nonzero)
-
-
 def _sparse_matrix(field, rows, cols):
     return st.lists(
-        _scalar(field), min_size=rows * cols, max_size=rows * cols
+        field_scalar(field), min_size=rows * cols, max_size=rows * cols
     ).map(lambda ent: Matrix(field, rows, cols, ent))
 
 

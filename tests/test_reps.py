@@ -1,9 +1,10 @@
 """Representations, morphisms, sub/quotient machinery, standard modules."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quiverfilt import (
+    GF,
     QQ,
     Matrix,
     Morphism,
@@ -22,9 +23,10 @@ from quiverfilt import (
     subrep_from_spans,
 )
 from quiverfilt.errors import InvariantError, UndecidedError
+from quiverfilt.linalg import inverse
 from quiverfilt.reps import factor_through_inclusion, linear_combination
 
-from conftest import make_x11
+from conftest import draw_rep, field_scalar, make_x11
 
 
 def mq(rows):
@@ -51,6 +53,8 @@ def test_morphism_validates_intertwining(r0, r1):
     assert "a2" in str(exc.value)  # names the offending arrow
     assert Morphism.identity(r0).is_isomorphism()
     assert Morphism.zero(r0, r1).is_injective() is False
+    with pytest.raises(InvariantError):
+        Morphism.zero(r0, standard_module(kronecker(3), QQ, "simple", 1))
 
 
 def test_compose_order(r0):
@@ -193,3 +197,65 @@ def test_kernel_image_rank_nullity(scalars, coeffs):
     quot, proj = cokernel(f)
     for v in (1, 2):
         assert quot.dims[v] == s.dims[v] - img.sub.dims[v]
+
+
+# properties: morphism arithmetic, built without re-validation, equals the
+# same arithmetic done blockwise with Matrix operations, and every result
+# still passes the full check in Morphism(...)
+
+_arith_fields = st.sampled_from([QQ, GF(2), GF(101)])
+_arith_quivers = st.sampled_from([kronecker(2), linear_quiver(3)])
+
+
+def _reference_combination(source, target, basis, coeffs):
+    blocks = {
+        v: Matrix.zeros(source.field, target.dims[v], source.dims[v])
+        for v in source.quiver.vertices
+    }
+    for c, b in zip(coeffs, basis):
+        blocks = {v: blocks[v].add(b.blocks[v].scale(c)) for v in blocks}
+    return blocks
+
+
+@settings(max_examples=100, deadline=None)
+@given(_arith_fields, _arith_quivers, st.data())
+def test_trusted_arithmetic_matches_reference_and_validates(field, quiver, data):
+    m = draw_rep(data, quiver, field)
+    n = m if data.draw(st.booleans()) else draw_rep(data, quiver, field)
+    basis = hom_basis(m, n)
+    assume(basis)
+    scalars = st.lists(field_scalar(field), min_size=len(basis), max_size=len(basis))
+    coeffs = data.draw(scalars)
+    combo = linear_combination(basis, coeffs)
+    assert combo.source is m and combo.target is n
+    other = linear_combination(basis, data.draw(scalars))
+    c = data.draw(field_scalar(field))
+    vertices = quiver.vertices
+    cases = [
+        (combo, _reference_combination(m, n, basis, coeffs)),
+        (combo.add(other), {v: combo.blocks[v].add(other.blocks[v]) for v in vertices}),
+        (combo.sub(other), {v: combo.blocks[v].sub(other.blocks[v]) for v in vertices}),
+        (combo.scale(c), {v: combo.blocks[v].scale(c) for v in vertices}),
+    ]
+    ends = hom_basis(n, n)
+    if ends:
+        g = linear_combination(ends, data.draw(st.lists(
+            field_scalar(field), min_size=len(ends), max_size=len(ends))))
+        cases.append((compose(combo, g), {v: g.blocks[v].mul(combo.blocks[v]) for v in vertices}))
+    if combo.is_isomorphism():
+        inv = combo.inverse()
+        cases.append((inv, {v: inverse(combo.blocks[v]) for v in vertices}))
+        cases.append((compose(combo, inv), Morphism.identity(m).blocks))
+    for result, expected in cases:
+        assert result.blocks == expected
+        Morphism(result.source, result.target, result.blocks)  # full validation accepts it
+
+
+def test_linear_combination_rejects_mismatched_endpoints(r0, r1):
+    mixed = [Morphism.identity(r0), Morphism.identity(r1)]
+    with pytest.raises(InvariantError, match="common source and target"):
+        linear_combination(mixed, [QQ.one, QQ.one])
+    with pytest.raises(InvariantError):
+        linear_combination([], [])
+    with pytest.raises(InvariantError):
+        linear_combination(mixed[:1], [QQ.one, QQ.one])
