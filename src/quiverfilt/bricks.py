@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantError
 from .homext import ExtSpace, hom_basis
-from .linalg import Matrix, is_invertible, mat_from_cols, rank, solve
+from .linalg import Matrix, is_invertible, mat_from_cols, rank
 from .reps import Morphism, Rep, compose, is_isomorphic, linear_combination
 
 
@@ -42,19 +42,21 @@ class AlgebraPresentation:
         return self.rep.field
 
     def multiply(self, a: list, b: list) -> list:
-        f = self.field
-        d = self.dimension
-        out = [f.zero] * d
-        for i, ai in enumerate(a):
-            if ai == f.zero:
+        p = self.field.characteristic
+        table = self.multiplication_table
+        out = [self.field.zero] * self.dimension
+        for ai, plane in zip(a, table):
+            if not ai:
                 continue
-            for j, bj in enumerate(b):
-                if bj == f.zero:
+            for bj, tij in zip(b, plane):
+                if not bj:
                     continue
-                coeff = f.mul(ai, bj)
-                tij = self.multiplication_table[i][j]
-                for l in range(d):
-                    out[l] = f.add(out[l], f.mul(coeff, tij[l]))
+                coeff = ai * bj
+                for l, x in enumerate(tij):
+                    if x:
+                        out[l] += coeff * x
+        if p:
+            out = [x % p for x in out]
         return out
 
     def element(self, coords: list) -> Morphism:
@@ -112,23 +114,35 @@ def _flatten_endo(m: Morphism) -> list:
     return out
 
 
+def end_coordinates(basis: list):
+    """The coordinate function of ``basis = hom_basis(m, m)``.
+
+    Flattened, each vector of that canonical nullspace basis has a 1 at its
+    own free column of the intertwining system, a 0 at the other free
+    columns, and nonzero entries only at pivot columns before its own.  So
+    its free column is its last nonzero entry, and the coordinates of an
+    endomorphism are its flattened entries at the free columns.  One product
+    (the combination of the basis with those coordinates) checks that the
+    endomorphism lies in the span; ``InvariantError`` if not.
+    """
+    free = [max(j for j, x in enumerate(_flatten_endo(b)) if x) for b in basis]
+
+    def coords_of(morphism: Morphism) -> list:
+        flat = _flatten_endo(morphism)
+        coords = [flat[j] for j in free]
+        if linear_combination(basis, coords).blocks != morphism.blocks:
+            raise InvariantError("endomorphism does not lie in the End basis span")
+        return coords
+
+    return coords_of
+
+
 def end_algebra(m: Rep) -> AlgebraPresentation:
     """The endomorphism algebra of m with honestly computed structure constants."""
     basis = hom_basis(m, m)
-    f = m.field
-    d = len(basis)
-    if d == 0:
+    if not basis:
         return AlgebraPresentation(m, [], [], [])
-    nflat = sum(n * n for n in m.dims.values())
-    smat = mat_from_cols(f, nflat, [_flatten_endo(b) for b in basis])
-
-    def coords_of(morphism: Morphism) -> list:
-        target = Matrix(f, nflat, 1, _flatten_endo(morphism))
-        sol = solve(smat, target)
-        if sol is None or smat.mul(sol) != target:
-            raise InvariantError("endomorphism does not lie in the hom basis span")
-        return sol.col(0)
-
+    coords_of = end_coordinates(basis)
     table = [
         [coords_of(compose(bi, bj)) for bj in basis]
         for bi in basis

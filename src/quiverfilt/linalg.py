@@ -8,8 +8,13 @@ package.
 The hot kernels (``rref``, ``Matrix.mul`` and the row kernels below) bypass
 ``Field`` and specialise on the characteristic: ``int`` arithmetic with one
 ``% p`` per result over GF(p), ``Fraction`` operators over the rationals.
-They skip zeros by truthiness, so they require canonical entries, the values
-``Field.of`` returns: a ``Fraction`` over QQ, an ``int`` in [0, p) over GF(p).
+``rref`` over the rationals does no ``Fraction`` arithmetic at all: it clears
+each row's denominators once, eliminates by cross-multiplication on integer
+rows kept primitive (divided by the gcd of their entries), and builds each
+``Fraction`` of the result once, from a pivot row and its pivot entry.  The
+kernels skip zeros by truthiness, so they require canonical entries, the
+values ``Field.of`` returns: a ``Fraction`` over QQ, an ``int`` in [0, p) over
+GF(p).
 
 Matrices are immutable by convention: no public routine mutates its inputs,
 and ``Matrix`` instances may be shared freely.
@@ -18,16 +23,23 @@ and ``Matrix`` instances may be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import FormatError, InvariantError
 
 
 class Field:
-    """Arithmetic context for an exact field."""
+    """Arithmetic context for an exact field.
+
+    ``zero`` and ``one`` are fixed canonical scalars of the field, shared by
+    every caller.
+    """
 
     kind: str
     characteristic: int
+    zero: object
+    one: object
 
     def of(self, x):
         raise NotImplementedError
@@ -49,14 +61,6 @@ class Field:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    @property
-    def zero(self):
-        return self.of(0)
-
-    @property
-    def one(self):
-        return self.of(1)
 
     def parse(self, text: str):
         raise NotImplementedError
@@ -83,6 +87,8 @@ class Field:
 class _Rationals(Field):
     kind = "rationals"
     characteristic = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def of(self, x):
         if isinstance(x, Fraction):
@@ -124,6 +130,8 @@ class _Rationals(Field):
 
 class _PrimeField(Field):
     kind = "prime_field"
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
@@ -449,6 +457,8 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     output is canonical: equal row spaces give equal results.
     """
     p = m.field.characteristic
+    if not p:
+        return _rref_rational(m)
     rows = [m.row(i) for i in range(m.rows)]
     pivots: list[int] = []
     r = 0
@@ -470,6 +480,70 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
             break
     flat = [x for row in rows for x in row]
     return Matrix(m.field, m.rows, m.cols, flat), tuple(pivots)
+
+
+def _primitive(row: list) -> list:
+    """``row`` divided by the gcd of its entries (a zero row is returned as is)."""
+    g = gcd(*row)
+    return row if g < 2 else [x // g for x in row]
+
+
+def _rref_rational(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """``rref`` over QQ, eliminating on integer rows.
+
+    Scaling a row keeps the row space, so each row is multiplied once by the
+    lcm of its denominators.  An entry ``b`` is cleared against the pivot
+    entry ``a`` by ``row = (a/g)*row - (b/g)*pivot`` with ``g = gcd(a, b)``,
+    and a changed row is divided by its content; primitive rows keep the
+    entries bounded by the minors of the cleared integer matrix.  The ``Fraction`` entries of
+    the result are built once, by dividing each pivot row by its pivot entry.
+    """
+    n = m.cols
+    e = m.entries
+    rows = []
+    for i in range(m.rows):
+        items = nonzero_items(e[i * n : (i + 1) * n])
+        den = lcm(*[x.denominator for _, x in items])
+        row = [0] * n
+        for j, x in items:
+            row[j] = x.numerator * (den // x.denominator)
+        rows.append(_primitive(row))
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        pivot = rows[r]
+        if pivot[c] < 0:
+            pivot = rows[r] = [-x for x in pivot]
+        a = pivot[c]
+        items = nonzero_items(pivot, c)
+        for i, row in enumerate(rows):
+            b = row[c]
+            if not b or i == r:
+                continue
+            g = gcd(a, b)
+            s, t = a // g, b // g
+            if s != 1:
+                row = [s * x for x in row]
+            for j, x in items:
+                row[j] -= t * x
+            rows[i] = _primitive(row)
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    zero = QQ.zero
+    flat = []
+    for row, c in zip(rows, pivots):
+        a = row[c]
+        flat += [Fraction(x, a) if x else zero for x in row]
+    flat += [zero] * ((m.rows - r) * n)
+    return Matrix(m.field, m.rows, n, flat), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:

@@ -39,6 +39,7 @@ from .linalg import (
     quotient_map,
     rank,
     solve,
+    vstack,
 )
 from .quivers import Quiver
 
@@ -510,10 +511,12 @@ def is_isomorphic(m: Rep, n: Rep) -> tuple[bool, Morphism | None]:
     """Decide isomorphism, returning a witness when one exists.
 
     Negative answers are certified: either the dimension vectors differ, the
-    hom space is too small to contain an isomorphism, or an exhaustive
-    coefficient sweep (grid of size dim+1 per coordinate over the rationals,
-    the full space over GF(p)) found none.  If the sweep would be too large
-    this raises ``UndecidedError`` instead of guessing.
+    hom space is too small to contain an isomorphism (at some vertex v the
+    blocks of the whole hom basis span less than N_v, or their kernels meet
+    in a nonzero vector of M_v), or an exhaustive coefficient sweep (grid of
+    size dim+1 per coordinate over the rationals, the full space over GF(p))
+    found none.  If the sweep would be too large this raises
+    ``UndecidedError`` instead of guessing.
     """
     from .homext import hom_basis
 
@@ -526,6 +529,12 @@ def is_isomorphic(m: Rep, n: Rep) -> tuple[bool, Morphism | None]:
     basis = hom_basis(m, n)
     if not basis:
         return False, None
+    # An isomorphism is a combination of the basis, so at each vertex the
+    # blocks must jointly be onto N_v and share no kernel vector in M_v.
+    for v in m.quiver.vertices:
+        blocks = [b.blocks[v] for b in basis]
+        if rank(hstack(blocks)) < n.dims[v] or rank(vstack(blocks)) < m.dims[v]:
+            return False, None
 
     def build(coeffs):
         return linear_combination(basis, coeffs)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .bricks import AlgebraPresentation, SemiBrickCert, end_algebra, is_brick
+from .bricks import AlgebraPresentation, SemiBrickCert, end_algebra, end_coordinates, is_brick
 from .errors import BudgetError, InapplicableError, InvariantError
 from .filtration import _require_cert
 from .homext import (
@@ -258,10 +258,11 @@ class EndTower:
         return tuple(alg.dimension for alg in self.algebras)
 
 
-def _restriction_coords(
-    alg_small: AlgebraPresentation, incl: Morphism, endo: Morphism
-) -> list:
-    """Coordinates in End(sub) of the restriction of an endomorphism along incl."""
+def _restriction_coords(coords_of, incl: Morphism, endo: Morphism) -> list:
+    """Coordinates in End(sub) of the restriction of an endomorphism along incl.
+
+    ``coords_of`` is the ``end_coordinates`` function of End(sub).
+    """
     blocks = {}
     for v in incl.source.quiver.vertices:
         rhs = endo.blocks[v].mul(incl.blocks[v])
@@ -271,20 +272,7 @@ def _restriction_coords(
                 "endomorphism does not preserve the subobject; restriction undefined"
             )
         blocks[v] = sol
-    restricted = Morphism(incl.source, incl.source, blocks)
-    f = incl.source.field
-    d = alg_small.dimension
-    if d == 0:
-        return []
-    from .bricks import _flatten_endo
-
-    nflat = sum(n * n for n in incl.source.dims.values())
-    smat = mat_from_cols(f, nflat, [_flatten_endo(b) for b in alg_small.basis])
-    target = Matrix(f, nflat, 1, _flatten_endo(restricted))
-    sol = solve(smat, target)
-    if sol is None or smat.mul(sol) != target:
-        raise InvariantError("restriction does not lie in the End basis span")
-    return sol.col(0)
+    return coords_of(Morphism(incl.source, incl.source, blocks))
 
 
 def _ideal_basis(alg: AlgebraPresentation, incl_from_base: Morphism) -> list:
@@ -386,8 +374,9 @@ def end_ring_tower(t: Tower) -> EndTower:
         if i + 1 < t.height:
             big = algebras[i + 1]
             incl = t.sequences[i].incl
+            coords_of = end_coordinates(alg.basis)
             cols = [
-                _restriction_coords(alg, incl, b) for b in big.basis
+                _restriction_coords(coords_of, incl, b) for b in big.basis
             ]
             psi = mat_from_cols(f, d, cols)
             psi_maps.append(psi)

@@ -1,26 +1,32 @@
 """Endomorphism algebras, brick certification, semi-brick checking."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiverfilt import (
     GF,
     QQ,
+    Matrix,
+    Morphism,
     check_semibrick,
     direct_sum,
     end_algebra,
     hom_basis,
     is_brick,
     kronecker,
+    linear_quiver,
     quasi_simple,
     standard_module,
     universal_sequence,
 )
-from quiverfilt.bricks import AlgebraPresentation
+from quiverfilt.bricks import AlgebraPresentation, end_coordinates
 from quiverfilt.errors import InvariantError
+from quiverfilt.reps import compose, linear_combination
 
-from conftest import make_x11
+from conftest import draw_rep, field_scalar, make_x11
 
 
 def _y2(field=QQ):
@@ -69,6 +75,52 @@ def test_end_algebra_unit_coordinates(r0):
     from quiverfilt import Morphism
 
     assert one == Morphism.identity(r0)
+
+
+def test_end_coordinates_reads_free_columns_and_checks_span(r0):
+    mm, _, _ = direct_sum([r0, r0])
+    basis = hom_basis(mm, mm)
+    coords_of = end_coordinates(basis)
+    d = len(basis)
+    for i, b in enumerate(basis):
+        assert coords_of(b) == [QQ.one if j == i else QQ.zero for j in range(d)]
+    coeffs = [QQ.of(c) for c in (3, -1, 0, 2)]
+    assert coords_of(linear_combination(basis, coeffs)) == coeffs
+    # vertexwise blocks that break a commuting square lie outside the span
+    blocks = {1: Matrix.from_rows(QQ, [[1, 0], [0, 0]]), 2: Matrix.zeros(QQ, 2, 2)}
+    with pytest.raises(InvariantError):
+        coords_of(Morphism._trusted(mm, mm, blocks))
+
+
+def _reference_multiply(alg, a, b):
+    f = alg.field
+    out = [f.zero] * alg.dimension
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            coeff = f.mul(ai, bj)
+            for l, t in enumerate(alg.multiplication_table[i][j]):
+                out[l] = f.add(out[l], f.mul(coeff, t))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(2), GF(101)]),
+    st.sampled_from([kronecker(2), linear_quiver(3)]),
+    st.data(),
+)
+def test_multiply_matches_reference_and_composition(field, quiver, data):
+    m = draw_rep(data, quiver, field)
+    alg = end_algebra(m)
+    d = alg.dimension
+    coords = st.lists(field_scalar(field), min_size=d, max_size=d)
+    a, b = data.draw(coords), data.draw(coords)
+    prod = alg.multiply(a, b)
+    assert prod == _reference_multiply(alg, a, b)
+    kind = int if field.characteristic else Fraction
+    assert all(type(x) is kind for x in prod)
+    if d:
+        assert alg.element(prod) == compose(alg.element(a), alg.element(b))
 
 
 def test_algebra_presentation_verify_catches_tampering(r0):

@@ -69,6 +69,12 @@ def test_field_identity():
     assert QQ == QQ and QQ != F5 and F5 != F2
 
 
+def test_field_constants_are_fixed_canonical_scalars():
+    assert QQ.zero is QQ.zero and QQ.one is QQ.one
+    assert type(QQ.zero) is Fraction and QQ.zero == 0 and QQ.one == 1
+    assert (F5.zero, F5.one) == (0, 1) and type(F5.zero) is int
+
+
 # ---------------------------------------------------------------------------
 # rref / rank / nullspace, frozen examples
 
@@ -249,8 +255,75 @@ def _sparse_matrix(field, rows, cols):
 )
 def test_rref_matches_reference_and_keeps_input(m):
     before = list(m.entries)
-    assert rref(m) == _reference_rref(m)
+    out = rref(m)
+    assert out == _reference_rref(m)
+    assert _canonical(out[0])
     assert m.entries == before
+
+
+def _canonical(m):
+    """Entries are the values ``Field.of`` returns; ``Matrix.__eq__`` alone
+    would accept an ``int`` 0 in place of ``Fraction(0)``."""
+    p = m.field.characteristic
+    if p:
+        return all(type(x) is int and 0 <= x < p for x in m.entries)
+    return all(type(x) is Fraction for x in m.entries)
+
+
+_huge = st.integers(min_value=2**69, max_value=2**70)
+_big_rational = st.one_of(
+    st.just(QQ.zero),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.one_of(st.integers(min_value=1, max_value=9), _huge),
+    ),
+    st.builds(lambda n, d: Fraction(-n, d), _huge, _huge),
+)
+
+
+@st.composite
+def _rank_deficient_qq(draw):
+    """QQ matrices up to 12x12 with entries up to 2^70 in numerator and
+    denominator, whose later rows duplicate or combine earlier ones."""
+    rows = draw(st.integers(min_value=1, max_value=12))
+    cols = draw(st.integers(min_value=0, max_value=12))
+    base = draw(st.integers(min_value=1, max_value=rows))
+    out = [draw(st.lists(_big_rational, min_size=cols, max_size=cols)) for _ in range(base)]
+    while len(out) < rows:
+        i = draw(st.integers(min_value=0, max_value=len(out) - 1))
+        j = draw(st.integers(min_value=0, max_value=len(out) - 1))
+        a, b = draw(
+            st.one_of(st.just((QQ.one, QQ.zero)), st.tuples(field_scalar(QQ), field_scalar(QQ)))
+        )
+        out.append([a * x + b * y for x, y in zip(out[i], out[j])])
+    order = draw(st.permutations(range(rows)))
+    return Matrix(QQ, rows, cols, [x for k in order for x in out[k]]), base
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rank_deficient_qq(), st.data())
+def test_rref_rational_big_entries_rank_deficient(case, data):
+    m, base = case
+    before = list(m.entries)
+    red, pivots = rref(m)
+    assert (red, pivots) == _reference_rref(m)
+    assert len(pivots) <= base
+    assert m.entries == before
+    assert _canonical(red)
+    null = nullspace_basis(m)
+    assert len(null) == m.cols - len(pivots)
+    assert all(_canonical(v) and m.mul(v).is_zero() for v in null)
+    x = Matrix(QQ, m.cols, 1, data.draw(st.lists(_big_rational, min_size=m.cols, max_size=m.cols)))
+    sol = solve(m, m.mul(x))
+    assert sol is not None and _canonical(sol) and m.mul(sol) == m.mul(x)
+    n = m.rows
+    square = Matrix(QQ, n, n, data.draw(st.lists(_big_rational, min_size=n * n, max_size=n * n)))
+    inv = inverse(square)
+    if inv is None:
+        assert rank(square) < n
+    else:
+        assert _canonical(inv) and square.mul(inv) == Matrix.identity(QQ, n)
 
 
 @settings(max_examples=200, deadline=None)

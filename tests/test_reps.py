@@ -9,6 +9,7 @@ from quiverfilt import (
     Matrix,
     Morphism,
     Rep,
+    check_semibrick,
     cokernel,
     compose,
     direct_sum,
@@ -21,6 +22,7 @@ from quiverfilt import (
     quasi_simple,
     standard_module,
     subrep_from_spans,
+    tower,
 )
 from quiverfilt.errors import InvariantError, UndecidedError
 from quiverfilt.linalg import inverse
@@ -175,6 +177,19 @@ def test_is_isomorphic_dim_mismatch(r0, k2):
     p2 = standard_module(k2, QQ, "projective", 2)
     ok, wit = is_isomorphic(r0, p2)
     assert not ok
+
+
+@pytest.mark.parametrize("field, k", [(QQ, 5), (GF(101), 3)])
+def test_is_isomorphic_certified_negative_by_vertex_span(field, k):
+    # Hom(R0^k, Y(k)) lands in the socle of Y(k), so the images span less
+    # than Y(k) at each vertex; Hom(Y(k), R0^k) kills the radical Y(k-1),
+    # so the kernels share a nonzero vector.  The grid search alone runs for
+    # minutes over QQ with k = 5 and refuses over GF(101) with k = 3.
+    r = quasi_simple(field, field.of(0))
+    power, _, _ = direct_sum([r] * k)
+    level = tower(r, check_semibrick([r]), k).levels[-1]
+    assert is_isomorphic(power, level) == (False, None)
+    assert is_isomorphic(level, power) == (False, None)
 
 
 # properties: random morphisms on K_2 respect rank-nullity vertexwise
