@@ -1,8 +1,11 @@
-"""Byte-for-byte golden outputs: CLI ``--json`` reports and one isomorphism witness.
+"""Byte-for-byte golden outputs: CLI ``--json`` reports and three witnesses.
 
-The files under ``tests/golden/`` were recorded before the trusted
-morphism-arithmetic path was introduced.  A refactor or speed-up must
-reproduce them exactly; a deliberate output change re-records them with
+The CLI reports and the isomorphism witness were recorded before the
+trusted morphism-arithmetic path was introduced; the two ``ses_witness_*``
+files (the middle map f and the quotient automorphism g of
+``ses_equivalence_witness``) before the ladder became a solve on hom-basis
+coordinates.  A refactor or speed-up must reproduce them exactly; a
+deliberate output change re-records them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -14,9 +17,27 @@ import sys
 
 import pytest
 
-from quiverfilt import QQ, Matrix, Rep, is_isomorphic, linear_quiver, serialize
+from quiverfilt import (
+    QQ,
+    Matrix,
+    Morphism,
+    Rep,
+    check_semibrick,
+    cocycle_of,
+    compose,
+    extension_middle,
+    is_isomorphic,
+    kronecker,
+    linear_quiver,
+    quasi_simple,
+    serialize,
+    ses_equivalence_witness,
+    universal_sequence,
+)
 from quiverfilt.cli import main
+from quiverfilt.homext import pushout_with_map
 from quiverfilt.linalg import inverse
+from quiverfilt.towers import _assemble_universal, _universal_data
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 # R_0 + R_1 on the Kronecker quiver over QQ: End has dimension 2, and the
@@ -68,6 +89,55 @@ def _witness_text():
     return serialize(witness).encode()
 
 
+def _rescaled_universal_pair():
+    """The universal sequence over R_0 and the one realising 7 times its class."""
+    r0 = quasi_simple(QQ, QQ.of(0))
+    top = universal_sequence(r0, check_semibrick([r0]))
+    return top, extension_middle(top.quot, r0, cocycle_of(top).scale(QQ.of(7)))
+
+
+def _k3_recombined_level_pair():
+    """Level Y(2) -> Y(3) of the K_3 tower over X = x11(1, 0, 0), twice.
+
+    One copy stacks the canonical Ext basis; the other recombines each
+    level's basis by a fixed invertible matrix and is transported onto the
+    first along the running middle map, as in acceptance criterion 04.
+    Returns the transported sequence and the canonical one.
+    """
+    q = kronecker(3)
+    maps = {aid: Matrix.from_rows(QQ, [[c]]) for (aid, _, _), c in zip(q.arrows, (1, 0, 0))}
+    x = Rep(q, QQ, {1: 1, 2: 1}, maps)
+    sb = check_semibrick([x])
+    phi = Morphism.identity(x)
+    canonical = other = x
+    for level in range(2):
+        parts, cocycles, _ = _universal_data(canonical, sb)
+        ref = _assemble_universal(canonical, sb, parts, cocycles)
+        parts, cocycles, _ = _universal_data(other, sb)
+        k = len(cocycles)
+        mixed = [
+            cocycles[i].add(cocycles[(i + 1) % k].scale(QQ.of(i + 2))) for i in range(k)
+        ]
+        seq = _assemble_universal(other, sb, parts, mixed)
+        pushed, nat = pushout_with_map(seq, phi)
+        if level == 1:
+            return pushed, ref
+        f, _ = ses_equivalence_witness(pushed, ref)
+        phi = compose(nat, f)
+        canonical, other = ref.middle, seq.middle
+
+
+SES_CASES = {
+    "ses_witness_rescaled_r0": _rescaled_universal_pair,
+    "ses_witness_k3_level2": _k3_recombined_level_pair,
+}
+
+
+def _ses_witness_text(name):
+    f, g = ses_equivalence_witness(*SES_CASES[name]())
+    return (serialize(f) + serialize(g)).encode()
+
+
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_json_report_matches_golden(name, tmp_path, capsys):
     got = _cli_report(name, tmp_path / f"{name}.json")
@@ -81,6 +151,12 @@ def test_is_isomorphic_witness_matches_golden():
         assert _witness_text() == fh.read()
 
 
+@pytest.mark.parametrize("name", sorted(SES_CASES))
+def test_ses_equivalence_witness_matches_golden(name):
+    with open(os.path.join(GOLDEN, f"{name}.json"), "rb") as fh:
+        assert _ses_witness_text(name) == fh.read()
+
+
 def _record():
     from quiverfilt import direct_sum, quasi_simple, save
 
@@ -90,6 +166,9 @@ def _record():
         _cli_report(name, os.path.join(GOLDEN, f"{name}.json"))
     with open(os.path.join(GOLDEN, "is_isomorphic_a3_witness.json"), "wb") as fh:
         fh.write(_witness_text())
+    for name in SES_CASES:
+        with open(os.path.join(GOLDEN, f"{name}.json"), "wb") as fh:
+            fh.write(_ses_witness_text(name))
 
 
 if __name__ == "__main__":
