@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .homext import ExtSpace, hom_basis
-from .linalg import Matrix, is_invertible, mat_from_cols, rank
+from .homext import ExtSpace, _flatten_hom, hom_basis
+from .linalg import Matrix, is_invertible, mat_from_cols, rank, unit_vectors
 from .reps import Morphism, Rep, compose, is_isomorphic, linear_combination
 
 
@@ -65,13 +65,8 @@ class AlgebraPresentation:
     def operator_matrix(self, coords: list) -> Matrix:
         """Left multiplication by the element with the given coordinates."""
         d = self.dimension
-        f = self.field
-        cols = []
-        for j in range(d):
-            unit = [f.zero] * d
-            unit[j] = f.one
-            cols.append(self.multiply(coords, unit))
-        return mat_from_cols(f, d, cols)
+        cols = [self.multiply(coords, e) for e in unit_vectors(self.field, d)]
+        return mat_from_cols(self.field, d, cols)
 
     def is_nilpotent(self, coords: list) -> bool:
         f = self.field
@@ -84,13 +79,8 @@ class AlgebraPresentation:
 
     def verify(self) -> bool:
         """Exact associativity and unit laws on all basis triples/pairs."""
-        f = self.field
         d = self.dimension
-        units = []
-        for i in range(d):
-            e = [f.zero] * d
-            e[i] = f.one
-            units.append(e)
+        units = unit_vectors(self.field, d)
         for i in range(d):
             if self.multiply(self.unit_coordinates, units[i]) != units[i]:
                 return False
@@ -107,13 +97,6 @@ class AlgebraPresentation:
         return True
 
 
-def _flatten_endo(m: Morphism) -> list:
-    out = []
-    for v in m.source.quiver.vertices:
-        out.extend(m.blocks[v].entries)
-    return out
-
-
 def end_coordinates(basis: list):
     """The coordinate function of ``basis = hom_basis(m, m)``.
 
@@ -125,10 +108,10 @@ def end_coordinates(basis: list):
     (the combination of the basis with those coordinates) checks that the
     endomorphism lies in the span; ``InvariantError`` if not.
     """
-    free = [max(j for j, x in enumerate(_flatten_endo(b)) if x) for b in basis]
+    free = [max(j for j, x in enumerate(_flatten_hom(b)) if x) for b in basis]
 
     def coords_of(morphism: Morphism) -> list:
-        flat = _flatten_endo(morphism)
+        flat = _flatten_hom(morphism)
         coords = [flat[j] for j in free]
         if linear_combination(basis, coords).blocks != morphism.blocks:
             raise InvariantError("endomorphism does not lie in the End basis span")
@@ -165,11 +148,7 @@ class BrickReport:
 def _witness_candidates(alg: AlgebraPresentation):
     f = alg.field
     d = alg.dimension
-    units = []
-    for i in range(d):
-        e = [f.zero] * d
-        e[i] = f.one
-        units.append(e)
+    units = unit_vectors(f, d)
     for e in units:
         yield e
     for i in range(d):
@@ -224,7 +203,7 @@ def is_brick(m: Rep) -> BrickReport:
                 "endomorphism that is neither invertible nor nilpotent",
             )
     if f.characteristic == 0:
-        ops = [alg.operator_matrix(e) for e in _unit_vectors(f, d)]
+        ops = [alg.operator_matrix(e) for e in unit_vectors(f, d)]
         gram_rows = []
         for i in range(d):
             row = []
@@ -252,15 +231,6 @@ def is_brick(m: Rep) -> BrickReport:
         None,
         "no witness found; trace-form evidence only computed in characteristic 0",
     )
-
-
-def _unit_vectors(f, d):
-    out = []
-    for i in range(d):
-        e = [f.zero] * d
-        e[i] = f.one
-        out.append(e)
-    return out
 
 
 def _trace(m: Matrix):

@@ -144,18 +144,26 @@ def _resolve_rep(token: str, quiver: Quiver | None, field: Field) -> Rep:
     )
 
 
-def _resolve_semibrick(tokens, quiver, field, assume_bricks):
+def _load_semibrick(tokens, quiver, field, assume_bricks):
+    """A stored certificate, or the verdict of ``check_semibrick`` on the members.
+
+    One existing file holds a semibrick or a single rep; otherwise each
+    token is a module token.  The verdict may be a ``SemiBrickRefusal``.
+    """
     if len(tokens) == 1 and os.path.exists(tokens[0]):
         obj = formats.load(tokens[0])
         if isinstance(obj, SemiBrickCert):
             return obj
-        if isinstance(obj, Rep):
-            members = [obj]
-        else:
+        if not isinstance(obj, Rep):
             raise UsageError(f"{tokens[0]} is neither a semibrick nor a rep document")
+        members = [obj]
     else:
         members = [_resolve_rep(t, quiver, field) for t in tokens]
-    result = check_semibrick(members, assume_bricks=assume_bricks)
+    return check_semibrick(members, assume_bricks=assume_bricks)
+
+
+def _resolve_semibrick(tokens, quiver, field, assume_bricks):
+    result = _load_semibrick(tokens, quiver, field, assume_bricks)
     if not result.ok:
         raise InvariantError(f"semibrick check refused: {result.reason}")
     return result
@@ -306,17 +314,7 @@ def _cmd_brick(args):
 
 def _cmd_semibrick(args):
     quiver, field = _common_context(args)
-    if len(args.members) == 1 and os.path.exists(args.members[0]):
-        obj = formats.load(args.members[0])
-        if isinstance(obj, SemiBrickCert):
-            result = obj
-        elif isinstance(obj, Rep):
-            result = check_semibrick([obj], assume_bricks=args.assume_bricks)
-        else:
-            raise UsageError(f"{args.members[0]} is not a semibrick or rep document")
-    else:
-        members = [_resolve_rep(t, quiver, field) for t in args.members]
-        result = check_semibrick(members, assume_bricks=args.assume_bricks)
+    result = _load_semibrick(args.members, quiver, field, args.assume_bricks)
     if result.ok:
         payload = {
             "op": "semibrick",

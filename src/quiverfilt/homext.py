@@ -8,22 +8,25 @@ For representations M, N the intertwining operator
 has kernel Hom(M, N); because path algebras of acyclic quivers are
 hereditary its cokernel is Ext^1(M, N) and there are no higher cocycle
 conditions.  Extension classes are always compared through ``ExtSpace``
-reduction against the coboundary space, never by raw component equality.
+reduction against the coboundary space, never by raw component equality;
+``is_split`` is the zero test of a sequence's class.  Linear conditions on
+morphisms (the ladder of ``ses_equivalence_witness``) are solved for
+coordinates in ``hom_basis``, so no other system is built entry by entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import InvariantError, UndecidedError
 from .linalg import (
     Matrix,
+    RowSpace,
     hstack,
     mat_from_cols,
-    nonzero_items,
-    reduce_against,
     rref,
     solve,
+    unit_vectors,
     vstack,
 )
 from .reps import (
@@ -78,6 +81,11 @@ def _intertwine_matrix(m: Rep, n: Rep) -> Matrix:
                     if x:
                         flat[first + l * ms] = (-x) % p if p else -x
     return Matrix(f, nrows, ncols, flat)
+
+
+def _flatten_hom(f: Morphism) -> list:
+    """The blocks of f in the coordinates of ``_hom_layout``."""
+    return [x for v in f.source.quiver.vertices for x in f.blocks[v].entries]
 
 
 def _unflatten_hom(m: Rep, n: Rep, vec: list) -> dict:
@@ -187,7 +195,9 @@ class ExtSpace:
             self._row_off[aid] = off
             off += to_rep.dims[t] * from_rep.dims[s]
         reduced, pivots = rref(phi.transpose())
-        self._ech = [(c, nonzero_items(reduced.row(i), c)) for i, c in enumerate(pivots)]
+        self._coboundaries = RowSpace(
+            from_rep.field, (reduced.row(i) for i in range(len(pivots)))
+        )
         self._pivots = pivots
         pivot_set = set(pivots)
         self._free = [c for c in range(self._nrows) if c not in pivot_set]
@@ -215,8 +225,7 @@ class ExtSpace:
 
     def reduce(self, c: ExtCocycle) -> list:
         """Coordinates of the class of c in the canonical cokernel basis."""
-        p = self.from_rep.field.characteristic
-        vec = reduce_against(self._flatten(c), self._ech, p)
+        vec = self._coboundaries.reduce(self._flatten(c))
         if any(vec[pivot] for pivot in self._pivots):
             raise InvariantError("cocycle reduction failed to clear pivots")
         return [vec[c_idx] for c_idx in self._free]
@@ -230,13 +239,7 @@ class ExtSpace:
 
     def basis(self) -> list[ExtCocycle]:
         """Cocycles whose classes form the canonical basis of Ext^1."""
-        f = self.from_rep.field
-        out = []
-        for fc in self._free:
-            vec = [f.zero] * self._nrows
-            vec[fc] = f.one
-            out.append(self._unflatten(vec))
-        return out
+        return [self.from_coords(e) for e in unit_vectors(self.from_rep.field, self.dim)]
 
     def from_coords(self, coords: list) -> ExtCocycle:
         """Canonical representative cocycle with the given class coordinates."""
@@ -487,46 +490,8 @@ def connecting_map(ses: ShortExactSequence, x: Rep) -> Matrix:
 
 
 def is_split(ses: ShortExactSequence) -> bool:
-    """Whether a retraction of the inclusion exists (solved as a linear system)."""
-    f = ses.middle.field
-    quiver = ses.middle.quiver
-    sub, mid = ses.sub, ses.middle
-    col_off = {}
-    ncols = 0
-    for v in quiver.vertices:
-        col_off[v] = ncols
-        ncols += sub.dims[v] * mid.dims[v]
-    rows: list[list] = []
-    rhs: list = []
-
-    def blank():
-        return [f.zero] * ncols
-
-    for v in quiver.vertices:
-        iv = ses.incl.blocks[v]
-        for i in range(sub.dims[v]):
-            for j in range(sub.dims[v]):
-                row = blank()
-                for l in range(mid.dims[v]):
-                    row[col_off[v] + i * mid.dims[v] + l] = iv.at(l, j)
-                rows.append(row)
-                rhs.append(f.one if i == j else f.zero)
-    for aid, s, t in quiver.arrows:
-        ma = mid.arrow_maps[aid]
-        sa = sub.arrow_maps[aid]
-        for i in range(sub.dims[t]):
-            for j in range(mid.dims[s]):
-                row = blank()
-                for l in range(mid.dims[t]):
-                    row[col_off[t] + i * mid.dims[t] + l] = ma.at(l, j)
-                for l in range(sub.dims[s]):
-                    c = col_off[s] + l * mid.dims[s] + j
-                    row[c] = f.sub(row[c], sa.at(i, l))
-                rows.append(row)
-                rhs.append(f.zero)
-    a = Matrix(f, len(rows), ncols, [x for r in rows for x in r])
-    b = Matrix(f, len(rhs), 1, rhs)
-    return solve(a, b) is not None
+    """Whether the sequence splits, that is, its class in Ext^1(quot, sub) is zero."""
+    return ExtSpace(ses.quot, ses.sub).is_zero_class(cocycle_of(ses))
 
 
 def ses_equivalence_witness(
@@ -589,65 +554,21 @@ def ses_equivalence_witness(
                 f"automorphism search too large: {len(nulls)} free coordinates "
                 f"over {fld!r}"
             )
-    # ladder solve for f : top.middle -> bottom.middle
-    tm, bm = top.middle, bottom.middle
-    quiver = tm.quiver
-    col_off = {}
-    ncols = 0
-    for v in quiver.vertices:
-        col_off[v] = ncols
-        ncols += bm.dims[v] * tm.dims[v]
-    rows: list[list] = []
-    rhs: list = []
-
-    def blank():
-        return [fld.zero] * ncols
-
-    for aid, s, t in quiver.arrows:
-        ta = tm.arrow_maps[aid]
-        ba = bm.arrow_maps[aid]
-        for i in range(bm.dims[t]):
-            for j in range(tm.dims[s]):
-                row = blank()
-                for l in range(tm.dims[t]):
-                    row[col_off[t] + i * tm.dims[t] + l] = ta.at(l, j)
-                for l in range(bm.dims[s]):
-                    c = col_off[s] + l * tm.dims[s] + j
-                    row[c] = fld.sub(row[c], ba.at(i, l))
-                rows.append(row)
-                rhs.append(fld.zero)
-    for v in quiver.vertices:
-        ti = top.incl.blocks[v]
-        bi = bottom.incl.blocks[v]
-        for i in range(bm.dims[v]):
-            for j in range(sub.dims[v]):
-                row = blank()
-                for l in range(tm.dims[v]):
-                    row[col_off[v] + i * tm.dims[v] + l] = ti.at(l, j)
-                rows.append(row)
-                rhs.append(bi.at(i, j))
-    gp = {v: g_found.blocks[v].mul(top.proj.blocks[v]) for v in quiver.vertices}
-    for v in quiver.vertices:
-        bp = bottom.proj.blocks[v]
-        for i in range(quot.dims[v]):
-            for j in range(tm.dims[v]):
-                row = blank()
-                for l in range(bm.dims[v]):
-                    row[col_off[v] + l * tm.dims[v] + j] = bp.at(i, l)
-                rows.append(row)
-                rhs.append(gp[v].at(i, j))
-    a = Matrix(fld, len(rows), ncols, [x for r in rows for x in r])
-    b = Matrix(fld, len(rhs), 1, rhs)
-    sol = solve(a, b)
-    if sol is None:
+    # ladder, solved for f's coordinates in hom_basis(top.middle, bottom.middle).
+    # They are f's entries at the free columns of Phi, so the solution with
+    # free coordinates zero depends only on the solution set: f is canonical.
+    basis = hom_basis(top.middle, bottom.middle)
+    cols = [
+        _flatten_hom(compose(top.incl, b)) + _flatten_hom(compose(b, bottom.proj))
+        for b in basis
+    ]
+    rhs = _flatten_hom(bottom.incl) + _flatten_hom(compose(top.proj, g_found))
+    coords = solve(mat_from_cols(fld, len(rhs), cols), Matrix(fld, len(rhs), 1, rhs))
+    if coords is None:
         raise InvariantError("ladder system inconsistent despite matching classes")
-    vec = sol.col(0)
-    blocks = {}
-    for v in quiver.vertices:
-        r, c = bm.dims[v], tm.dims[v]
-        start = col_off[v]
-        blocks[v] = Matrix(fld, r, c, list(vec[start : start + r * c]))
-    f_mid = Morphism(tm, bm, blocks)
+    if not basis:  # both middles are zero
+        return Morphism.zero(top.middle, bottom.middle), g_found
+    f_mid = linear_combination(basis, coords.col(0))
     if not f_mid.is_isomorphism():
         raise InvariantError("ladder produced a non-invertible middle map")
     return f_mid, g_found

@@ -450,6 +450,44 @@ def reduce_against(vec: list, echelon: list, p: int) -> list:
     return vec
 
 
+class RowSpace:
+    """A growing subspace of k^n, kept as echelon rows, with membership tests.
+
+    ``echelon`` lists ``(pivot, items)`` pairs in the form ``reduce_against``
+    takes; ``reduce`` returns a copy of a vector with every pivot cleared.
+    """
+
+    def __init__(self, field: Field, vectors: Iterable[Sequence] = ()):
+        self.field = field
+        self.echelon: list = []
+        for vec in vectors:
+            self.add(vec)
+
+    @property
+    def dim(self) -> int:
+        return len(self.echelon)
+
+    def reduce(self, vec: Sequence) -> list:
+        return reduce_against(list(vec), self.echelon, self.field.characteristic)
+
+    def contains(self, vec: Sequence) -> bool:
+        return not any(self.reduce(vec))
+
+    def add(self, vec: Sequence) -> bool:
+        """Add ``vec`` to the space; False if it already lay in it."""
+        red = self.reduce(vec)
+        for i, x in enumerate(red):
+            if x:
+                self.echelon.append((i, scale_to_unit(red, i, self.field.characteristic)))
+                return True
+        return False
+
+
+def unit_vectors(field: Field, d: int) -> list[list]:
+    """The standard basis of k^d, as coordinate lists."""
+    return [[field.one if i == j else field.zero for j in range(d)] for i in range(d)]
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with leftmost pivots and unit leading entries.
 

@@ -26,13 +26,14 @@ from .homext import (
 )
 from .linalg import (
     Matrix,
+    RowSpace,
     hstack,
     is_invertible,
     mat_from_cols,
+    nullspace_basis,
     rank,
-    reduce_against,
-    scale_to_unit,
     solve,
+    unit_vectors,
 )
 from .reps import Morphism, Rep, cokernel, compose, direct_sum, image
 
@@ -53,29 +54,6 @@ def dimension_budget() -> int:
     return value
 
 
-class _RowSpan:
-    """Incremental row space with membership testing, over an exact field."""
-
-    def __init__(self, field, width):
-        self.field = field
-        self.width = width
-        self.echelon = []  # (pivot, nonzero items) per row, in insertion order
-
-    def _reduce(self, vec):
-        return reduce_against(list(vec), self.echelon, self.field.characteristic)
-
-    def contains(self, vec) -> bool:
-        return not any(self._reduce(vec))
-
-    def add(self, vec) -> bool:
-        red = self._reduce(vec)
-        for i, x in enumerate(red):
-            if x:
-                self.echelon.append((i, scale_to_unit(red, i, self.field.characteristic)))
-                return True
-        return False
-
-
 def end_basis_of_ext(
     x: Rep, y: Rep, allow_uncertified: bool = False
 ) -> list[ExtCocycle]:
@@ -92,7 +70,7 @@ def end_basis_of_ext(
         )
     space = ExtSpace(x, y)
     endos = hom_basis(x, x)
-    span = _RowSpan(x.field, space.dim)
+    span = RowSpace(x.field)
     selected = []
     for cand in space.basis():
         coords = space.reduce(cand)
@@ -288,26 +266,9 @@ def _ideal_basis(alg: AlgebraPresentation, incl_from_base: Morphism) -> list:
         for idx in range(height):
             rows.append([cb.entries[idx] for cb in comp_blocks])
     if not rows:
-        return [list(e) for e in _identity_coords(f, d)]
+        return unit_vectors(f, d)
     mat = Matrix(f, len(rows), d, [x for row in rows for x in row])
-    from .linalg import nullspace_basis
-
     return [vec.col(0) for vec in nullspace_basis(mat)]
-
-
-def _identity_coords(f, d):
-    out = []
-    for i in range(d):
-        e = [f.zero] * d
-        e[i] = f.one
-        out.append(e)
-    return out
-
-
-def _span_matrix(f, vectors, dim):
-    if not vectors:
-        return Matrix.zeros(f, dim, 0)
-    return mat_from_cols(f, dim, vectors)
 
 
 def end_ring_tower(t: Tower) -> EndTower:
@@ -333,15 +294,15 @@ def end_ring_tower(t: Tower) -> EndTower:
         ideal = _ideal_basis(alg, incl_base)
         ideal_bases.append(ideal)
         d = alg.dimension
-        ideal_mat = _span_matrix(f, ideal, d)
-        ideal_rank = rank(ideal_mat)
+        ideal_span = RowSpace(f, ideal)
+        ideal_rank = ideal_span.dim
         # two-sidedness: basis products stay inside the ideal span
-        two_sided = True
-        for vec in ideal:
-            for e in _identity_coords(f, d):
-                for prod in (alg.multiply(e, vec), alg.multiply(vec, e)):
-                    if rank(hstack([ideal_mat, Matrix(f, d, 1, list(prod))])) > ideal_rank:
-                        two_sided = False
+        two_sided = all(
+            ideal_span.contains(prod)
+            for vec in ideal
+            for e in unit_vectors(f, d)
+            for prod in (alg.multiply(e, vec), alg.multiply(vec, e))
+        )
         # nilpotency: iterate span of products with the ideal until zero
         nilpotency_index = None
         current = [list(v) for v in ideal]
@@ -351,7 +312,7 @@ def end_ring_tower(t: Tower) -> EndTower:
             ):
                 nilpotency_index = power
                 break
-            nxt_span = _RowSpan(f, d)
+            nxt_span = RowSpace(f)
             nxt = []
             for a in current:
                 for b in ideal:
@@ -385,13 +346,17 @@ def end_ring_tower(t: Tower) -> EndTower:
                 psi.mul(Matrix(f, big.dimension, 1, list(big.unit_coordinates)))
                 == Matrix(f, d, 1, list(alg.unit_coordinates))
             )
-            multiplicative = True
-            for a in _identity_coords(f, big.dimension):
-                for b in _identity_coords(f, big.dimension):
-                    lhs = _apply(psi, alg, big.multiply(a, b))
-                    rhs = alg.multiply(_apply(psi, alg, a), _apply(psi, alg, b))
-                    if lhs != rhs:
-                        multiplicative = False
+            # psi(e_a e_b) = psi(e_a) psi(e_b), all pairs read off one product
+            n = big.dimension
+            images = psi.mul(
+                mat_from_cols(f, n, [c for row in big.multiplication_table for c in row])
+            )
+            psi_cols = [psi.col(a) for a in range(n)]
+            multiplicative = all(
+                images.col(a * n + b) == alg.multiply(psi_cols[a], psi_cols[b])
+                for a in range(n)
+                for b in range(n)
+            )
             report["psi_surjective"] = surjective
             report["psi_unital"] = unital
             report["psi_multiplicative"] = multiplicative
@@ -402,24 +367,12 @@ def end_ring_tower(t: Tower) -> EndTower:
         composite = psi_maps[0]
         for psi in psi_maps[1:]:
             composite = composite.mul(psi)
-        from .linalg import nullspace_basis
-
-        kernel_vecs = [v.col(0) for v in nullspace_basis(composite)]
-        top_dim = algebras[-1].dimension
-        kmat = _span_matrix(f, kernel_vecs, top_dim)
-        imat = _span_matrix(f, ideal_bases[-1], top_dim)
-        same = (
-            rank(kmat) == rank(imat)
-            and rank(hstack([kmat, imat])) == rank(kmat)
-        )
+        kernel = RowSpace(f, (v.col(0) for v in nullspace_basis(composite)))
+        top_ideal = RowSpace(f, ideal_bases[-1])
+        same = kernel.dim == top_ideal.dim and all(map(kernel.contains, ideal_bases[-1]))
         level_reports[-1]["composite_kernel_matches_ideal"] = same
         ok = ok and same
     return EndTower(t, algebras, psi_maps, ideal_bases, level_reports, ok)
-
-
-def _apply(mat: Matrix, alg_small: AlgebraPresentation, coords: list) -> list:
-    col = Matrix(mat.field, mat.cols, 1, list(coords))
-    return mat.mul(col).col(0)
 
 
 def uniserial_check(t: Tower) -> bool:

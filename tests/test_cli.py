@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from quiverfilt import QQ, check_semibrick, kronecker, save, universal_sequence
+from quiverfilt import QQ, check_semibrick, kronecker, quasi_simple, save, universal_sequence
 from quiverfilt.cli import main
 
 
@@ -321,6 +321,32 @@ def test_refused_semibrick_argument_is_exit_two(capsys):
     )
     assert code == 2
     assert "refused" in err
+
+
+def test_rep_file_loads_as_semibrick_in_both_commands(tmp_path, capsys):
+    path = tmp_path / "r0.json"
+    save(quasi_simple(QQ, QQ.of(0)), path)
+    code, out, _ = run(capsys, "semibrick", "--members", str(path), "--json", "-")
+    assert code == 0
+    assert _json_tail(out)["payload"]["ok"] is True
+    code, out, _ = run(capsys, "socle", "--module", "r0", "--semibrick", str(path))
+    assert code == 0
+    assert "socle dims = (1, 1)" in out
+
+
+def test_quiver_file_as_semibrick_is_exit_one_in_both_commands(tmp_path, capsys):
+    path = tmp_path / "k2.json"
+    save(kronecker(2), path)
+    errors = []
+    for argv in (
+        ["semibrick", "--members", str(path)],
+        ["socle", "--module", "r0", "--semibrick", str(path)],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert "neither a semibrick nor a rep document" in errors[0]
 
 
 def test_rep_file_on_wrong_quiver_is_exit_two(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Hom spaces, Ext cocycles, short exact sequences, pullback/pushout calculus."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,7 +35,14 @@ from quiverfilt import (
 )
 from quiverfilt.errors import InvariantError, UndecidedError
 from quiverfilt.homext import _intertwine_matrix, pullback_with_map, pushout_with_map
-from quiverfilt.linalg import Matrix, columns_contained, is_invertible
+from quiverfilt.linalg import (
+    Matrix,
+    columns_contained,
+    inverse,
+    is_invertible,
+    mat_from_cols,
+    solve,
+)
 from quiverfilt.reps import linear_combination
 
 from conftest import draw_rep, make_x11
@@ -292,6 +301,14 @@ def test_ses_equivalent_across_basis_rescale(r0):
     assert compose(f, bottom.proj) == compose(top.proj, g)
 
 
+def test_ses_equivalence_of_zero_sequences(k2):
+    z = Rep.zero(k2, QQ)
+    ses = extension_middle(z, z, ExtCocycle.zero(z, z))
+    f, g = ses_equivalence_witness(ses, ses)
+    assert f == Morphism.zero(z, z) and g == Morphism.identity(z)
+    assert is_split(ses)
+
+
 def test_ses_equivalent_refuses_inconclusive_search():
     # quot = R0 + R0 over GF(1009): the endomorphisms matching the split class
     # form a 2-dimensional family with no automorphism, and 1009^2 candidates
@@ -349,14 +366,79 @@ def test_euler_identity_on_kronecker_pairs(s1, s2):
     assert hom - ext == euler_form(k2, m.dim_vector(), n.dim_vector())
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.lists(_scalar, min_size=3, max_size=3))
-def test_split_iff_zero_class(coeffs):
-    r0 = quasi_simple(QQ, QQ.of(0))
-    sp = ExtSpace(r0, r0)
-    e = sp.basis()[0].scale(QQ.of(coeffs[0]))
-    ses = extension_middle(r0, r0, e)
-    assert is_split(ses) == sp.is_zero_class(e)
+def _has_retraction(ses):
+    """Reference split test: some r in hom_basis(middle, sub) with incl then r = id."""
+    f = ses.sub.field
+
+    def flat(m):
+        return [x for v in m.source.quiver.vertices for x in m.blocks[v].entries]
+
+    ident = flat(Morphism.identity(ses.sub))
+    cols = [flat(compose(ses.incl, r)) for r in hom_basis(ses.middle, ses.sub)]
+    lhs = mat_from_cols(f, len(ident), cols)
+    return solve(lhs, Matrix(f, len(ident), 1, ident)) is not None
+
+
+def _random_matrix(rng, f, rows, cols):
+    return Matrix(f, rows, cols, [f.of(rng.randint(-2, 2)) for _ in range(rows * cols)])
+
+
+def _random_rep(rng, quiver, f):
+    dims = {v: rng.randint(0, 3) for v in quiver.vertices}
+    maps = {aid: _random_matrix(rng, f, dims[t], dims[s]) for aid, s, t in quiver.arrows}
+    return Rep(quiver, f, dims, maps)
+
+
+def _random_ses(rng, quiver, f, split):
+    """A random extension, in a random basis of its middle.
+
+    With ``split`` the cocycle is the coboundary of random blocks
+    F_v : quot_v -> sub_v, so the class is zero; otherwise it is random.
+    """
+    sub, quot = _random_rep(rng, quiver, f), _random_rep(rng, quiver, f)
+    if split:
+        fb = {v: _random_matrix(rng, f, sub.dims[v], quot.dims[v]) for v in quiver.vertices}
+        comps = {
+            aid: fb[t].mul(quot.arrow_maps[aid]).sub(sub.arrow_maps[aid].mul(fb[s]))
+            for aid, s, t in quiver.arrows
+        }
+    else:
+        comps = {
+            aid: _random_matrix(rng, f, sub.dims[t], quot.dims[s])
+            for aid, s, t in quiver.arrows
+        }
+    ses = extension_middle(quot, sub, ExtCocycle(quot, sub, comps))
+    change = {}
+    for v in quiver.vertices:
+        g = _random_matrix(rng, f, ses.middle.dims[v], ses.middle.dims[v])
+        while not is_invertible(g):
+            g = _random_matrix(rng, f, g.rows, g.cols)
+        change[v] = g
+    inv = {v: inverse(g) for v, g in change.items()}
+    maps = {
+        aid: change[t].mul(ses.middle.arrow_maps[aid]).mul(inv[s])
+        for aid, s, t in quiver.arrows
+    }
+    middle = Rep(quiver, f, ses.middle.dims, maps)
+    incl = Morphism(sub, middle, {v: change[v].mul(ses.incl.blocks[v]) for v in change})
+    proj = Morphism(middle, quot, {v: ses.proj.blocks[v].mul(inv[v]) for v in change})
+    return ShortExactSequence(sub, middle, quot, incl, proj)
+
+
+def test_split_iff_zero_class():
+    """``is_split`` (the zero test of the Ext class) against a retraction search."""
+    rng = random.Random(5151)
+    verdicts = {True: 0, False: 0}
+    for quiver in (kronecker(2), kronecker(3), linear_quiver(3)):
+        for f in (QQ, GF(2), GF(101)):
+            for trial in range(10):
+                ses = _random_ses(rng, quiver, f, split=trial % 3 == 0)
+                verdict = is_split(ses)
+                assert verdict == _has_retraction(ses), (quiver.name, f, trial)
+                if trial % 3 == 0:
+                    assert verdict
+                verdicts[verdict] += 1
+    assert verdicts[True] >= 30 and verdicts[False] >= 15, verdicts
 
 
 def _reference_intertwine_matrix(m, n):

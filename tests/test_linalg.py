@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from quiverfilt import GF, QQ, Matrix
 from quiverfilt.errors import FormatError, InvariantError
 from quiverfilt.linalg import (
+    RowSpace,
     column_space_basis,
     columns_contained,
     hstack,
@@ -19,6 +20,7 @@ from quiverfilt.linalg import (
     rank,
     rref,
     solve,
+    unit_vectors,
     vstack,
 )
 
@@ -337,3 +339,66 @@ def test_mul_matches_reference_and_keeps_inputs(pair):
     before = (list(a.entries), list(b.entries))
     assert a.mul(b) == _reference_mul(a, b)
     assert (a.entries, b.entries) == before
+
+
+# ---------------------------------------------------------------------------
+# RowSpace against rank(hstack(...))
+
+
+def _rank_of(field, width, vectors):
+    cols = [Matrix(field, width, 1, list(v)) for v in vectors]
+    return rank(hstack([Matrix.zeros(field, width, 1)] + cols))
+
+
+@st.composite
+def _vector_stream(draw):
+    """A field, a width, and vectors of which some combine earlier ones."""
+    field = draw(st.sampled_from([QQ, F2, GF(101)]))
+    width = draw(st.integers(min_value=0, max_value=6))
+    scalar = field_scalar(field)
+    vectors = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        if vectors and draw(st.booleans()):
+            coeffs = draw(st.lists(scalar, min_size=len(vectors), max_size=len(vectors)))
+            vec = [field.zero] * width
+            for c, v in zip(coeffs, vectors):
+                vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, v)]
+        else:
+            vec = draw(st.lists(scalar, min_size=width, max_size=width))
+        vectors.append(vec)
+    return field, width, vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(_vector_stream())
+def test_row_space_matches_rank_of_hstack(case):
+    field, width, vectors = case
+    space = RowSpace(field)
+    kept = []
+    for i, vec in enumerate(vectors):
+        before = list(vec)
+        inside = _rank_of(field, width, kept + [vec]) == _rank_of(field, width, kept)
+        assert space.contains(vec) == inside
+        red = space.reduce(vec)
+        assert all(red[pivot] == field.zero for pivot, _ in space.echelon)
+        # vec - reduce(vec) lies in the space, so reduce keeps the coset
+        assert space.contains([field.sub(x, y) for x, y in zip(vec, red)])
+        assert space.add(vec) == (not inside)
+        assert vec == before
+        if not inside:
+            kept.append(vec)
+        assert space.dim == len(kept) == _rank_of(field, width, vectors[: i + 1])
+    # after every insertion, reduce clears all pivots, also the later ones
+    for vec in vectors:
+        red = space.reduce(vec)
+        assert all(red[pivot] == field.zero for pivot, _ in space.echelon)
+        assert not any(red)
+    assert RowSpace(field, vectors).echelon == space.echelon
+
+
+def test_unit_vectors_are_canonical_standard_basis():
+    for field in (QQ, F2, GF(101)):
+        units = unit_vectors(field, 3)
+        assert Matrix.from_rows(field, units) == Matrix.identity(field, 3)
+        assert all(x is field.zero or x is field.one for e in units for x in e)
+        assert unit_vectors(field, 0) == []
