@@ -4,7 +4,10 @@ Every document is an envelope {"kind", "version", "payload"}; payload
 collections are stored as lists aligned with the quiver's vertex and arrow
 order, so serialization is a pure function of the value.  Scalars are
 strings: lowest-term "p/q" (or "n") over the rationals, decimal residues in
-[0, p) over prime fields.  ``parse`` distinguishes malformed syntax
+[0, p) over prime fields.  The text is what
+``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)`` writes,
+produced by a small writer of its own (``indent`` sends ``json`` to its
+pure-Python encoder).  ``parse`` distinguishes malformed syntax
 (``FormatError``) from well-formed documents that violate structural
 invariants (``InvariantError``), and re-checks everything it returns.
 """
@@ -32,8 +35,8 @@ def field_payload(f: Field) -> dict:
 
 
 def matrix_payload(m: Matrix) -> list:
-    f = m.field
-    return [[f.format(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+    fmt = m.field.format
+    return [[fmt(x) for x in m.row(i)] for i in range(m.rows)]
 
 
 def quiver_payload(q: Quiver) -> dict:
@@ -86,7 +89,55 @@ def serialize(x) -> str:
     else:
         raise InvariantError(f"cannot serialize values of type {type(x).__name__}")
     doc = {"kind": kind, "version": FORMAT_VERSION, "payload": payload}
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    return _json_text(doc, "") + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(x, pad: str) -> str:
+    """``x`` as ``json.dumps(x, sort_keys=True, indent=2, ensure_ascii=True)``
+    writes it at indentation ``pad``.
+
+    Supports dict, list, tuple, str, int, bool and None.  Dict keys are all
+    strings or all ints; int keys sort by value and print as strings.
+    """
+    if isinstance(x, str):
+        return _encode_str(x)
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        try:  # all strings (matrix rows): one join
+            body = sep.join(map(_encode_str, x))
+        except TypeError:
+            body = sep.join([_json_text(v, inner) for v in x])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        try:
+            keys = sorted(x)
+            names = [_encode_str(k) for k in keys]
+        except TypeError:
+            if not all(isinstance(k, int) and not isinstance(k, bool) for k in x):
+                raise InvariantError("dict keys must be all strings or all ints") from None
+            names = [_encode_str(int.__repr__(k)) for k in keys]
+        body = (",\n" + inner).join(
+            [n + ": " + _json_text(x[k], inner) for n, k in zip(names, keys)]
+        )
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    raise InvariantError(f"cannot serialize values of type {type(x).__name__}")
 
 
 # -- parsing ---------------------------------------------------------------

@@ -11,10 +11,15 @@ The hot kernels (``rref``, ``Matrix.mul`` and the row kernels below) bypass
 ``rref`` over the rationals does no ``Fraction`` arithmetic at all: it clears
 each row's denominators once, eliminates by cross-multiplication on integer
 rows kept primitive (divided by the gcd of their entries), and builds each
-``Fraction`` of the result once, from a pivot row and its pivot entry.  The
-kernels skip zeros by truthiness, so they require canonical entries, the
-values ``Field.of`` returns: a ``Fraction`` over QQ, an ``int`` in [0, p) over
-GF(p).
+``Fraction`` of the result once, from a pivot row and its pivot entry.
+``products_equal(a, b, c, d)`` decides ``a*b == c*d`` on integers and builds
+no field element: over QQ it scales each factor once by the lcm of its
+denominators and compares the two integer products by cross-multiplying
+with the other side's denominators; over GF(p) it compares the unreduced
+products modulo p.  ``Matrix.mul`` and ``products_equal`` share one
+zero-skipping product loop.  The kernels skip zeros by truthiness, so they
+require canonical entries, the values ``Field.of`` returns: a ``Fraction``
+over QQ, an ``int`` in [0, p) over GF(p).
 
 Matrices are immutable by convention: no public routine mutates its inputs,
 and ``Matrix`` instances may be shared freely.
@@ -58,9 +63,6 @@ class Field:
 
     def inv(self, a):
         raise NotImplementedError
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def parse(self, text: str):
         raise NotImplementedError
@@ -312,25 +314,10 @@ class Matrix:
             raise InvariantError(f"cannot multiply {self.shape} by {other.shape}")
         f = self.field
         p = f.characteristic
-        n, m, k = self.rows, self.cols, other.cols
-        oe = other.entries
-        # nonzero_items of each row of other, inlined: most products are tiny
-        pattern = [
-            [(j, x) for j, x in enumerate(oe[l * k : (l + 1) * k]) if x] for l in range(m)
-        ]
-        se = self.entries
-        zero = f.zero
-        out = []
-        for i in range(n):
-            acc = [zero] * k
-            for a, items in zip(se[i * m : (i + 1) * m], pattern):
-                if a:
-                    for j, v in items:
-                        acc[j] += a * v
-            out += acc
+        out = _product(self.entries, other.entries, self.rows, self.cols, other.cols, f.zero)
         if p:
             out = [x % p for x in out]
-        return Matrix(f, n, k, out)
+        return Matrix(f, self.rows, other.cols, out)
 
     def transpose(self) -> "Matrix":
         f = self.field
@@ -394,6 +381,71 @@ def mat_from_cols(field: Field, nrows: int, cols: Iterable[Sequence]) -> Matrix:
         for i, v in enumerate(col):
             flat[i * len(cols) + j] = field.of(v)
     return Matrix(field, nrows, len(cols), flat)
+
+
+# -- products --------------------------------------------------------------
+
+
+def _product(ae: list, be: list, n: int, m: int, k: int, zero) -> list:
+    """Flat entries of the n x m by m x k product of the flat lists ``ae``, ``be``.
+
+    Zero entries of either factor are skipped.  Nothing is reduced: over
+    GF(p) the caller takes residues.
+    """
+    # nonzero_items of each row of be, inlined: most products are tiny
+    pattern = [[(j, x) for j, x in enumerate(be[l * k : (l + 1) * k]) if x] for l in range(m)]
+    out = []
+    for i in range(n):
+        acc = [zero] * k
+        for a, items in zip(ae[i * m : (i + 1) * m], pattern):
+            if a:
+                for j, v in items:
+                    acc[j] += a * v
+        out += acc
+    return out
+
+
+def _integer_multiple(values: list) -> tuple[list, int]:
+    """``values`` (Fractions) times the lcm ``den`` of their denominators, and ``den``."""
+    items = nonzero_items(values)
+    den = lcm(*[x.denominator for _, x in items])
+    out = [0] * len(values)
+    for j, x in items:
+        out[j] = x.numerator * (den // x.denominator)
+    return out, den
+
+
+def products_equal(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:
+    """Whether ``a*b == c*d``, decided on integers without building a field element.
+
+    Over GF(p) the entries are integers already, and the two unreduced
+    products are compared modulo p.  Over QQ each factor is scaled once by
+    the lcm of its denominators, so ``a*b = A*B / (la*lb)`` and
+    ``c*d = C*D / (lc*ld)``; the integer products are compared by
+    cross-multiplying each with the other side's denominators.
+    """
+    f = a.field
+    if b.field != f or c.field != f or d.field != f:
+        raise InvariantError("field mismatch")
+    if a.cols != b.rows or c.cols != d.rows:
+        raise InvariantError(
+            f"cannot multiply {a.shape} by {b.shape} or {c.shape} by {d.shape}"
+        )
+    if (a.rows, b.cols) != (c.rows, d.cols):
+        return False
+    p = f.characteristic
+    if p:
+        left = _product(a.entries, b.entries, a.rows, a.cols, b.cols, 0)
+        right = _product(c.entries, d.entries, c.rows, c.cols, d.cols, 0)
+        return not any((x - y) % p for x, y in zip(left, right))
+    ai, la = _integer_multiple(a.entries)
+    bi, lb = _integer_multiple(b.entries)
+    ci, lc = _integer_multiple(c.entries)
+    di, ld = _integer_multiple(d.entries)
+    left = _product(ai, bi, a.rows, a.cols, b.cols, 0)
+    right = _product(ci, di, c.rows, c.cols, d.cols, 0)
+    s, t = lc * ld, la * lb
+    return all(x * s == y * t for x, y in zip(left, right))
 
 
 # -- elimination -----------------------------------------------------------
@@ -540,12 +592,7 @@ def _rref_rational(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     e = m.entries
     rows = []
     for i in range(m.rows):
-        items = nonzero_items(e[i * n : (i + 1) * n])
-        den = lcm(*[x.denominator for _, x in items])
-        row = [0] * n
-        for j, x in items:
-            row[j] = x.numerator * (den // x.denominator)
-        rows.append(_primitive(row))
+        rows.append(_primitive(_integer_multiple(e[i * n : (i + 1) * n])[0]))
     pivots: list[int] = []
     r = 0
     for c in range(n):

@@ -78,12 +78,6 @@ class Quiver:
     def target(self, arrow_id):
         return self.arrow(arrow_id)[2]
 
-    def out_arrows(self, v):
-        return tuple(a for a in self.arrows if a[1] == v)
-
-    def in_arrows(self, v):
-        return tuple(a for a in self.arrows if a[2] == v)
-
     def is_connected(self) -> bool:
         if not self.vertices:
             return True

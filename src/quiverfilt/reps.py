@@ -13,7 +13,9 @@ Conventions used throughout the package:
 
 Public constructors, parsing and the certificate checkers validate their
 data eagerly and raise ``InvariantError`` on malformed input, so downstream
-code can assume well-formed objects.  Morphism arithmetic on morphisms that
+code can assume well-formed objects.  ``Morphism(...)`` checks every
+commuting square with ``linalg.products_equal``, on integers: the same
+squares as a comparison of ``Fraction`` products, with the same verdict.  Morphism arithmetic on morphisms that
 are already valid (``compose``, ``add``, ``sub``, ``scale``, ``inverse``,
 ``linear_combination``, ``zero``, ``identity``) yields morphisms by
 linearity or by construction; with exact arithmetic nothing can drift, so
@@ -36,6 +38,7 @@ from .linalg import (
     inverse,
     is_invertible,
     nullspace_basis,
+    products_equal,
     quotient_map,
     rank,
     solve,
@@ -130,9 +133,9 @@ class Morphism:
                     f"{(target.dims[v], source.dims[v])}"
                 )
         for aid, s, t in source.quiver.arrows:
-            lhs = blocks[t].mul(source.arrow_maps[aid])
-            rhs = target.arrow_maps[aid].mul(blocks[s])
-            if lhs != rhs:
+            if not products_equal(
+                blocks[t], source.arrow_maps[aid], target.arrow_maps[aid], blocks[s]
+            ):
                 raise InvariantError(f"blocks do not intertwine arrow {aid!r}")
         self.source = source
         self.target = target

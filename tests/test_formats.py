@@ -1,8 +1,10 @@
 """Round trips, determinism, and strictness of the JSON document layer."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiverfilt import (
     FORMAT_VERSION,
@@ -54,6 +56,52 @@ def test_serialize_rejects_unsupported_values():
         serialize(42)
     with pytest.raises(InvariantError):
         serialize([1, 2, 3])
+
+
+_awkward_char = st.one_of(
+    st.sampled_from('"\\/\x00\x01\x1f\x7f\n\t\u00e9\u2028\U0001f600'), st.characters()
+)
+_awkward_text = st.text(_awkward_char, max_size=8)
+_json_leaf = st.one_of(st.none(), st.booleans(), st.integers(), _awkward_text)
+_json_tree = st.recursive(
+    _json_leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_awkward_text, inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_json_tree, st.dictionaries(_awkward_text, _json_tree, max_size=3))
+def test_report_writer_matches_json_dumps(tree, extra):
+    # the envelope and [[{...}]] put the random tree at depth 6 or more
+    report = dict(extra, nested=[[{"tree": tree}]], empty=[[], {}, ()])
+    doc = {"kind": "report", "version": FORMAT_VERSION, "payload": report}
+    expected = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    assert serialize(report) == expected
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"x": 1.5}, {"x": Fraction(1, 2)}, {"x": {1, 2}}, {1: "a", "b": "c"}, {True: "t"}, {1.5: "f"}],
+)
+def test_report_writer_refuses_what_json_would_not_print_alike(bad):
+    with pytest.raises(InvariantError):
+        serialize(bad)
+
+
+def test_serialize_matches_json_dumps_on_every_kind(k2, r0, r1):
+    cases = [k2, r0, hom_basis(r0, r0)[0], check_semibrick([r0, r1]), {7: ["a"], 10: [], -1: None}]
+    for value in cases:
+        text = serialize(value)
+        doc = json.loads(text)
+        if isinstance(value, dict):  # int keys print as strings
+            doc["payload"] = value
+        assert text == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
 def test_dicts_become_reports():

@@ -16,6 +16,7 @@ from quiverfilt.linalg import (
     mat_from_cols,
     nullspace_basis,
     preimage_basis,
+    products_equal,
     quotient_map,
     rank,
     rref,
@@ -339,6 +340,94 @@ def test_mul_matches_reference_and_keeps_inputs(pair):
     before = (list(a.entries), list(b.entries))
     assert a.mul(b) == _reference_mul(a, b)
     assert (a.entries, b.entries) == before
+
+
+# ---------------------------------------------------------------------------
+# products_equal against comparing the two Matrix.mul products
+
+
+def _pe_entry(field):
+    """Fractional QQ entries with numerators up to 2^70; canonical residues over GF(p)."""
+    if field.characteristic:
+        return field_scalar(field)
+    return st.one_of(
+        st.just(QQ.zero),
+        st.builds(
+            Fraction,
+            st.integers(min_value=-(2**70), max_value=2**70),
+            st.one_of(st.integers(min_value=1, max_value=9), _huge),
+        ),
+    )
+
+
+def _pe_matrix(draw, field, rows, cols):
+    n = rows * cols
+    return Matrix(field, rows, cols, draw(st.lists(_pe_entry(field), min_size=n, max_size=n)))
+
+
+def _invertible(draw, field, n):
+    """L*R with L unit lower and R upper triangular with a nonzero diagonal."""
+    scalar = field_scalar(field)
+    lower = [[field.one if i == j else draw(scalar) if j < i else field.zero for j in range(n)]
+             for i in range(n)]
+    if field.characteristic:
+        nonzero = st.integers(min_value=1, max_value=field.characteristic - 1)
+    else:
+        nonzero = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 5))
+    upper = [[draw(nonzero) if i == j else draw(scalar) if j > i else field.zero
+              for j in range(n)] for i in range(n)]
+    return Matrix.from_rows(field, lower).mul(Matrix.from_rows(field, upper))
+
+
+@st.composite
+def _product_case(draw):
+    """(a, b, c, d, expected): about half equal by construction, a quarter
+    one entry off by 1/7, the rest independent factors of any shape."""
+    field = draw(st.sampled_from([QQ, F2, GF(101)]))
+    dim = st.integers(min_value=0, max_value=6)
+    n, m, k = draw(dim), draw(dim), draw(dim)
+    a = _pe_matrix(draw, field, n, m)
+    b = _pe_matrix(draw, field, m, k)
+    kind = draw(st.sampled_from(["equal", "equal", "near", "random"]))
+    if kind == "equal":  # c = a*U, d = U^-1*b
+        u = _invertible(draw, field, m)
+        return a, b, a.mul(u), inverse(u).mul(b), True
+    if kind == "near" and n and k:  # c = a*b with one entry off by 1/7, d = I
+        ab = a.mul(b)
+        i = draw(st.integers(min_value=0, max_value=n * k - 1))
+        off = list(ab.entries)
+        off[i] = field.add(off[i], field.of(Fraction(1, 7)))
+        return a, b, Matrix(field, n, k, off), Matrix.identity(field, k), False
+    rows = draw(st.sampled_from([n, draw(dim)]))
+    inner = draw(dim)
+    cols = draw(st.sampled_from([k, draw(dim)]))
+    return a, b, _pe_matrix(draw, field, rows, inner), _pe_matrix(draw, field, inner, cols), None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_product_case())
+def test_products_equal_matches_mul_comparison(case):
+    a, b, c, d, expected = case
+    before = [list(x.entries) for x in (a, b, c, d)]
+    verdict = products_equal(a, b, c, d)
+    assert verdict == (a.mul(b) == c.mul(d))
+    if expected is not None:
+        assert verdict is expected
+    assert [x.entries for x in (a, b, c, d)] == before
+
+
+def test_products_equal_rejects_mismatched_factors():
+    with pytest.raises(InvariantError):
+        products_equal(mq([[1, 2]]), mq([[1]]), mq([[1]]), mq([[1]]))
+    one = Matrix.identity(F5, 1)
+    with pytest.raises(InvariantError):
+        products_equal(mq([[1]]), mq([[1]]), one, one)
+    # denominators on both sides that cancel only after cross-multiplication
+    half = mq([["1/2"]])
+    assert products_equal(half, mq([[3]]), mq([[3]]), half)
+    assert not products_equal(half, mq([[1]]), mq([[1]]), mq([[1]]))
+    # equal modulo p, unequal as integers
+    assert products_equal(Matrix(F5, 1, 1, [4]), Matrix(F5, 1, 1, [4]), one, one)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Representations, morphisms, sub/quotient machinery, standard modules."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -264,6 +266,54 @@ def test_trusted_arithmetic_matches_reference_and_validates(field, quiver, data)
     for result, expected in cases:
         assert result.blocks == expected
         Morphism(result.source, result.target, result.blocks)  # full validation accepts it
+
+
+def _perturbed(f, v, i):
+    """The blocks of f with entry i of the block at v moved by 1/7."""
+    field = f.source.field
+    entries = list(f.blocks[v].entries)
+    entries[i] = field.add(entries[i], field.of(Fraction(1, 7)))
+    blocks = dict(f.blocks)
+    blocks[v] = Matrix(field, f.blocks[v].rows, f.blocks[v].cols, entries)
+    return blocks
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_morphism_rejects_every_perturbed_hom_basis_entry(field):
+    """Y(3) over R_2 is regular, so no single-entry map at one vertex is a
+    morphism: every perturbed endomorphism must be refused."""
+    base = quasi_simple(field, field.of(2))
+    y3 = tower(base, check_semibrick([base]), 3).levels[-1]
+    basis = hom_basis(y3, y3)
+    assert len(basis) == 3
+    for f in basis:
+        Morphism(y3, y3, f.blocks)
+        for v in y3.quiver.vertices:
+            for i in range(len(f.blocks[v].entries)):
+                with pytest.raises(InvariantError, match="do not intertwine"):
+                    Morphism(y3, y3, _perturbed(f, v, i))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([QQ, GF(101)]), _arith_quivers, st.data())
+def test_morphism_check_matches_reference_on_perturbed_elements(field, quiver, data):
+    m = draw_rep(data, quiver, field, max_dim=3)
+    n = draw_rep(data, quiver, field, max_dim=3)
+    basis = hom_basis(m, n)
+    assume(basis)
+    f = data.draw(st.sampled_from(basis))
+    v = data.draw(st.sampled_from([v for v in quiver.vertices if f.blocks[v].entries] or [None]))
+    assume(v is not None)
+    blocks = _perturbed(f, v, data.draw(st.integers(0, len(f.blocks[v].entries) - 1)))
+    intertwines = all(
+        blocks[t].mul(m.arrow_maps[aid]) == n.arrow_maps[aid].mul(blocks[s])
+        for aid, s, t in quiver.arrows
+    )
+    if intertwines:
+        assert Morphism(m, n, blocks).blocks == blocks
+    else:
+        with pytest.raises(InvariantError):
+            Morphism(m, n, blocks)
 
 
 def test_linear_combination_rejects_mismatched_endpoints(r0, r1):

@@ -195,6 +195,31 @@ def test_end_ring_tower_kronecker(r0, sb0):
     assert et.level_reports[-1]["composite_kernel_matches_ideal"]
 
 
+def test_end_ring_tower_refuses_a_top_ideal_short_of_the_composite_kernel(
+    r0, sb0, monkeypatch
+):
+    """With one vector missing from the top ideal's basis, every vector left
+    still lies in the composite kernel: only the dimension comparison can
+    tell the two spaces apart."""
+    from quiverfilt import towers
+
+    t = tower(r0, sb0, 4)
+    full = towers._ideal_basis
+    calls = []
+
+    def short_at_top(alg, incl_from_base):
+        basis = full(alg, incl_from_base)
+        calls.append(len(basis))
+        return basis[:-1] if len(calls) == t.height else basis
+
+    monkeypatch.setattr(towers, "_ideal_basis", short_at_top)
+    et = end_ring_tower(t)
+    assert calls == [0, 1, 2, 3]
+    assert len(et.ideal_bases[-1]) == 2
+    assert et.level_reports[-1]["composite_kernel_matches_ideal"] is False
+    assert et.ok is False
+
+
 def test_end_ring_tower_single_level(r0, sb0):
     et = end_ring_tower(tower(r0, sb0, 1))
     assert et.ok and et.end_dims == (1,) and et.psi_maps == []
