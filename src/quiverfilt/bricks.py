@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .homext import ExtSpace, _flatten_hom, hom_basis
-from .linalg import Matrix, is_invertible, mat_from_cols, rank, unit_vectors
-from .reps import Morphism, Rep, compose, is_isomorphic, linear_combination
+from .homext import ExtSpace, hom_basis
+from .linalg import Matrix, is_invertible, mat_from_cols, rank, unit_vectors, vstack
+from .reps import Morphism, Rep, is_isomorphic, linear_combination
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,10 @@ def end_coordinates(basis: list):
     (the combination of the basis with those coordinates) checks that the
     endomorphism lies in the span; ``InvariantError`` if not.
     """
-    free = [max(j for j, x in enumerate(_flatten_hom(b)) if x) for b in basis]
+    free = _free_entries(basis)
 
     def coords_of(morphism: Morphism) -> list:
-        flat = _flatten_hom(morphism)
-        coords = [flat[j] for j in free]
+        coords = [morphism.blocks[v].entries[j] for v, j in free]
         if linear_combination(basis, coords).blocks != morphism.blocks:
             raise InvariantError("endomorphism does not lie in the End basis span")
         return coords
@@ -120,17 +119,42 @@ def end_coordinates(basis: list):
     return coords_of
 
 
+def _free_entries(basis: list) -> list:
+    """Each basis element's free column, its last nonzero flattened entry, as
+    (vertex, index into that block)."""
+    out = []
+    for b in basis:
+        v = next(v for v in reversed(b.source.quiver.vertices) if any(b.blocks[v].entries))
+        out.append((v, max(j for j, x in enumerate(b.blocks[v].entries) if x)))
+    return out
+
+
 def end_algebra(m: Rep) -> AlgebraPresentation:
-    """The endomorphism algebra of m with honestly computed structure constants."""
+    """The endomorphism algebra of m with honestly computed structure constants.
+
+    ``S_v``, the blocks ``b_k,v`` of the basis stacked, times ``b_i,v`` holds
+    every composite ``compose(b_i, b_j)`` at v; row i of the table is read
+    off these products at the free columns, as in ``end_coordinates``.  The
+    span check is one product per (i, v): row i of the table times ``F_v``,
+    the blocks ``b_k,v`` flattened into rows, must equal ``S_v * b_i,v``;
+    ``InvariantError`` if not.
+    """
     basis = hom_basis(m, m)
     if not basis:
         return AlgebraPresentation(m, [], [], [])
-    coords_of = end_coordinates(basis)
-    table = [
-        [coords_of(compose(bi, bj)) for bj in basis]
-        for bi in basis
-    ]
-    unit = coords_of(Morphism.identity(m))
+    f, d, vertices = m.field, len(basis), m.quiver.vertices
+    free = _free_entries(basis)
+    stacked = {v: vstack([b.blocks[v] for b in basis]) for v in vertices}
+    flat = {v: Matrix(f, d, m.dims[v] ** 2, stacked[v].entries) for v in vertices}
+    table = []
+    for bi in basis:
+        prods = {v: stacked[v].mul(bi.blocks[v]) for v in vertices}
+        row = [[prods[v].entries[k * m.dims[v] ** 2 + j] for v, j in free] for k in range(d)]
+        coeffs = Matrix(f, d, d, [x for coords in row for x in coords])
+        if any(coeffs.mul(flat[v]).entries != prods[v].entries for v in vertices):
+            raise InvariantError("a composite of End basis elements leaves their span")
+        table.append(row)
+    unit = end_coordinates(basis)(Morphism.identity(m))
     return AlgebraPresentation(m, basis, table, unit)
 
 

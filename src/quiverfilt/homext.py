@@ -390,24 +390,8 @@ def pullback_with_map(
             raise InvariantError("subobject does not lift into the fiber product")
         incl_blocks[v] = sol
         mid_rows = ses.middle.dims[v]
-        top = Matrix(
-            fld,
-            mid_rows,
-            bases[v].cols,
-            [bases[v].at(i, j) for i in range(mid_rows) for j in range(bases[v].cols)],
-        )
-        bot = Matrix(
-            fld,
-            w.dims[v],
-            bases[v].cols,
-            [
-                bases[v].at(mid_rows + i, j)
-                for i in range(w.dims[v])
-                for j in range(bases[v].cols)
-            ],
-        )
-        nat_blocks[v] = top
-        proj_blocks[v] = bot
+        nat_blocks[v] = bases[v].rows_at(range(mid_rows))
+        proj_blocks[v] = bases[v].rows_at(range(mid_rows, bases[v].rows))
     incl = Morphism(ses.sub, pb, incl_blocks)
     proj = Morphism(pb, w, proj_blocks)
     nat = Morphism(pb, ses.middle, nat_blocks)
@@ -424,7 +408,7 @@ def pushout_with_map(
     """Cobase change along g : sub -> W; also returns the map from the old middle."""
     if g.source != ses.sub:
         raise InvariantError("pushout needs a morphism out of the subobject")
-    from .linalg import column_space_basis, quotient_map
+    from .linalg import quotient_map
 
     fld = ses.middle.field
     quiver = ses.middle.quiver
@@ -432,7 +416,7 @@ def pushout_with_map(
     projs = {}
     for v in quiver.vertices:
         glue = vstack([ses.incl.blocks[v], g.blocks[v].neg()])
-        projs[v] = quotient_map(column_space_basis(glue))
+        projs[v] = quotient_map(glue)
     dims = {v: projs[v].rows for v in quiver.vertices}
     maps = {}
     for aid, s, t in quiver.arrows:

@@ -267,6 +267,17 @@ class Matrix:
     def to_rows(self) -> list[list]:
         return [self.row(i) for i in range(self.rows)]
 
+    def rows_at(self, indices: Sequence[int]) -> "Matrix":
+        """The submatrix of the given rows, in the given order."""
+        flat = [x for i in indices for x in self.row(i)]
+        return Matrix(self.field, len(indices), self.cols, flat)
+
+    def cols_at(self, indices: Sequence[int]) -> "Matrix":
+        """The submatrix of the given columns, in the given order."""
+        e, n = self.entries, self.cols
+        flat = [e[i * n + j] for i in range(self.rows) for j in indices]
+        return Matrix(self.field, self.rows, len(indices), flat)
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -698,38 +709,55 @@ def column_space_basis(m: Matrix) -> Matrix:
     Computed as the nonzero rows of rref(m^T), so the basis depends only on
     the column space itself, not on the generating order.
     """
+    return column_space_pivots(m)[0]
+
+
+def column_space_pivots(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """``column_space_basis(m)`` and its pivot rows, where it carries an identity.
+
+    So a vector of the column space has its entries at the pivot rows as coordinates.
+    """
     red, pivots = rref(m.transpose())
     cols = [red.row(i) for i in range(len(pivots))]
-    return mat_from_cols(m.field, m.rows, cols)
+    return mat_from_cols(m.field, m.rows, cols), pivots
 
 
-def quotient_map(basis: Matrix) -> Matrix:
+def quotient_map(span: Matrix) -> Matrix:
     """Projection q onto complementary coordinates of a subspace.
 
-    ``basis`` holds spanning columns of a subspace U of k^n.  Returns a
-    (n - dim U) x n matrix q with ker q = U, built from rref data: eliminate
-    each echelon row at its pivot coordinate, then keep the non-pivot
-    coordinate rows.  Canonical for a given U.
+    ``span`` holds spanning columns of a subspace U of k^n, any spanning
+    set: a basis or not, in any order.  Returns a (n - dim U) x n matrix q
+    with ker q = U, built from rref data: eliminate each echelon row at its
+    pivot coordinate, then keep the non-pivot coordinate rows.  Canonical
+    for a given U.
     """
-    f = basis.field
-    n = basis.rows
-    red, pivots = rref(basis.transpose())
+    return quotient_map_free(span)[0]
+
+
+def quotient_map_free(span: Matrix) -> tuple[Matrix, list[int]]:
+    """``quotient_map(span)`` and its free columns, where q carries an identity.
+
+    So an X with ``X * q == B``, if one exists, is ``B`` at the free columns.
+    """
+    f = span.field
+    n = span.rows
+    red, pivots = rref(span.transpose())
     r = len(pivots)
     pivot_set = set(pivots)
-    nonpivot = [c for c in range(n) if c not in pivot_set]
+    free = [c for c in range(n) if c not in pivot_set]
     flat = []
-    for c in nonpivot:
+    for c in free:
         row = [f.zero] * n
         row[c] = f.one
         for i, p in enumerate(pivots):
             row[p] = f.neg(red.at(i, c))
         flat.extend(row)
-    return Matrix(f, n - r, n, flat)
+    return Matrix(f, n - r, n, flat), free
 
 
 def preimage_basis(a: Matrix, target: Matrix) -> Matrix:
     """Canonical basis (as columns) of {x : a*x lies in the column space of target}."""
-    q = quotient_map(column_space_basis(target))
+    q = quotient_map(target)
     comp = q.mul(a)
     vecs = nullspace_basis(comp)
     if not vecs:

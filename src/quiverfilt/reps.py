@@ -33,13 +33,13 @@ from .errors import InvariantError, UndecidedError
 from .linalg import (
     Field,
     Matrix,
-    column_space_basis,
+    column_space_pivots,
     hstack,
     inverse,
     is_invertible,
     nullspace_basis,
     products_equal,
-    quotient_map,
+    quotient_map_free,
     rank,
     solve,
     vstack,
@@ -293,21 +293,23 @@ def subrep_from_spans(ambient: Rep, spans: dict) -> SubrepInclusion:
     ``spans`` maps each vertex to a matrix whose columns lie in the ambient
     space at that vertex.  The spans must already be arrow-stable; otherwise
     this raises.  Bases are canonicalized so the result depends only on the
-    spans.
+    spans.  An arrow map is read off the pushed basis at the pivot rows of
+    the target's basis, then checked exactly: ``basis_t * map == pushed``.
     """
     field = ambient.field
     bases = {}
+    pivots = {}
     for v in ambient.quiver.vertices:
         m = spans[v]
         if m.rows != ambient.dims[v]:
             raise InvariantError(f"span at {v!r} has wrong height")
-        bases[v] = column_space_basis(m)
+        bases[v], pivots[v] = column_space_pivots(m)
     sub_dims = {v: bases[v].cols for v in bases}
     sub_maps = {}
     for aid, s, t in ambient.quiver.arrows:
         pushed = ambient.arrow_maps[aid].mul(bases[s])
-        sol = solve(bases[t], pushed)
-        if sol is None or bases[t].mul(sol) != pushed:
+        sol = pushed.rows_at(pivots[t])
+        if bases[t].mul(sol) != pushed:
             raise InvariantError(f"spans are not stable under arrow {aid!r}")
         sub_maps[aid] = sol
     sub = Rep(ambient.quiver, field, sub_dims, sub_maps)
@@ -332,19 +334,24 @@ def image(f: Morphism) -> SubrepInclusion:
 
 
 def cokernel(f: Morphism) -> tuple[Rep, Morphism]:
-    """The quotient target/im(f) with its projection, in canonical coordinates."""
+    """The quotient target/im(f) with its projection, in canonical coordinates.
+
+    An arrow map X is read off ``q_t * M_a`` at the free columns of the
+    projection ``q_s``, then checked exactly: ``X * q_s == q_t * M_a``.
+    """
     field = f.target.field
     projections = {}
+    free = {}
     for v in f.blocks:
-        projections[v] = quotient_map(column_space_basis(f.blocks[v]))
+        projections[v], free[v] = quotient_map_free(f.blocks[v])
     dims = {v: projections[v].rows for v in projections}
     maps = {}
     for aid, s, t in f.target.quiver.arrows:
-        rhs = projections[t].mul(f.target.arrow_maps[aid]).transpose()
-        sol = solve(projections[s].transpose(), rhs)
-        if sol is None:
+        rhs = projections[t].mul(f.target.arrow_maps[aid])
+        sol = rhs.cols_at(free[s])
+        if sol.mul(projections[s]) != rhs:
             raise InvariantError("cokernel arrow map is not well defined")
-        maps[aid] = sol.transpose()
+        maps[aid] = sol
     quot = Rep(f.target.quiver, field, dims, maps)
     proj = Morphism(f.target, quot, projections)
     return quot, proj

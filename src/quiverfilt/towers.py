@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import islice
 
 from .bricks import AlgebraPresentation, SemiBrickCert, end_algebra, end_coordinates, is_brick
 from .errors import BudgetError, InapplicableError, InvariantError
@@ -68,6 +69,10 @@ def end_basis_of_ext(
         raise InvariantError(
             f"Ext basis requires a certified brick (got {report.status})"
         )
+    return _end_orbit_basis(x, y)
+
+
+def _end_orbit_basis(x: Rep, y: Rep) -> list[ExtCocycle]:
     space = ExtSpace(x, y)
     endos = hom_basis(x, x)
     span = RowSpace(x.field)
@@ -83,7 +88,10 @@ def end_basis_of_ext(
 
 
 def _universal_data(y: Rep, sb: SemiBrickCert):
-    per_member = [end_basis_of_ext(x, y, allow_uncertified=sb.assumed) for x in sb.members]
+    """Ext bases per member; brick status is read from the semi-brick's reports."""
+    if not sb.assumed and any(r.status != "certified_brick" for r in sb.brick_reports):
+        raise InvariantError("Ext basis requires a certified brick")
+    per_member = [_end_orbit_basis(x, y) for x in sb.members]
     parts = []
     cocycles = []
     for member, chosen in zip(sb.members, per_member):
@@ -176,10 +184,15 @@ class Tower:
         """The composite inclusion Y(i) -> Y(j), 1-based levels, i <= j."""
         if not 1 <= i <= j <= self.height:
             raise InvariantError("inclusion levels out of range")
+        return next(islice(self._inclusions_from(i), j - i, None))
+
+    def _inclusions_from(self, i: int):
+        """``inclusion(i, j)`` for j = i, ..., height, one compose per step."""
         out = Morphism.identity(self.levels[i - 1])
-        for k in range(i - 1, j - 1):
-            out = compose(out, self.sequences[k].incl)
-        return out
+        yield out
+        for seq in self.sequences[i - 1 :]:
+            out = compose(out, seq.incl)
+            yield out
 
 
 def tower(y: Rep, sb: SemiBrickCert, r: int, budget: int | None = None) -> Tower:
@@ -236,21 +249,27 @@ class EndTower:
         return tuple(alg.dimension for alg in self.algebras)
 
 
-def _restriction_coords(coords_of, incl: Morphism, endo: Morphism) -> list:
-    """Coordinates in End(sub) of the restriction of an endomorphism along incl.
+def _restriction_coords(coords_of, incl: Morphism, endos: list) -> list:
+    """Coordinates in End(sub) of the restrictions of ``endos`` along incl.
 
-    ``coords_of`` is the ``end_coordinates`` function of End(sub).
+    ``coords_of`` is the ``end_coordinates`` function of End(sub).  Each
+    vertex takes one solve, ``incl_v * X = [e_1,v * incl_v | ...]``, checked
+    exactly.
     """
-    blocks = {}
-    for v in incl.source.quiver.vertices:
-        rhs = endo.blocks[v].mul(incl.blocks[v])
-        sol = solve(incl.blocks[v], rhs)
-        if sol is None or incl.blocks[v].mul(sol) != rhs:
+    sub = incl.source
+    blocks = [{} for _ in endos]
+    for v in sub.quiver.vertices:
+        iv = incl.blocks[v]
+        rhs = hstack([e.blocks[v].mul(iv) for e in endos])
+        sol = solve(iv, rhs)
+        if sol is None or iv.mul(sol) != rhs:
             raise InvariantError(
                 "endomorphism does not preserve the subobject; restriction undefined"
             )
-        blocks[v] = sol
-    return coords_of(Morphism(incl.source, incl.source, blocks))
+        w = iv.cols
+        for k, b in enumerate(blocks):
+            b[v] = sol.cols_at(range(k * w, (k + 1) * w))
+    return [coords_of(Morphism(sub, sub, b)) for b in blocks]
 
 
 def _ideal_basis(alg: AlgebraPresentation, incl_from_base: Morphism) -> list:
@@ -288,9 +307,8 @@ def end_ring_tower(t: Tower) -> EndTower:
     level_reports = []
     ideal_bases = []
     ok = True
-    for i in range(t.height):
+    for i, incl_base in enumerate(t._inclusions_from(1)):
         alg = algebras[i]
-        incl_base = t.inclusion(1, i + 1)
         ideal = _ideal_basis(alg, incl_base)
         ideal_bases.append(ideal)
         d = alg.dimension
@@ -335,10 +353,7 @@ def end_ring_tower(t: Tower) -> EndTower:
         if i + 1 < t.height:
             big = algebras[i + 1]
             incl = t.sequences[i].incl
-            coords_of = end_coordinates(alg.basis)
-            cols = [
-                _restriction_coords(coords_of, incl, b) for b in big.basis
-            ]
+            cols = _restriction_coords(end_coordinates(alg.basis), incl, big.basis)
             psi = mat_from_cols(f, d, cols)
             psi_maps.append(psi)
             surjective = rank(psi) == d
@@ -402,16 +417,18 @@ def uniserial_check(t: Tower) -> bool:
             raise InapplicableError(
                 "uniseriality needs Ext(member, base) = 0 for other members"
             )
+    lower = None
     for j in range(t.height):
+        # upper[k] = inclusion(j + 1, j + 1 + k); lower[k] = inclusion(j, j + k)
+        upper = list(t._inclusions_from(j + 1))
         for i in range(j + 1, t.height + 1):
             # quotient Y(i)/Y(j); j = 0 means Y(i) itself (1-based levels)
             if j == 0:
                 quot = t.levels[i - 1]
-                bottom = image(t.inclusion(1, i))
+                bottom = image(upper[i - 1])
             else:
-                incl_ji = t.inclusion(j, i)
-                quot, proj = cokernel(incl_ji)
-                bottom = image(compose(t.inclusion(j + 1, i), proj))
+                quot, proj = cokernel(lower[i - j])
+                bottom = image(compose(upper[i - j - 1], proj))
             for member in sb.members:
                 basis = hom_basis(member, quot)
                 if len(basis) > 1:
@@ -422,4 +439,5 @@ def uniserial_check(t: Tower) -> bool:
                         return False
                     if img.inclusion.blocks != bottom.inclusion.blocks:
                         return False
+        lower = upper
     return True

@@ -20,6 +20,7 @@ from quiverfilt import (
     linear_quiver,
     quasi_simple,
     standard_module,
+    tower,
     universal_sequence,
 )
 from quiverfilt.bricks import AlgebraPresentation, end_coordinates
@@ -90,6 +91,59 @@ def test_end_coordinates_reads_free_columns_and_checks_span(r0):
     blocks = {1: Matrix.from_rows(QQ, [[1, 0], [0, 0]]), 2: Matrix.zeros(QQ, 2, 2)}
     with pytest.raises(InvariantError):
         coords_of(Morphism._trusted(mm, mm, blocks))
+
+
+def _assert_table_matches_composition(m):
+    """end_algebra's table against coordinates of every composite, one by one."""
+    alg = end_algebra(m)
+    coords_of = end_coordinates(alg.basis)
+    reference = [[coords_of(compose(bi, bj)) for bj in alg.basis] for bi in alg.basis]
+    assert alg.multiplication_table == reference
+    kind = int if m.field.characteristic else Fraction
+    assert all(type(x) is kind for plane in reference for row in plane for x in row)
+    assert all(
+        type(x) is type(y)
+        for got, ref in zip(alg.multiplication_table, reference)
+        for grow, rrow in zip(got, ref)
+        for x, y in zip(grow, rrow)
+    )
+    if alg.dimension:
+        assert alg.unit_coordinates == coords_of(Morphism.identity(m))
+    assert alg.verify()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)])
+def test_end_algebra_table_matches_composition_on_tower_levels(field):
+    r0 = quasi_simple(field, field.of(0))
+    r1 = quasi_simple(field, field.of(1))
+    for level in tower(r0, check_semibrick([r0]), 6).levels:
+        _assert_table_matches_composition(level)
+    _assert_table_matches_composition(direct_sum([r0, r1])[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(2), GF(101)]),
+    st.sampled_from([kronecker(3), linear_quiver(3)]),
+    st.data(),
+)
+def test_end_algebra_table_matches_composition_on_random_reps(field, quiver, data):
+    _assert_table_matches_composition(draw_rep(data, quiver, field))
+
+
+def test_end_algebra_span_check_refuses_a_basis_not_closed_under_composition(
+    r0, monkeypatch
+):
+    mm, _, _ = direct_sum([r0, r0])
+    # hom_basis(mm, mm) is E11, E12, E21, E22 on both vertices; E12 * E21 = E11
+    not_closed = hom_basis(mm, mm)[1:3]
+    # b * b agrees with b at vertex 1 and at the free entry, not elsewhere at 2
+    n = Matrix.from_rows(QQ, [[1, 1], [0, 1]])
+    b = Morphism._trusted(mm, mm, {1: Matrix.identity(QQ, 2), 2: n})
+    for fake in (not_closed, [b]):
+        monkeypatch.setattr("quiverfilt.bricks.hom_basis", lambda m, n: fake)
+        with pytest.raises(InvariantError, match="leaves their span"):
+            end_algebra(mm)
 
 
 def _reference_multiply(alg, a, b):

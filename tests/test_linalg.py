@@ -9,6 +9,7 @@ from quiverfilt.errors import FormatError, InvariantError
 from quiverfilt.linalg import (
     RowSpace,
     column_space_basis,
+    column_space_pivots,
     columns_contained,
     hstack,
     inverse,
@@ -18,6 +19,7 @@ from quiverfilt.linalg import (
     preimage_basis,
     products_equal,
     quotient_map,
+    quotient_map_free,
     rank,
     rref,
     solve,
@@ -271,6 +273,27 @@ def _canonical(m):
     if p:
         return all(type(x) is int and 0 <= x < p for x in m.entries)
     return all(type(x) is Fraction for x in m.entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(_kernel_fields, _kernel_dims, _kernel_dims).flatmap(
+        lambda t: _sparse_matrix(*t)
+    )
+)
+def test_canonical_bases_carry_an_identity_at_their_read_off_positions(m):
+    f = m.field
+    basis, pivots = column_space_pivots(m)
+    assert basis == column_space_basis(m)
+    assert basis.rows_at(pivots) == Matrix.identity(f, basis.cols)
+    q, free = quotient_map_free(m)
+    # quotient_map takes any spanning set: the canonical basis gives the same map
+    assert q == quotient_map(m) == quotient_map(basis)
+    assert q.cols_at(free) == Matrix.identity(f, q.rows)
+    assert q.mul(m).is_zero() and q.rows + basis.cols == m.rows
+    # coordinates read off at those positions, for vectors in each space
+    assert basis.mul(m.rows_at(pivots)) == m
+    assert q.transpose().mul(q).cols_at(free) == q.transpose()
 
 
 _huge = st.integers(min_value=2**69, max_value=2**70)

@@ -27,7 +27,14 @@ from quiverfilt import (
     tower,
 )
 from quiverfilt.errors import InvariantError, UndecidedError
-from quiverfilt.linalg import inverse
+from quiverfilt.linalg import (
+    column_space_basis,
+    hstack,
+    inverse,
+    nullspace_basis,
+    quotient_map,
+    solve,
+)
 from quiverfilt.reps import factor_through_inclusion, linear_combination
 
 from conftest import draw_rep, field_scalar, make_x11
@@ -126,6 +133,61 @@ def test_cokernel_of_zero_map(r0, r1):
     assert ok
 
 
+def test_cokernel_refuses_an_image_that_is_not_arrow_stable(r0):
+    # not a morphism: the image is k at vertex 2, which arrow a1 moves out of
+    # the zero image at vertex 1
+    f = Morphism._trusted(r0, r0, {1: mq([[0]]), 2: mq([[1]])})
+    with pytest.raises(InvariantError, match="not well defined"):
+        cokernel(f)
+
+
+def _subrep_reference(ambient, spans):
+    """Bases and arrow maps of subrep_from_spans, by one solve per arrow."""
+    bases = {v: column_space_basis(spans[v]) for v in ambient.quiver.vertices}
+    maps = {}
+    for aid, s, t in ambient.quiver.arrows:
+        pushed = ambient.arrow_maps[aid].mul(bases[s])
+        maps[aid] = solve(bases[t], pushed)
+        assert maps[aid] is not None and bases[t].mul(maps[aid]) == pushed
+    return bases, maps
+
+
+def _cokernel_reference(f):
+    """Projections and arrow maps of cokernel, by one solve per arrow."""
+    projections = {v: quotient_map(column_space_basis(f.blocks[v])) for v in f.blocks}
+    maps = {}
+    for aid, s, t in f.target.quiver.arrows:
+        rhs = projections[t].mul(f.target.arrow_maps[aid]).transpose()
+        sol = solve(projections[s].transpose(), rhs)
+        assert sol is not None
+        maps[aid] = sol.transpose()
+    return projections, maps
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(2), GF(101)]),
+    st.sampled_from([kronecker(3), linear_quiver(3)]),
+    st.data(),
+)
+def test_cokernel_image_kernel_match_solve_reference(field, quiver, data):
+    m = draw_rep(data, quiver, field)
+    n = m if data.draw(st.booleans()) else draw_rep(data, quiver, field)
+    basis = hom_basis(m, n)
+    coeffs = data.draw(st.lists(field_scalar(field), min_size=len(basis), max_size=len(basis)))
+    f = linear_combination(basis, coeffs) if basis else Morphism.zero(m, n)
+    quot, proj = cokernel(f)
+    assert (proj.blocks, quot.arrow_maps) == _cokernel_reference(f)
+    img = image(f)
+    assert (img.inclusion.blocks, img.sub.arrow_maps) == _subrep_reference(n, f.blocks)
+    spans = {}
+    for v in quiver.vertices:
+        vecs = nullspace_basis(f.blocks[v])
+        spans[v] = hstack(vecs) if vecs else Matrix.zeros(field, m.dims[v], 0)
+    ker = kernel(f)
+    assert (ker.inclusion.blocks, ker.sub.arrow_maps) == _subrep_reference(m, spans)
+
+
 def test_standard_modules(k2):
     assert standard_module(k2, QQ, "simple", 1).dim_vector() == {1: 1, 2: 0}
     assert standard_module(k2, QQ, "projective", 2).dim_vector() == {1: 2, 2: 1}
@@ -144,7 +206,7 @@ def test_subrep_from_spans(k2, r0):
     # arrow-unstable spans must be rejected: on P(2) take the span missing
     # the image of the arrows at vertex 1
     p2 = standard_module(k2, QQ, "projective", 2)
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="not stable under arrow"):
         subrep_from_spans(p2, {1: Matrix.zeros(QQ, 2, 0), 2: mq([[1]])})
 
 

@@ -1,11 +1,18 @@
 """Universal sequences, towers, endomorphism-ring towers, uniseriality."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiverfilt import (
+    GF,
     QQ,
+    ExtCocycle,
+    Matrix,
     Morphism,
     Rep,
+    Tower,
     check_semibrick,
     cokernel,
     compose,
@@ -13,9 +20,11 @@ from quiverfilt import (
     decompose_semisimple,
     dimension_budget,
     direct_sum,
+    end_algebra,
     end_basis_of_ext,
     end_ring_tower,
     ext_basis,
+    extension_middle,
     hom_basis,
     image,
     is_isomorphic,
@@ -27,9 +36,11 @@ from quiverfilt import (
     uniserial_check,
     universal_sequence,
 )
+from quiverfilt.bricks import end_coordinates
 from quiverfilt.errors import BudgetError, InapplicableError, InvariantError
 from quiverfilt.homext import ShortExactSequence
 from quiverfilt.linalg import solve
+from quiverfilt.towers import _restriction_coords
 
 from conftest import make_x11
 
@@ -55,6 +66,26 @@ def test_end_basis_requires_certified_brick(r0):
     with pytest.raises(InvariantError):
         end_basis_of_ext(mm, r0)
     assert end_basis_of_ext(mm, r0, allow_uncertified=True) is not None
+
+
+def test_tower_reads_brick_status_from_the_semibrick(r0, sb0, monkeypatch):
+    def no_recheck(m):
+        raise AssertionError("is_brick ran again")
+
+    monkeypatch.setattr("quiverfilt.towers.is_brick", no_recheck)
+    assert [y.dim_total for y in tower(r0, sb0, 3).levels] == [2, 4, 6]
+    # direct callers of end_basis_of_ext keep their own check
+    with pytest.raises(AssertionError):
+        end_basis_of_ext(r0, r0)
+
+
+def test_tower_refuses_a_semibrick_whose_report_is_not_certified(r0, sb0):
+    report = replace(sb0.brick_reports[0], status="local_not_certified")
+    uncertified = replace(sb0, brick_reports=[report])
+    with pytest.raises(InvariantError, match="certified brick"):
+        tower(r0, uncertified, 2)
+    assumed = replace(uncertified, assumed=True)
+    assert tower(r0, assumed, 2).levels == tower(r0, sb0, 2).levels
 
 
 def test_universal_sequence_two_member_base(r0, r1):
@@ -245,6 +276,61 @@ def test_uniserial_image_is_bottom_layer(r0, sb0):
     for f in hom_basis(r0, t.levels[1]):
         img = image(f)
         assert img.sub == incl_img.sub
+
+
+def test_uniserial_check_refuses_a_split_level(r0, sb0):
+    # Y(2) = R0 + R0 (split), so dim Hom(R0, Y(2)) = 2 and Y(2) is not uniserial
+    split = extension_middle(r0, r0, ExtCocycle.zero(r0, r0))
+    t = Tower(r0, sb0, [r0, split.middle], [split])
+    assert len(hom_basis(r0, t.levels[1])) == 2
+    assert uniserial_check(t) is False
+    # the same split level on top of a genuine Y(2)
+    good = tower(r0, sb0, 2)
+    top = extension_middle(r0, good.levels[1], ExtCocycle.zero(r0, good.levels[1]))
+    t3 = Tower(r0, sb0, good.levels + [top.middle], good.sequences + [top])
+    assert uniserial_check(good) is True
+    assert uniserial_check(t3) is False
+
+
+def _restriction_reference(coords_of, incl, endo):
+    """The restriction of one endomorphism along incl, one solve per vertex."""
+    blocks = {}
+    for v in incl.source.quiver.vertices:
+        rhs = endo.blocks[v].mul(incl.blocks[v])
+        sol = solve(incl.blocks[v], rhs)
+        assert sol is not None and incl.blocks[v].mul(sol) == rhs
+        blocks[v] = sol
+    return coords_of(Morphism(incl.source, incl.source, blocks))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(2), GF(101)]),
+    st.sampled_from([0, 1, "inf"]),
+    st.integers(min_value=2, max_value=5),
+)
+def test_restriction_coords_match_per_element_solve(field, point, height):
+    base = quasi_simple(field, point if point == "inf" else field.of(point))
+    t = tower(base, check_semibrick([base]), height)
+    algebras = [end_algebra(level) for level in t.levels]
+    for seq, small, big in zip(t.sequences, algebras, algebras[1:]):
+        coords_of = end_coordinates(small.basis)
+        got = _restriction_coords(coords_of, seq.incl, big.basis)
+        assert got == [_restriction_reference(coords_of, seq.incl, e) for e in big.basis]
+
+
+def test_restriction_coords_refuse_an_endomorphism_that_moves_the_sub(r0, monkeypatch):
+    mm, injections, _ = direct_sum([r0, r0])
+    coords_of = end_coordinates(hom_basis(r0, r0))
+    # E21 sends the first summand onto the second
+    with pytest.raises(InvariantError, match="does not preserve"):
+        _restriction_coords(coords_of, injections[0], hom_basis(mm, mm))
+    # the exact product check holds even if the solver returns a wrong answer
+    monkeypatch.setattr(
+        "quiverfilt.towers.solve", lambda a, b: Matrix.zeros(a.field, a.cols, b.cols)
+    )
+    with pytest.raises(InvariantError, match="does not preserve"):
+        _restriction_coords(coords_of, injections[0], [Morphism.identity(mm)])
 
 
 def test_uniserial_inapplicable_wild(k3):
