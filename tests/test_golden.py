@@ -1,10 +1,12 @@
 """Byte-for-byte golden outputs: CLI ``--json`` reports and three witnesses.
 
-The CLI reports and the isomorphism witness were recorded before the
-trusted morphism-arithmetic path was introduced; the two ``ses_witness_*``
-files (the middle map f and the quotient automorphism g of
-``ses_equivalence_witness``) before the ladder became a solve on hom-basis
-coordinates.  A refactor or speed-up must reproduce them exactly; a
+The first 8 CLI reports and the isomorphism witness were recorded before
+the trusted morphism-arithmetic path was introduced; the two
+``ses_witness_*`` files (the middle map f and the quotient automorphism g
+of ``ses_equivalence_witness``) before the ladder became a solve on
+hom-basis coordinates; the reports of ``euler``, ``defect``, ``socle``,
+``filtration``, ``membership``, ``universal`` and ``demo-kronecker`` before
+the CLI became one command table.  Every subcommand has a report here.  A refactor or speed-up must reproduce them exactly; a
 deliberate output change re-records them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -43,6 +45,8 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 # R_0 + R_1 on the Kronecker quiver over QQ: End has dimension 2, and the
 # brick report carries an idempotent witness.
 BRICK_INPUT = os.path.join(GOLDEN, "inputs", "r0_plus_r1.json")
+# Level 3 of the tower over R_0 with X = {R_0} over QQ, dims (3, 3).
+Y3_INPUT = os.path.join(GOLDEN, "inputs", "y3_r0.json")
 
 CLI_CASES = {
     "hom": ["hom", "--quiver", "k3", "--field", "f5", "--left", "p1", "--right", "p2"],
@@ -56,6 +60,18 @@ CLI_CASES = {
         "preproj", "--quiver", "k2", "--field", "f101", "--base", "p1",
         "--semibrick", "r0", "r1", "rinf", "--levels", "3",
     ],
+    "euler": ["euler", "--quiver", "k3", "--x", "1,2", "--y", "2,1"],
+    "defect": ["defect", "--quiver", "k2", "--x", "2,1"],
+    "socle": ["socle", "--module", Y3_INPUT, "--semibrick", "r0", "r1"],
+    "filtration": ["filtration", "--module", Y3_INPUT, "--semibrick", "r0"],
+    "membership": [
+        "membership", "--quiver", "k2", "--module", "s1", "--semibrick", "r0",
+    ],
+    "universal": [
+        "universal", "--quiver", "k2", "--field", "f101", "--base", "p1",
+        "--semibrick", "r0", "r1", "rinf",
+    ],
+    "demo-kronecker": ["demo-kronecker"],
 }
 
 
@@ -158,10 +174,12 @@ def test_ses_equivalence_witness_matches_golden(name):
 
 
 def _record():
-    from quiverfilt import direct_sum, quasi_simple, save
+    from quiverfilt import direct_sum, quasi_simple, save, tower
 
     os.makedirs(os.path.dirname(BRICK_INPUT), exist_ok=True)
     save(direct_sum([quasi_simple(QQ, QQ.of(0)), quasi_simple(QQ, QQ.of(1))])[0], BRICK_INPUT)
+    r0 = quasi_simple(QQ, QQ.of(0))
+    save(tower(r0, check_semibrick([r0]), 3).levels[-1], Y3_INPUT)
     for name in CLI_CASES:
         _cli_report(name, os.path.join(GOLDEN, f"{name}.json"))
     with open(os.path.join(GOLDEN, "is_isomorphic_a3_witness.json"), "wb") as fh:
