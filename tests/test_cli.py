@@ -1,13 +1,18 @@
 """Exit codes, token resolution, and deterministic JSON output of the CLI."""
 
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from quiverfilt import QQ, check_semibrick, kronecker, quasi_simple, save, universal_sequence
-from quiverfilt.cli import main
+from quiverfilt import bricks
+from quiverfilt.cli import build_parser, main
+from quiverfilt.errors import UndecidedError
 
 
 def _json_tail(text):
@@ -172,6 +177,24 @@ def test_tower_reports_socle_chain(capsys):
     assert payload["socle_chain_dims"] == [[0, 0], [1, 1], [2, 2], [3, 3]]
 
 
+def test_tower_multiplicities_count_every_member(capsys):
+    code, out, _ = run(
+        capsys,
+        "tower",
+        "--base",
+        "r0",
+        "--semibrick",
+        "r0",
+        "r1",
+        "--levels",
+        "3",
+        "--json",
+        "-",
+    )
+    assert code == 0
+    assert _json_tail(out)["payload"]["level_multiplicities"] == [[1, 0], [1, 0]]
+
+
 def test_endtower_command(capsys):
     code, out, _ = run(
         capsys,
@@ -310,6 +333,18 @@ def test_x11_scalar_count_checked(capsys):
     assert "3 scalars" in err
 
 
+def test_x11_token_needs_arrows_from_the_second_vertex(tmp_path, capsys):
+    from quiverfilt import Quiver
+
+    path = tmp_path / "up.json"
+    save(Quiver([1, 2], [("a", 1, 2)], name="up"), path)
+    code, _, err = run(
+        capsys, "hom", "--quiver", str(path), "--left", "x11:1", "--right", "x11:1"
+    )
+    assert code == 1
+    assert "parallel 2 -> 1" in err
+
+
 def test_bad_dimension_vector(capsys):
     code, _, err = run(capsys, "euler", "--quiver", "k2", "--x", "1", "--y", "1,1")
     assert code == 1
@@ -399,6 +434,89 @@ def test_uniserial_inapplicable_is_exit_two(capsys):
         "2",
     )
     assert code == 2
+
+
+def test_inapplicable_check_has_its_own_prefix(capsys):
+    code, _, err = run(
+        capsys,
+        "uniserial",
+        "--quiver",
+        "k3",
+        "--base",
+        "x11:1,0,0",
+        "--semibrick",
+        "x11:1,0,0",
+        "--levels",
+        "2",
+    )
+    assert code == 2
+    assert err == "inapplicable: uniseriality needs dim Ext(base, base) = 1, got 2\n"
+
+
+def test_undecided_search_has_its_own_prefix(monkeypatch, capsys):
+    # check_semibrick asks is_isomorphic about every pair of members: the one
+    # CLI path to UndecidedError.  No small input is known to exhaust that
+    # search, so here the search gives up at once.
+    def give_up(m, n):
+        raise UndecidedError("isomorphism search space too large")
+
+    monkeypatch.setattr(bricks, "is_isomorphic", give_up)
+    code, out, err = run(capsys, "semibrick", "--members", "r0", "r1")
+    assert code == 2
+    assert out == ""
+    assert err == "undecided: isomorphism search space too large\n"
+
+
+def _saved_r0_documents(tmp_path):
+    """R_0 over QQ saved as a rep and as a semibrick certificate."""
+    r0 = quasi_simple(QQ, QQ.of(0))
+    rep_path, sb_path = str(tmp_path / "r0.json"), str(tmp_path / "sb.json")
+    save(r0, rep_path)
+    save(check_semibrick([r0]), sb_path)
+    return rep_path, sb_path
+
+
+def test_field_disagreeing_with_a_file_is_exit_two(tmp_path, capsys):
+    rep_path, sb_path = _saved_r0_documents(tmp_path)
+    module, semibrick = f"module in {rep_path}", f"semibrick in {sb_path}"
+    for argv, source in (
+        (["brick", "--module", rep_path], module),
+        (["hom", "--left", "r0", "--right", rep_path], module),
+        (["semibrick", "--members", rep_path], module),
+        (["semibrick", "--members", sb_path], semibrick),
+        (["socle", "--module", "r0", "--semibrick", sb_path], semibrick),
+    ):
+        code, out, err = run(capsys, *argv, "--field", "f5")
+        assert code == 2
+        assert out == ""
+        assert err == f"invalid input: {source} lives on a different field\n"
+        assert run(capsys, *argv, "--field", "qq")[0] == 0
+        assert run(capsys, *argv)[0] == 0
+
+
+def test_quiver_disagreeing_with_a_semibrick_file_is_exit_two(tmp_path, capsys):
+    rep_path, sb_path = _saved_r0_documents(tmp_path)
+    for path, source in ((rep_path, "module"), (sb_path, "semibrick")):
+        argv = ["semibrick", "--members", path]
+        code, out, err = run(capsys, *argv, "--quiver", "k3")
+        assert code == 2
+        assert out == ""
+        assert err == f"invalid input: {source} in {path} lives on a different quiver\n"
+        assert run(capsys, *argv, "--quiver", "k2")[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# the command table and its documentation
+
+
+def test_readme_command_list_matches_the_command_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Command line") :]
+    start = section.index("Commands:")
+    listed = section[start : section.index(".\n", start)]
+    actions = build_parser()._actions
+    subs = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+    assert re.findall(r"`([^`]+)`", listed) == list(subs.choices)
 
 
 # ---------------------------------------------------------------------------
