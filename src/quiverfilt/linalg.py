@@ -7,22 +7,26 @@ package.
 
 The hot kernels (``rref``, ``Matrix.mul`` and the row kernels below) bypass
 ``Field`` and specialise on the characteristic: ``int`` arithmetic with one
-``% p`` per result over GF(p), ``Fraction`` operators over the rationals.
-``rref`` over the rationals does no ``Fraction`` arithmetic at all: it clears
-each row's denominators once, eliminates by cross-multiplication on integer
-rows kept primitive (divided by the gcd of their entries), and builds each
-``Fraction`` of the result once, from a pivot row and its pivot entry.
+``% p`` per result over GF(p), ``int`` arithmetic on cleared denominators
+over the rationals.  ``rref`` over the rationals does no ``Fraction``
+arithmetic at all: it clears each row's denominators once, eliminates by
+cross-multiplication on integer rows kept primitive (divided by the gcd of
+their entries), and builds each ``Fraction`` of the result once, from a
+pivot row and its pivot entry.  Over QQ every ``Matrix`` keeps its integer
+form, its entries times the lcm ``den`` of their denominators, once a
+product has read it.  ``Matrix.mul`` multiplies the two integer forms and
+builds each nonzero entry of the result once, as ``Fraction(x, la*lb)``.
 ``products_equal(a, b, c, d)`` decides ``a*b == c*d`` on integers and builds
-no field element: over QQ it scales each factor once by the lcm of its
-denominators and compares the two integer products by cross-multiplying
-with the other side's denominators; over GF(p) it compares the unreduced
-products modulo p.  ``Matrix.mul`` and ``products_equal`` share one
-zero-skipping product loop.  The kernels skip zeros by truthiness, so they
-require canonical entries, the values ``Field.of`` returns: a ``Fraction``
-over QQ, an ``int`` in [0, p) over GF(p).
+no field element: over QQ it compares the integer products of the four
+integer forms by cross-multiplying with the other side's denominators; over
+GF(p) it compares the unreduced products modulo p.  ``Matrix.mul`` and
+``products_equal`` share one zero-skipping product loop.  The kernels skip
+zeros by truthiness, so they require canonical entries, the values
+``Field.of`` returns: a ``Fraction`` over QQ, an ``int`` in [0, p) over GF(p).
 
 Matrices are immutable by convention: no public routine mutates its inputs,
-and ``Matrix`` instances may be shared freely.
+and ``Matrix`` instances may be shared freely.  The cached integer form
+relies on this.
 """
 
 from __future__ import annotations
@@ -207,9 +211,15 @@ def field_from_spec(kind: str, characteristic: int) -> Field:
 
 
 class Matrix:
-    """Immutable dense matrix with row-major flat storage."""
+    """Immutable dense matrix with row-major flat storage.
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    Over QQ a matrix keeps its integer form once a product has read it (see
+    ``_integer_form``).  The cache is sound only because ``entries`` never
+    changes: no routine writes to ``entries``, or to a list after passing it
+    to ``Matrix(...)``.
+    """
+
+    __slots__ = ("field", "rows", "cols", "entries", "_ints")
 
     def __init__(self, field: Field, rows: int, cols: int, entries: list):
         if rows < 0 or cols < 0:
@@ -222,6 +232,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
+        self._ints = None
 
     # -- constructors ------------------------------------------------------
 
@@ -278,6 +289,14 @@ class Matrix:
         flat = [e[i * n + j] for i in range(self.rows) for j in indices]
         return Matrix(self.field, self.rows, len(indices), flat)
 
+    def _integer_form(self) -> tuple[list, int]:
+        """``(ints, den)`` over QQ: ``den`` is the lcm of the denominators and
+        ``entries[i] == Fraction(ints[i], den)``.  Computed on the first call
+        and kept."""
+        if self._ints is None:
+            self._ints = _integer_multiple(self.entries)
+        return self._ints
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -325,9 +344,18 @@ class Matrix:
             raise InvariantError(f"cannot multiply {self.shape} by {other.shape}")
         f = self.field
         p = f.characteristic
-        out = _product(self.entries, other.entries, self.rows, self.cols, other.cols, f.zero)
         if p:
+            out = _product(self.entries, other.entries, self.rows, self.cols, other.cols, f.zero)
             out = [x % p for x in out]
+        else:
+            ai, la = self._integer_form()
+            bi, lb = other._integer_form()
+            den = la * lb
+            zero = f.zero
+            out = [
+                Fraction(x, den) if x else zero
+                for x in _product(ai, bi, self.rows, self.cols, other.cols, 0)
+            ]
         return Matrix(f, self.rows, other.cols, out)
 
     def transpose(self) -> "Matrix":
@@ -430,10 +458,10 @@ def products_equal(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:
     """Whether ``a*b == c*d``, decided on integers without building a field element.
 
     Over GF(p) the entries are integers already, and the two unreduced
-    products are compared modulo p.  Over QQ each factor is scaled once by
-    the lcm of its denominators, so ``a*b = A*B / (la*lb)`` and
-    ``c*d = C*D / (lc*ld)``; the integer products are compared by
-    cross-multiplying each with the other side's denominators.
+    products are compared modulo p.  Over QQ each factor is read in its
+    cached integer form, the entries times the lcm of their denominators, so
+    ``a*b = A*B / (la*lb)`` and ``c*d = C*D / (lc*ld)``; the integer products
+    are compared by cross-multiplying each with the other side's denominators.
     """
     f = a.field
     if b.field != f or c.field != f or d.field != f:
@@ -449,10 +477,10 @@ def products_equal(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:
         left = _product(a.entries, b.entries, a.rows, a.cols, b.cols, 0)
         right = _product(c.entries, d.entries, c.rows, c.cols, d.cols, 0)
         return not any((x - y) % p for x, y in zip(left, right))
-    ai, la = _integer_multiple(a.entries)
-    bi, lb = _integer_multiple(b.entries)
-    ci, lc = _integer_multiple(c.entries)
-    di, ld = _integer_multiple(d.entries)
+    ai, la = a._integer_form()
+    bi, lb = b._integer_form()
+    ci, lc = c._integer_form()
+    di, ld = d._integer_form()
     left = _product(ai, bi, a.rows, a.cols, b.cols, 0)
     right = _product(ci, di, c.rows, c.cols, d.cols, 0)
     s, t = lc * ld, la * lb

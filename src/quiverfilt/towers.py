@@ -290,6 +290,52 @@ def _ideal_basis(alg: AlgebraPresentation, incl_from_base: Morphism) -> list:
     return [vec.col(0) for vec in nullspace_basis(mat)]
 
 
+def _ideal_checks(alg: AlgebraPresentation, ideal: list) -> tuple[int, bool, int | None]:
+    """The dimension of the span of ``ideal``, whether it is two-sided, and
+    its nilpotency index.
+
+    The index is the first power n <= d + 1 at which the products of n
+    ideal vectors span zero, else None.  Every product is read off matrix
+    products with the multiplication table T: with I stacking the ideal
+    vectors as rows, row b of ``I * [T[i][j][l]]_(j, (i, l))`` is the d x d
+    matrix ``M_b`` whose row i is ``e_i * b``, and row b of
+    ``I * [T[i][j][l]]_(i, (j, l))`` holds ``b * e_j`` for every j.  The
+    products of the rows of a matrix A with b are then ``A * M_b``.
+    """
+    f = alg.field
+    d = alg.dimension
+    table = alg.multiplication_table
+    stacked = Matrix(f, len(ideal), d, [x for vec in ideal for x in vec])
+    times_left = stacked.mul(
+        Matrix(f, d, d * d, [table[i][j][l] for j in range(d) for i in range(d) for l in range(d)])
+    )
+    times_right = stacked.mul(
+        Matrix(f, d, d * d, [x for plane in table for c in plane for x in c])
+    )
+    ideal_span = RowSpace(f, ideal)
+    two_sided = all(
+        ideal_span.contains(m.entries[k : k + d])
+        for m in (times_left, times_right)
+        for k in range(0, len(m.entries), d)
+    )
+    ops = [Matrix(f, d, d, times_left.row(b)) for b in range(len(ideal))]
+    current = ideal
+    for power in range(1, d + 2):
+        if not any(any(vec) for vec in current):
+            return ideal_span.dim, two_sided, power
+        a = Matrix(f, len(current), d, [x for vec in current for x in vec])
+        prods = [a.mul(m) for m in ops]
+        nxt_span = RowSpace(f)
+        nxt = []
+        for r in range(len(current)):
+            for prod in prods:
+                vec = prod.row(r)
+                if nxt_span.add(vec):
+                    nxt.append(vec)
+        current = nxt
+    return ideal_span.dim, two_sided, None
+
+
 def end_ring_tower(t: Tower) -> EndTower:
     """End algebras of every level with restriction maps and locality evidence.
 
@@ -312,32 +358,7 @@ def end_ring_tower(t: Tower) -> EndTower:
         ideal = _ideal_basis(alg, incl_base)
         ideal_bases.append(ideal)
         d = alg.dimension
-        ideal_span = RowSpace(f, ideal)
-        ideal_rank = ideal_span.dim
-        # two-sidedness: basis products stay inside the ideal span
-        two_sided = all(
-            ideal_span.contains(prod)
-            for vec in ideal
-            for e in unit_vectors(f, d)
-            for prod in (alg.multiply(e, vec), alg.multiply(vec, e))
-        )
-        # nilpotency: iterate span of products with the ideal until zero
-        nilpotency_index = None
-        current = [list(v) for v in ideal]
-        for power in range(1, d + 2):
-            if not current or all(
-                all(x == f.zero for x in vec) for vec in current
-            ):
-                nilpotency_index = power
-                break
-            nxt_span = RowSpace(f)
-            nxt = []
-            for a in current:
-                for b in ideal:
-                    prod = alg.multiply(a, b)
-                    if nxt_span.add(prod):
-                        nxt.append(prod)
-            current = nxt
+        ideal_rank, two_sided, nilpotency_index = _ideal_checks(alg, ideal)
         residue_dim = d - ideal_rank
         report = {
             "level": i + 1,

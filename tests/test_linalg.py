@@ -2,6 +2,7 @@
 
 import pytest
 from fractions import Fraction
+from math import lcm
 from hypothesis import given, settings, strategies as st
 
 from quiverfilt import GF, QQ, Matrix
@@ -451,6 +452,73 @@ def test_products_equal_rejects_mismatched_factors():
     assert not products_equal(half, mq([[1]]), mq([[1]]), mq([[1]]))
     # equal modulo p, unequal as integers
     assert products_equal(Matrix(F5, 1, 1, [4]), Matrix(F5, 1, 1, [4]), one, one)
+
+
+# ---------------------------------------------------------------------------
+# QQ products on the cached integer forms against Fraction arithmetic
+
+def _qq_with_zero_lines(draw, rows, cols):
+    """Numerators and denominators up to 2^70, some whole rows and columns zero."""
+    zero_rows = draw(st.sets(st.integers(min_value=0, max_value=max(rows - 1, 0)), max_size=rows))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=max(cols - 1, 0)), max_size=cols))
+    return Matrix(QQ, rows, cols, [
+        QQ.zero if i in zero_rows or j in zero_cols else draw(_big_rational)
+        for i in range(rows)
+        for j in range(cols)
+    ])
+
+
+@st.composite
+def _qq_factors(draw):
+    n, m, k = draw(_kernel_dims), draw(_kernel_dims), draw(_kernel_dims)
+    return _qq_with_zero_lines(draw, n, m), _qq_with_zero_lines(draw, m, k)
+
+
+def _assert_fresh_integer_form(x):
+    ints, den = x._integer_form()
+    assert den == lcm(*[e.denominator for e in x.entries])
+    assert len(ints) == len(x.entries) and all(type(i) is int for i in ints)
+    assert all(Fraction(i, den) == e for i, e in zip(ints, x.entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_qq_factors())
+def test_qq_mul_on_integer_forms_matches_fraction_reference(pair):
+    a, b = pair
+    before = (list(a.entries), list(b.entries))
+    got = a.mul(b)
+    assert got == _reference_mul(a, b)
+    assert all(type(x) is Fraction for x in got.entries)
+    assert all(x is QQ.zero for x in got.entries if not x)
+    assert (a.entries, b.entries) == before
+    forms = (a._ints, b._ints)
+    assert None not in forms
+    for x, form in zip((a, b), forms):
+        assert x._integer_form() is form
+        _assert_fresh_integer_form(x)
+    # a second product reads the same cached forms
+    assert a.mul(b) == got
+    assert a._ints is forms[0] and b._ints is forms[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_product_case(), st.data())
+def test_products_equal_reads_cached_forms_in_any_order(case, data):
+    a, b, c, d, _ = case
+    factors = [a, b, c, d]
+    if a.field == QQ:
+        order = data.draw(st.permutations(range(4)))
+        for i in order[: data.draw(st.integers(min_value=0, max_value=4))]:
+            factors[i]._integer_form()
+    verdict = products_equal(a, b, c, d)
+    assert verdict == (_reference_mul(a, b) == _reference_mul(c, d))
+    assert verdict == (a.mul(b) == c.mul(d))
+    # every operand cached now, and the sides swapped
+    assert products_equal(a, b, c, d) == verdict == products_equal(c, d, a, b)
+    assert products_equal(a, b, a, b)
+    if a.field == QQ:
+        for x in factors:
+            _assert_fresh_integer_form(x)
 
 
 # ---------------------------------------------------------------------------

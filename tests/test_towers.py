@@ -1,6 +1,8 @@
 """Universal sequences, towers, endomorphism-ring towers, uniseriality."""
 
 from dataclasses import replace
+from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,7 @@ from quiverfilt import (
     is_isomorphic,
     is_universal,
     kronecker,
+    linear_quiver,
     quasi_simple,
     standard_module,
     tower,
@@ -39,10 +42,10 @@ from quiverfilt import (
 from quiverfilt.bricks import end_coordinates
 from quiverfilt.errors import BudgetError, InapplicableError, InvariantError
 from quiverfilt.homext import ShortExactSequence
-from quiverfilt.linalg import solve
-from quiverfilt.towers import _restriction_coords
+from quiverfilt.linalg import RowSpace, _integer_multiple, solve, unit_vectors
+from quiverfilt.towers import _ideal_checks, _restriction_coords
 
-from conftest import make_x11
+from conftest import field_scalar, make_x11
 
 
 @pytest.fixture
@@ -249,6 +252,125 @@ def test_end_ring_tower_refuses_a_top_ideal_short_of_the_composite_kernel(
     assert len(et.ideal_bases[-1]) == 2
     assert et.level_reports[-1]["composite_kernel_matches_ideal"] is False
     assert et.ok is False
+
+
+def _ideal_checks_reference(alg, ideal):
+    """``_ideal_checks`` one ``AlgebraPresentation.multiply`` per product."""
+    f, d = alg.field, alg.dimension
+    span = RowSpace(f, ideal)
+    two_sided = all(
+        span.contains(prod)
+        for vec in ideal
+        for e in unit_vectors(f, d)
+        for prod in (alg.multiply(e, vec), alg.multiply(vec, e))
+    )
+    current = [list(v) for v in ideal]
+    for power in range(1, d + 2):
+        if not current or all(all(x == f.zero for x in vec) for vec in current):
+            return span.dim, two_sided, power
+        nxt_span = RowSpace(f)
+        nxt = []
+        for a in current:
+            for b in ideal:
+                prod = alg.multiply(a, b)
+                if nxt_span.add(prod):
+                    nxt.append(prod)
+        current = nxt
+    return span.dim, two_sided, None
+
+
+@cache
+def _test_algebras(field):
+    """End algebras over ``field``, commutative and not: levels of an R_1
+    tower, End(R0 + R0) = M_2(k), End(P1 + P2) and End(R0 + Y(2))."""
+    k2 = kronecker(2)
+    r0, r1 = quasi_simple(field, field.zero), quasi_simple(field, field.one)
+    levels = tower(r1, check_semibrick([r1]), 4).levels
+    p1 = standard_module(k2, field, "projective", 1)
+    p2 = standard_module(k2, field, "projective", 2)
+    y2 = tower(r0, check_semibrick([r0]), 2).levels[-1]
+    reps = levels + [direct_sum(parts)[0] for parts in ([r0, r0], [p1, p2], [r0, y2])]
+    return [end_algebra(m) for m in reps]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(101)]), st.data())
+def test_ideal_checks_match_one_product_at_a_time(field, data):
+    alg = data.draw(st.sampled_from(_test_algebras(field)))
+    d = alg.dimension
+    vectors = data.draw(
+        st.lists(st.lists(field_scalar(field), min_size=d, max_size=d), max_size=d)
+    )
+    assert _ideal_checks(alg, vectors) == _ideal_checks_reference(alg, vectors)
+
+
+def test_ideal_checks_see_one_sided_and_non_nilpotent_spans(r0):
+    """End(R0 + R0) = M_2(QQ): E11 is idempotent, E12 squares to zero, and
+    neither spans a two-sided ideal; the matrix units span all of M_2."""
+    alg = end_algebra(direct_sum([r0, r0])[0])
+    units = unit_vectors(QQ, alg.dimension)
+    found = {_ideal_checks(alg, [e]) for e in units}
+    assert found == {(1, False, None), (1, False, 2)}
+    assert _ideal_checks(alg, units) == (4, True, None)
+    for vectors in ([e] for e in units):
+        assert _ideal_checks(alg, vectors) == _ideal_checks_reference(alg, vectors)
+
+
+def _matrices(*objs):
+    """The arrow maps of the reps and the blocks of the morphisms in ``objs``."""
+    for x in objs:
+        yield from (x.arrow_maps if isinstance(x, Rep) else x.blocks).values()
+
+
+def _cache_guard_case(name):
+    if name == "K2":
+        base = quasi_simple(QQ, QQ.of(Fraction(1, 2)))
+        return base, [base]
+    if name == "K3":
+        base = make_x11(kronecker(3), QQ, [1, Fraction(-2, 3), 0])
+        return base, [base]
+    a3 = linear_quiver(3)
+    simples = [standard_module(a3, QQ, "simple", v) for v in a3.vertices]
+    return simples[0], simples
+
+
+@pytest.mark.parametrize("name", ["K2", "K3", "A3"])
+def test_cached_integer_forms_match_the_entries_after_a_tower(name):
+    """Every arrow map and basis block read by a QQ product keeps its entries,
+    and its cached integer form is the one its entries give now."""
+    base, members = _cache_guard_case(name)
+    seen = {}
+
+    def watch(*objs):
+        for m in _matrices(*objs):
+            seen.setdefault(id(m), (m, list(m.entries)))
+
+    watch(base, *members)
+    basis = hom_basis(base, base)
+    watch(*basis)
+    copies = [
+        Morphism(b.source, b.target, {v: Matrix(QQ, m.rows, m.cols, list(m.entries))
+                                      for v, m in b.blocks.items()})
+        for b in basis
+    ]
+    watch(*copies)
+    assert [Morphism(b.source, b.target, dict(b.blocks)) for b in basis] == copies
+    t = tower(base, check_semibrick(members), 3)
+    watch(*t.levels)
+    for seq in t.sequences:
+        watch(seq.incl, seq.proj)
+    for level in t.levels:
+        watch(*end_algebra(level).basis)
+    et = end_ring_tower(t)
+    assert et.ok
+    for alg in et.algebras:
+        watch(*alg.basis)
+    cached = 0
+    for m, before in seen.values():
+        assert m.entries == before
+        cached += m._ints is not None
+        assert m._integer_form() == _integer_multiple(m.entries)
+    assert cached == len(seen)
 
 
 def test_end_ring_tower_single_level(r0, sb0):
