@@ -1,4 +1,5 @@
-"""Byte-for-byte golden outputs: CLI ``--json`` reports and three witnesses.
+"""Byte-for-byte golden outputs: CLI ``--json`` reports, three witnesses, and
+the pullbacks and pushouts of six short exact sequences.
 
 The first 8 CLI reports and the isomorphism witness were recorded before
 the trusted morphism-arithmetic path was introduced; the two
@@ -6,7 +7,9 @@ the trusted morphism-arithmetic path was introduced; the two
 of ``ses_equivalence_witness``) before the ladder became a solve on
 hom-basis coordinates; the reports of ``euler``, ``defect``, ``socle``,
 ``filtration``, ``membership``, ``universal`` and ``demo-kronecker`` before
-the CLI became one command table.  Every subcommand has a report here.  A refactor or speed-up must reproduce them exactly; a
+the CLI became one command table; ``pullback_pushout.json`` before the
+pullback and pushout were rebuilt on the direct sum.  Every subcommand has
+a report here.  A refactor or speed-up must reproduce them exactly; a
 deliberate output change re-records them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -14,12 +17,14 @@ deliberate output change re-records them with
 and says so in the change log.
 """
 
+import json
 import os
 import sys
 
 import pytest
 
 from quiverfilt import (
+    GF,
     QQ,
     Matrix,
     Morphism,
@@ -27,18 +32,24 @@ from quiverfilt import (
     check_semibrick,
     cocycle_of,
     compose,
+    direct_sum,
+    ext_basis,
     extension_middle,
+    hom_basis,
     is_isomorphic,
     kronecker,
     linear_quiver,
     quasi_simple,
     serialize,
     ses_equivalence_witness,
+    standard_module,
+    tower,
     universal_sequence,
 )
 from quiverfilt.cli import main
-from quiverfilt.homext import pushout_with_map
+from quiverfilt.homext import pullback_with_map, pushout_with_map
 from quiverfilt.linalg import inverse
+from quiverfilt.reps import linear_combination
 from quiverfilt.towers import _assemble_universal, _universal_data
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -154,6 +165,73 @@ def _ses_witness_text(name):
     return (serialize(f) + serialize(g)).encode()
 
 
+def _combo(basis):
+    """The hom-basis combination with coefficients 1, 2, 3, ... (never empty here)."""
+    assert basis
+    field = basis[0].source.field
+    return linear_combination(basis, [field.of(i + 1) for i in range(len(basis))])
+
+
+def _pullback_pushout_cases():
+    """Per case (ses, f, g): f : W -> quot for the pullback, g : sub -> W for the pushout."""
+    r0 = quasi_simple(QQ, QQ.of(0))
+    r1 = quasi_simple(QQ, QQ.of(1))
+    universal = universal_sequence(r0, check_semibrick([r0]))
+    q = kronecker(3)
+    maps = {aid: Matrix.from_rows(QQ, [[c]]) for (aid, _, _), c in zip(q.arrows, (1, 0, 0))}
+    x = Rep(q, QQ, {1: 1, 2: 1}, maps)
+    level = tower(x, check_semibrick([x]), 3).sequences[1]  # Y(2) -> Y(3)
+    cases = {
+        "k2_r0_universal_qq": (
+            universal,
+            _combo(hom_basis(universal.middle, universal.quot)),
+            _combo(hom_basis(universal.sub, universal.middle)),
+        ),
+        "k3_x11_level2_qq": (
+            level,
+            _combo(hom_basis(x, level.quot)),
+            _combo(hom_basis(level.sub, level.sub)),
+        ),
+        "k2_r0_zero_maps_qq": (
+            universal,
+            Morphism.zero(r1, universal.quot),
+            Morphism.zero(universal.sub, r1),
+        ),
+    }
+    w_pull = direct_sum([r0, r1])[0]
+    w_push = direct_sum([r0, universal.middle])[0]
+    cases["k2_r0_direct_sum_w_qq"] = (
+        universal,
+        _combo(hom_basis(w_pull, universal.quot)),
+        _combo(hom_basis(universal.sub, w_push)),
+    )
+    a3 = linear_quiver(3)
+    for field in (GF(2), GF(101)):
+        i2 = standard_module(a3, field, "injective", 2)
+        p2 = standard_module(a3, field, "projective", 2)
+        ses = extension_middle(i2, p2, ext_basis(i2, p2)[0][0])
+        cases[f"a3_i2_by_p2_gf{field.characteristic}"] = (
+            ses,
+            _combo(hom_basis(standard_module(a3, field, "projective", 3), i2)),
+            _combo(hom_basis(p2, standard_module(a3, field, "injective", 1))),
+        )
+    return cases
+
+
+def _pullback_pushout_text():
+    """Middle, incl, proj and comparison map of every pullback and pushout."""
+    out = {}
+    for name, (ses, f, g) in _pullback_pushout_cases().items():
+        out[name] = {}
+        for kind, (seq, nat) in (
+            ("pullback", pullback_with_map(ses, f)),
+            ("pushout", pushout_with_map(ses, g)),
+        ):
+            parts = {"middle": seq.middle, "incl": seq.incl, "proj": seq.proj, "map": nat}
+            out[name][kind] = {key: json.loads(serialize(x)) for key, x in parts.items()}
+    return (json.dumps(out, sort_keys=True, indent=2) + "\n").encode()
+
+
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_json_report_matches_golden(name, tmp_path, capsys):
     got = _cli_report(name, tmp_path / f"{name}.json")
@@ -173,8 +251,13 @@ def test_ses_equivalence_witness_matches_golden(name):
         assert _ses_witness_text(name) == fh.read()
 
 
+def test_pullback_pushout_match_golden():
+    with open(os.path.join(GOLDEN, "pullback_pushout.json"), "rb") as fh:
+        assert _pullback_pushout_text() == fh.read()
+
+
 def _record():
-    from quiverfilt import direct_sum, quasi_simple, save, tower
+    from quiverfilt import save
 
     os.makedirs(os.path.dirname(BRICK_INPUT), exist_ok=True)
     save(direct_sum([quasi_simple(QQ, QQ.of(0)), quasi_simple(QQ, QQ.of(1))])[0], BRICK_INPUT)
@@ -187,6 +270,8 @@ def _record():
     for name in SES_CASES:
         with open(os.path.join(GOLDEN, f"{name}.json"), "wb") as fh:
             fh.write(_ses_witness_text(name))
+    with open(os.path.join(GOLDEN, "pullback_pushout.json"), "wb") as fh:
+        fh.write(_pullback_pushout_text())
 
 
 if __name__ == "__main__":
