@@ -12,6 +12,8 @@ reduction against the coboundary space, never by raw component equality;
 ``is_split`` is the zero test of a sequence's class.  Linear conditions on
 morphisms (the ladder of ``ses_equivalence_witness``) are solved for
 coordinates in ``hom_basis``, so no other system is built entry by entry.
+The pullback along f is the kernel of (proj, -f) and the pushout along g
+the cokernel of (incl, -g), both on ``direct_sum([middle, W])``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .linalg import (
     RowSpace,
     hstack,
     mat_from_cols,
+    nullspace_basis,
+    quotient_map_free,
     rref,
     solve,
     unit_vectors,
@@ -32,7 +36,11 @@ from .linalg import (
 from .reps import (
     Morphism,
     Rep,
+    _subrep_on_basis,
+    cokernel,
     compose,
+    direct_sum,
+    factor_through_inclusion,
     linear_combination,
     search_invertible_combination,
 )
@@ -100,8 +108,6 @@ def _unflatten_hom(m: Rep, n: Rep, vec: list) -> dict:
 
 def hom_basis(m: Rep, n: Rep) -> list[Morphism]:
     """Canonical basis of the space of morphisms M -> N."""
-    from .linalg import nullspace_basis
-
     a = _intertwine_matrix(m, n)
     basis = []
     for vec in nullspace_basis(a):
@@ -346,56 +352,26 @@ def cocycle_of(ses: ShortExactSequence) -> ExtCocycle:
 def pullback_with_map(
     ses: ShortExactSequence, f: Morphism
 ) -> tuple[ShortExactSequence, Morphism]:
-    """Base change along f : W -> quot; also returns the map to the old middle."""
+    """Base change along f : W -> quot; also returns the map to the old middle.
+
+    The new middle is the kernel of (proj, -f) : middle + W -> quot, with the
+    canonical kernel basis of each vertex's block as its basis.
+    """
     if f.target != ses.quot:
         raise InvariantError("pullback needs a morphism into the quotient")
-    from .linalg import nullspace_basis
-
-    fld = ses.middle.field
-    quiver = ses.middle.quiver
-    w = f.source
+    total, (inj_mid, _), (to_mid, to_w) = direct_sum([ses.middle, f.source])
+    glue = compose(to_mid, ses.proj).sub(compose(to_w, f))
     bases = {}
-    for v in quiver.vertices:
-        glue = hstack([ses.proj.blocks[v], f.blocks[v].neg()])
-        vecs = nullspace_basis(glue)
-        if vecs:
-            bases[v] = hstack(vecs)
-        else:
-            bases[v] = Matrix.zeros(fld, glue.cols, 0)
-    dims = {v: bases[v].cols for v in quiver.vertices}
-    maps = {}
-    for aid, s, t in quiver.arrows:
-        mids = ses.middle.dims
-        big_top = hstack(
-            [ses.middle.arrow_maps[aid], Matrix.zeros(fld, mids[t], w.dims[s])]
-        )
-        big_bot = hstack(
-            [Matrix.zeros(fld, w.dims[t], mids[s]), w.arrow_maps[aid]]
-        )
-        pushed = vstack([big_top, big_bot]).mul(bases[s])
-        sol = solve(bases[t], pushed)
-        if sol is None or bases[t].mul(sol) != pushed:
-            raise InvariantError("fiber product is not arrow stable")
-        maps[aid] = sol
-    pb = Rep(quiver, fld, dims, maps)
-    incl_blocks = {}
-    proj_blocks = {}
-    nat_blocks = {}
-    for v in quiver.vertices:
-        lifted = vstack(
-            [ses.incl.blocks[v], Matrix.zeros(fld, w.dims[v], ses.sub.dims[v])]
-        )
-        sol = solve(bases[v], lifted)
-        if sol is None or bases[v].mul(sol) != lifted:
-            raise InvariantError("subobject does not lift into the fiber product")
-        incl_blocks[v] = sol
-        mid_rows = ses.middle.dims[v]
-        nat_blocks[v] = bases[v].rows_at(range(mid_rows))
-        proj_blocks[v] = bases[v].rows_at(range(mid_rows, bases[v].rows))
-    incl = Morphism(ses.sub, pb, incl_blocks)
-    proj = Morphism(pb, w, proj_blocks)
-    nat = Morphism(pb, ses.middle, nat_blocks)
-    return ShortExactSequence(ses.sub, pb, w, incl, proj), nat
+    free = {}
+    for v, block in glue.blocks.items():
+        # the rows of quotient_map_free(A^T) are the nullspace_basis vectors of A
+        kernel_rows, free[v] = quotient_map_free(block.transpose())
+        bases[v] = kernel_rows.transpose()
+    pb = _subrep_on_basis(total, bases, free)
+    incl = factor_through_inclusion(compose(ses.incl, inj_mid), pb)
+    proj = compose(pb.inclusion, to_w)
+    nat = compose(pb.inclusion, to_mid)
+    return ShortExactSequence(ses.sub, pb.sub, f.source, incl, proj), nat
 
 
 def pullback(ses: ShortExactSequence, f: Morphism) -> ShortExactSequence:
@@ -405,55 +381,25 @@ def pullback(ses: ShortExactSequence, f: Morphism) -> ShortExactSequence:
 def pushout_with_map(
     ses: ShortExactSequence, g: Morphism
 ) -> tuple[ShortExactSequence, Morphism]:
-    """Cobase change along g : sub -> W; also returns the map from the old middle."""
+    """Cobase change along g : sub -> W; also returns the map from the old middle.
+
+    The new middle is the cokernel of (incl, -g) : sub -> middle + W.
+    """
     if g.source != ses.sub:
         raise InvariantError("pushout needs a morphism out of the subobject")
-    from .linalg import quotient_map
-
-    fld = ses.middle.field
-    quiver = ses.middle.quiver
-    w = g.target
-    projs = {}
-    for v in quiver.vertices:
-        glue = vstack([ses.incl.blocks[v], g.blocks[v].neg()])
-        projs[v] = quotient_map(glue)
-    dims = {v: projs[v].rows for v in quiver.vertices}
-    maps = {}
-    for aid, s, t in quiver.arrows:
-        mids = ses.middle.dims
-        big_top = hstack(
-            [ses.middle.arrow_maps[aid], Matrix.zeros(fld, mids[t], w.dims[s])]
-        )
-        big_bot = hstack([Matrix.zeros(fld, w.dims[t], mids[s]), w.arrow_maps[aid]])
-        rhs = projs[t].mul(vstack([big_top, big_bot])).transpose()
-        sol = solve(projs[s].transpose(), rhs)
-        if sol is None:
-            raise InvariantError("pushout arrow map is not well defined")
-        maps[aid] = sol.transpose()
-    po = Rep(quiver, fld, dims, maps)
-    incl_blocks = {}
+    _, (inj_mid, inj_w), (to_mid, _) = direct_sum([ses.middle, g.target])
+    po, q = cokernel(compose(ses.incl, inj_mid).sub(compose(g, inj_w)))
+    down = compose(to_mid, ses.proj)
     proj_blocks = {}
-    nat_blocks = {}
-    for v in quiver.vertices:
-        mid_n = ses.middle.dims[v]
-        w_n = w.dims[v]
-        incl_blocks[v] = projs[v].mul(
-            vstack([Matrix.zeros(fld, mid_n, w_n), Matrix.identity(fld, w_n)])
-        )
-        nat_blocks[v] = projs[v].mul(
-            vstack([Matrix.identity(fld, mid_n), Matrix.zeros(fld, w_n, mid_n)])
-        )
-        rhs = hstack(
-            [ses.proj.blocks[v], Matrix.zeros(fld, ses.quot.dims[v], w_n)]
-        ).transpose()
-        sol = solve(projs[v].transpose(), rhs)
+    for v, block in q.blocks.items():
+        sol = solve(block.transpose(), down.blocks[v].transpose())
         if sol is None:
             raise InvariantError("quotient map does not factor through the pushout")
         proj_blocks[v] = sol.transpose()
-    incl = Morphism(w, po, incl_blocks)
     proj = Morphism(po, ses.quot, proj_blocks)
-    nat = Morphism(ses.middle, po, nat_blocks)
-    return ShortExactSequence(w, po, ses.quot, incl, proj), nat
+    incl = compose(inj_w, q)
+    nat = compose(inj_mid, q)
+    return ShortExactSequence(g.target, po, ses.quot, incl, proj), nat
 
 
 def pushout(ses: ShortExactSequence, g: Morphism) -> ShortExactSequence:
@@ -516,8 +462,6 @@ def ses_equivalence_witness(
         particular = solve(lmat, target)
         if particular is None:
             return None
-        from .linalg import nullspace_basis
-
         nulls = nullspace_basis(lmat)
         t0 = particular.col(0)
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InvariantError
-from .linalg import Matrix, QQ, nullspace_basis
+from .linalg import Matrix, QQ, _integer_multiple, _primitive, nullspace_basis
 
 DimVector = dict  # vertex id -> nonnegative int
 
@@ -252,15 +252,7 @@ def radical_vector(q: Quiver) -> DimVector | None:
     kernel = nullspace_basis(b)
     if len(kernel) != 1:
         return None
-    vec = [kernel[0].at(i, 0) for i in range(b.rows)]
-    denom_lcm = 1
-    for x in vec:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
+    ints = _primitive(_integer_multiple(kernel[0].col(0))[0])
     if all(x < 0 for x in ints):
         ints = [-x for x in ints]
     if not all(x > 0 for x in ints):

@@ -293,10 +293,8 @@ def subrep_from_spans(ambient: Rep, spans: dict) -> SubrepInclusion:
     ``spans`` maps each vertex to a matrix whose columns lie in the ambient
     space at that vertex.  The spans must already be arrow-stable; otherwise
     this raises.  Bases are canonicalized so the result depends only on the
-    spans.  An arrow map is read off the pushed basis at the pivot rows of
-    the target's basis, then checked exactly: ``basis_t * map == pushed``.
+    spans.
     """
-    field = ambient.field
     bases = {}
     pivots = {}
     for v in ambient.quiver.vertices:
@@ -304,15 +302,25 @@ def subrep_from_spans(ambient: Rep, spans: dict) -> SubrepInclusion:
         if m.rows != ambient.dims[v]:
             raise InvariantError(f"span at {v!r} has wrong height")
         bases[v], pivots[v] = column_space_pivots(m)
-    sub_dims = {v: bases[v].cols for v in bases}
+    return _subrep_on_basis(ambient, bases, pivots)
+
+
+def _subrep_on_basis(ambient: Rep, bases: dict, rows: dict) -> SubrepInclusion:
+    """The subrepresentation with the given basis columns at each vertex.
+
+    ``bases[v]`` carries an identity at the rows ``rows[v]``, so an arrow map
+    is read off the pushed basis at the target's rows, then checked exactly:
+    ``basis_t * map == pushed``.
+    """
     sub_maps = {}
     for aid, s, t in ambient.quiver.arrows:
         pushed = ambient.arrow_maps[aid].mul(bases[s])
-        sol = pushed.rows_at(pivots[t])
+        sol = pushed.rows_at(rows[t])
         if bases[t].mul(sol) != pushed:
             raise InvariantError(f"spans are not stable under arrow {aid!r}")
         sub_maps[aid] = sol
-    sub = Rep(ambient.quiver, field, sub_dims, sub_maps)
+    sub_dims = {v: bases[v].cols for v in bases}
+    sub = Rep(ambient.quiver, ambient.field, sub_dims, sub_maps)
     incl = Morphism(sub, ambient, bases)
     return SubrepInclusion(sub, ambient, incl)
 

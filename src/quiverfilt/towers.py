@@ -88,18 +88,19 @@ def _end_orbit_basis(x: Rep, y: Rep) -> list[ExtCocycle]:
 
 
 def _universal_data(y: Rep, sb: SemiBrickCert):
-    """Ext bases per member; brick status is read from the semi-brick's reports."""
+    """Ext basis cocycles of every member, each with the member it starts at.
+
+    Brick status is read from the semi-brick's reports.
+    """
     if not sb.assumed and any(r.status != "certified_brick" for r in sb.brick_reports):
         raise InvariantError("Ext basis requires a certified brick")
-    per_member = [_end_orbit_basis(x, y) for x in sb.members]
     parts = []
     cocycles = []
-    for member, chosen in zip(sb.members, per_member):
-        for c in chosen:
-            parts.append(member)
-            cocycles.append(c)
-    mults = [len(chosen) for chosen in per_member]
-    return parts, cocycles, mults
+    for member in sb.members:
+        chosen = _end_orbit_basis(member, y)
+        parts.extend([member] * len(chosen))
+        cocycles.extend(chosen)
+    return parts, cocycles
 
 
 def _assemble_universal(y: Rep, sb: SemiBrickCert, parts, cocycles) -> ShortExactSequence:
@@ -115,21 +116,20 @@ def _assemble_universal(y: Rep, sb: SemiBrickCert, parts, cocycles) -> ShortExac
     return extension_middle(quot, y, stacked)
 
 
-def universal_sequence(y: Rep, sb: SemiBrickCert, verify: bool = True) -> ShortExactSequence:
+def universal_sequence(y: Rep, sb: SemiBrickCert) -> ShortExactSequence:
     """The universal short exact sequence starting at y over the semi-brick.
 
     If every Ext(member, y) vanishes the result is the split sequence with
-    zero quotient: y is already relatively injective.
+    zero quotient: y is already relatively injective.  The result is always
+    checked with ``is_universal``.
     """
     _require_cert(sb)
     if y.quiver != sb.quiver or y.field != sb.field:
         raise InvariantError("base and semi-brick disagree on quiver or field")
-    parts, cocycles, _ = _universal_data(y, sb)
+    parts, cocycles = _universal_data(y, sb)
     ses = _assemble_universal(y, sb, parts, cocycles)
-    if verify:
-        report = is_universal(ses, sb)
-        if not report.ok:
-            raise InvariantError("constructed sequence failed the universality check")
+    if not is_universal(ses, sb).ok:
+        raise InvariantError("constructed sequence failed the universality check")
     return ses
 
 
@@ -216,7 +216,7 @@ def tower(y: Rep, sb: SemiBrickCert, r: int, budget: int | None = None) -> Tower
     sequences = []
     current = y
     while len(levels) < r:
-        parts, cocycles, _ = _universal_data(current, sb)
+        parts, cocycles = _universal_data(current, sb)
         grown = current.dim_total + sum(p.dim_total for p in parts)
         if grown > budget:
             raise BudgetError(

@@ -174,7 +174,8 @@ def _randomized_tower(base, sb, r, rng):
     sequences = []
     current = base
     while len(levels) < r:
-        parts, cocycles, mults = _universal_data(current, sb)
+        parts, cocycles = _universal_data(current, sb)
+        mults = [sum(p is member for p in parts) for member in sb.members]
         recombined = []
         idx = 0
         for member, k in zip(sb.members, mults):

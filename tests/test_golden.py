@@ -138,9 +138,9 @@ def _k3_recombined_level_pair():
     phi = Morphism.identity(x)
     canonical = other = x
     for level in range(2):
-        parts, cocycles, _ = _universal_data(canonical, sb)
+        parts, cocycles = _universal_data(canonical, sb)
         ref = _assemble_universal(canonical, sb, parts, cocycles)
-        parts, cocycles, _ = _universal_data(other, sb)
+        parts, cocycles = _universal_data(other, sb)
         k = len(cocycles)
         mixed = [
             cocycles[i].add(cocycles[(i + 1) % k].scale(QQ.of(i + 2))) for i in range(k)

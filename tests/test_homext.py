@@ -441,6 +441,48 @@ def test_split_iff_zero_class():
     assert verdicts[True] >= 30 and verdicts[False] >= 15, verdicts
 
 
+def _random_hom(rng, m, n):
+    """A random combination of hom_basis(m, n); zero about a fifth of the time."""
+    basis = hom_basis(m, n)
+    if not basis or rng.random() < 0.2:
+        return Morphism.zero(m, n)
+    return linear_combination(basis, [m.field.of(rng.randint(-3, 3)) for _ in basis])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([kronecker(3), linear_quiver(3)]),
+    st.sampled_from([QQ, GF(2), GF(101)]),
+    st.randoms(use_true_random=False),
+)
+def test_pullback_pushout_squares_commute_and_classes_follow(quiver, field, rng):
+    """Both squares of each result commute, and its class is the moved cocycle's.
+
+    W is half the time a direct sum with the quotient (or the sub), so that
+    f and g are often nonzero.
+    """
+    ses = _random_ses(rng, quiver, field, split=rng.random() < 0.2)
+    e = cocycle_of(ses)
+    w = _random_rep(rng, quiver, field)
+    if rng.random() < 0.5:
+        w = direct_sum([w, ses.quot])[0]
+    f = _random_hom(rng, w, ses.quot)
+    pulled, nat = pullback_with_map(ses, f)
+    assert (pulled.sub, pulled.quot) == (ses.sub, w)
+    assert compose(pulled.incl, nat) == ses.incl
+    assert compose(nat, ses.proj) == compose(pulled.proj, f)
+    assert ExtSpace(w, ses.sub).same_class(cocycle_of(pulled), e.pulled_back(f))
+    w = _random_rep(rng, quiver, field)
+    if rng.random() < 0.5:
+        w = direct_sum([ses.sub, w])[0]
+    g = _random_hom(rng, ses.sub, w)
+    pushed, nat = pushout_with_map(ses, g)
+    assert (pushed.sub, pushed.quot) == (w, ses.quot)
+    assert compose(ses.incl, nat) == compose(g, pushed.incl)
+    assert compose(nat, pushed.proj) == ses.proj
+    assert ExtSpace(ses.quot, w).same_class(cocycle_of(pushed), e.pushed_forward(g))
+
+
 def _reference_intertwine_matrix(m, n):
     """The Hom(m, n) equations written entry by entry through Field.add/sub."""
     f = m.field
