@@ -7,6 +7,8 @@ ring towers, and tame (Kronecker) defect diagnostics.  Everything is exact;
 no floating point anywhere.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bricks import (
     AlgebraPresentation,
     BrickReport,
@@ -94,80 +96,9 @@ from .towers import (
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AlgebraPresentation",
-    "BrickReport",
-    "BudgetError",
-    "EndTower",
-    "ExtCocycle",
-    "ExtSpace",
-    "FORMAT_VERSION",
-    "Field",
-    "Filtration",
-    "FiltrationResult",
-    "FormatError",
-    "GF",
-    "InapplicableError",
-    "InvariantError",
-    "Matrix",
-    "Morphism",
-    "PointOnLine",
-    "PreprojectiveTowerReport",
-    "QQ",
-    "Quiver",
-    "Rep",
-    "SemiBrickCert",
-    "SemiBrickRefusal",
-    "SemisimpleDecomposition",
-    "ShortExactSequence",
-    "SubrepInclusion",
-    "ToolkitError",
-    "Tower",
-    "UndecidedError",
-    "check_semibrick",
-    "cocycle_of",
-    "cokernel",
-    "compose",
-    "connecting_map",
-    "decompose_semisimple",
-    "defect",
-    "dimension_budget",
-    "direct_sum",
-    "end_algebra",
-    "end_basis_of_ext",
-    "end_ring_tower",
-    "euler_form",
-    "ext_basis",
-    "extension_middle",
-    "filt_membership",
-    "hom_basis",
-    "image",
-    "is_brick",
-    "is_isomorphic",
-    "is_split",
-    "is_universal",
-    "kernel",
-    "kronecker",
-    "linear_quiver",
-    "load",
-    "parse",
-    "preprojective_tower_report",
-    "pullback",
-    "pushout",
-    "quasi_simple",
-    "radical_vector",
-    "representation_type",
-    "save",
-    "serialize",
-    "ses_equivalence_witness",
-    "ses_equivalent",
-    "standard_module",
-    "subrep_from_spans",
-    "symmetrized_euler_matrix",
-    "tower",
-    "uniserial_check",
-    "universal_sequence",
-    "verify_filtration",
-    "x_socle",
-    "x_socle_filtration",
-]
+# Every public name imported above; submodules are bound here too and are left out.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -1,12 +1,14 @@
 """Endomorphism algebras, brick certification, and semi-brick certificates.
 
 Certification policy: a representation earns ``certified_brick`` only when
-its endomorphism algebra is one-dimensional.  Larger endomorphism algebras
-are either refuted by an explicit witness (a nontrivial idempotent or a
-non-invertible non-nilpotent element, both re-checkable) or reported as
-``local_not_certified`` together with trace-form radical evidence in
-characteristic 0.  Deciding "division ring" beyond dimension 1 is out of
-scope.
+its endomorphism algebra is one-dimensional.  That is first tested by one
+rank of the intertwining system, taken modulo 2^31 - 1 over QQ, before any
+End basis is built; a failed test falls back to ``end_algebra``.  Larger
+endomorphism algebras are either refuted by an explicit witness (a
+nontrivial idempotent or a non-invertible non-nilpotent element, both
+re-checkable) or reported as ``local_not_certified`` together with
+trace-form radical evidence in characteristic 0.  Deciding "division ring"
+beyond dimension 1 is out of scope.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .homext import ExtSpace, hom_basis
-from .linalg import Matrix, is_invertible, mat_from_cols, rank, unit_vectors, vstack
+from .homext import ExtSpace, _intertwine_matrix, hom_basis
+from .linalg import GF, Matrix, is_invertible, mat_from_cols, rank, unit_vectors, vstack
 from .reps import Morphism, Rep, is_isomorphic, linear_combination
 
 
@@ -184,22 +186,69 @@ def _witness_candidates(alg: AlgebraPresentation):
         yield [f.sub(a, b) for a, b in zip(alg.unit_coordinates, units[i])]
 
 
+# The prime of the modular certificate in ``is_brick`` over QQ: 2^31 - 1.
+_MODULAR_PRIME = 2**31 - 1
+
+_SCALARS_ONLY = BrickReport(
+    "certified_brick", 1, None, None, 0, 1, "endomorphisms are scalars"
+)
+
+
+def _end_is_scalars_by_rank(m: Rep) -> bool:
+    """True only if dim End(m) = 1, read off one rank of the intertwining system.
+
+    End(m) is the kernel of Phi = ``_intertwine_matrix(m, m)``, and the
+    identity lies in it, so rank Phi <= cols - 1 and dim End = 1 exactly
+    when rank Phi = cols - 1.  Over GF(p) that rank is taken of Phi itself.
+    Over QQ it is taken of Phi_p, the intertwining matrix of m's arrow maps
+    reduced modulo ``_MODULAR_PRIME`` = p.  Reduction Z_(p) -> GF(p) is a
+    ring map, so every minor of Phi_p is the reduction of the same minor of
+    Phi and rank_p(Phi_p) <= rank_QQ(Phi) <= cols - 1; if rank_p reaches
+    cols - 1, so does rank_QQ.  If p divides some denominator there is no
+    reduction and the answer is False, as it is for an unlucky prime or a
+    genuine dim End > 1: False certifies nothing.
+    """
+    if m.field.characteristic == 0:
+        p = _MODULAR_PRIME
+        if any(x.denominator % p == 0 for a in m.arrow_maps.values() for x in a.entries):
+            return False
+        f = GF(p)
+        maps = {
+            aid: Matrix(f, a.rows, a.cols, [f.of(x) for x in a.entries])
+            for aid, a in m.arrow_maps.items()
+        }
+        m = Rep(m.quiver, f, m.dims, maps)
+    phi = _intertwine_matrix(m, m)
+    return rank(phi) == phi.cols - 1
+
+
 def is_brick(m: Rep) -> BrickReport:
     """Certify dim End = 1, or refute brickness with a checkable witness.
 
-    When neither applies the verdict is ``local_not_certified``; over
-    characteristic 0 the report then carries the radical of the trace form
-    tr(L_a L_b) on the endomorphism algebra, whose rank defect equals the
-    Jacobson radical dimension for the semisimple-quotient evidence.
+    dim End = 1 is first certified from one rank (``_end_is_scalars_by_rank``),
+    without building End(m).  Otherwise the verdict is read off
+    ``end_algebra(m)`` by ``_brick_report_of_end``.
     """
     if m.dim_total == 0:
         return BrickReport("not_brick", 0, None, None, None, None, "zero module")
+    if _end_is_scalars_by_rank(m):
+        return _SCALARS_ONLY
+    return _brick_report_of_end(m)
+
+
+def _brick_report_of_end(m: Rep) -> BrickReport:
+    """The brick verdict of a nonzero m read off its endomorphism algebra.
+
+    When neither dim End = 1 nor a witness applies the verdict is
+    ``local_not_certified``; over characteristic 0 the report then carries
+    the radical of the trace form tr(L_a L_b) on the endomorphism algebra,
+    whose rank defect equals the Jacobson radical dimension for the
+    semisimple-quotient evidence.
+    """
     alg = end_algebra(m)
     d = alg.dimension
     if d == 1:
-        return BrickReport(
-            "certified_brick", 1, None, None, 0, 1, "endomorphisms are scalars"
-        )
+        return _SCALARS_ONLY
     f = alg.field
     zero = [f.zero] * d
     for cand in _witness_candidates(alg):

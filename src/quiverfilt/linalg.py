@@ -12,9 +12,10 @@ over the rationals.  ``rref`` over the rationals does no ``Fraction``
 arithmetic at all: it clears each row's denominators once, eliminates by
 cross-multiplication on integer rows kept primitive (divided by the gcd of
 their entries), and builds each ``Fraction`` of the result once, from a
-pivot row and its pivot entry.  Over QQ every ``Matrix`` keeps its integer
-form, its entries times the lcm ``den`` of their denominators, once a
-product has read it.  ``Matrix.mul`` multiplies the two integer forms and
+pivot row and its pivot entry.  ``rank`` eliminates on the same rows but
+only below each pivot, and builds no reduced matrix.  Over QQ every
+``Matrix`` keeps its integer form, its entries times the lcm ``den`` of
+their denominators, once a product has read it.  ``Matrix.mul`` multiplies the two integer forms and
 builds each nonzero entry of the result once, as ``Fraction(x, la*lb)``.
 ``products_equal(a, b, c, d)`` decides ``a*b == c*d`` on integers and builds
 no field element: over QQ it compares the integer products of the four
@@ -32,7 +33,7 @@ relies on this.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .errors import FormatError, InvariantError
@@ -140,7 +141,7 @@ class _PrimeField(Field):
     one = 1
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not _is_prime(p):
             raise InvariantError(f"{p} is not prime")
         self.characteristic = p
 
@@ -189,6 +190,37 @@ class _PrimeField(Field):
 
 
 QQ: Field = _Rationals()
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the bases above is deterministic below this bound
+# (Sorenson and Webster, 2015).
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Primality: deterministic Miller-Rabin below ``_MR_LIMIT``, trial division above."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        return all(n % d for d in range(41, isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 _gf_cache: dict[int, Field] = {}
 
@@ -671,7 +703,54 @@ def _rref_rational(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    """The rank of m, by forward elimination only.
+
+    Each pivot row clears the rows below it; nothing above a pivot is
+    touched and no reduced matrix is built.  Over GF(p) the pivot row is
+    scaled to a unit, as in ``rref``; over QQ the rows are primitive
+    integer rows, eliminated by cross-multiplication as in
+    ``_rref_rational``, and no ``Fraction`` is built.
+    """
+    p = m.field.characteristic
+    n = m.cols
+    e = m.entries
+    if p:
+        rows = [e[i * n : (i + 1) * n] for i in range(m.rows)]
+    else:
+        rows = [_primitive(_integer_multiple(e[i * n : (i + 1) * n])[0]) for i in range(m.rows)]
+    rows = [row for row in rows if any(row)]
+    r = 0
+    for c in range(n):
+        if r == len(rows):
+            break
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        pivot = rows[r]
+        r += 1
+        if p:
+            items = scale_to_unit(pivot, c, p)
+            for row in rows[r:]:
+                if row[c]:
+                    subtract_multiple(row, row[c], items, p)
+            continue
+        a = pivot[c]
+        items = nonzero_items(pivot, c)
+        for i in range(r, len(rows)):
+            row = rows[i]
+            b = row[c]
+            if b:
+                g = gcd(a, b)
+                s, t = a // g, b // g
+                if s != 1:
+                    row = [s * x for x in row]
+                for j, x in items:
+                    row[j] -= t * x
+                rows[i] = _primitive(row)
+    return r
 
 
 def nullspace_basis(m: Matrix) -> list[Matrix]:
@@ -792,9 +871,3 @@ def preimage_basis(a: Matrix, target: Matrix) -> Matrix:
         return Matrix(a.field, a.cols, 0, [])
     return column_space_basis(hstack(vecs))
 
-
-def columns_contained(inner: Matrix, outer: Matrix) -> bool:
-    """Whether every column of ``inner`` lies in the column space of ``outer``."""
-    if inner.cols == 0:
-        return True
-    return rank(hstack([outer, inner])) == rank(outer)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from quiverfilt import GF, QQ, Matrix, Rep, kronecker, linear_quiver, quasi_simple
+from quiverfilt.linalg import hstack, rref
 
 
 @pytest.fixture(scope="session")
@@ -77,3 +78,11 @@ def draw_rep(data, quiver, field, max_dim=2):
         entries = data.draw(st.lists(field_scalar(field), min_size=n, max_size=n))
         maps[aid] = Matrix(field, dims[t], dims[s], entries)
     return Rep(quiver, field, dims, maps)
+
+
+def columns_contained(inner, outer):
+    """Reference: whether every column of ``inner`` lies in the column space of
+    ``outer``, read off the pivot counts of two full reductions."""
+    if inner.cols == 0:
+        return True
+    return len(rref(hstack([outer, inner]))[1]) == len(rref(outer)[1])

@@ -42,7 +42,7 @@ from quiverfilt.homext import (
     pushout_with_map,
     ses_equivalence_witness,
 )
-from quiverfilt.linalg import Matrix, columns_contained, hstack, is_invertible
+from quiverfilt.linalg import Matrix, hstack, is_invertible
 from quiverfilt.quivers import euler_form, linear_quiver
 from quiverfilt.reps import (
     SubrepInclusion,
@@ -55,6 +55,8 @@ from quiverfilt.reps import (
     linear_combination,
 )
 from quiverfilt.towers import Tower, _assemble_universal, _universal_data
+
+from conftest import columns_contained
 
 K2 = kronecker(2)
 K3 = kronecker(3)

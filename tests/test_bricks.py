@@ -23,7 +23,8 @@ from quiverfilt import (
     tower,
     universal_sequence,
 )
-from quiverfilt.bricks import AlgebraPresentation, end_coordinates
+from quiverfilt import bricks
+from quiverfilt.bricks import AlgebraPresentation, _brick_report_of_end, end_coordinates
 from quiverfilt.errors import InvariantError
 from quiverfilt.reps import compose, linear_combination
 
@@ -246,6 +247,90 @@ def test_brick_zero_module(k2):
 
     report = is_brick(Rep.zero(k2, QQ))
     assert report.status == "not_brick"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(2), GF(101)]),
+    st.sampled_from([kronecker(2), kronecker(3), linear_quiver(3)]),
+    st.data(),
+)
+def test_is_brick_agrees_with_the_end_algebra_path(field, quiver, data):
+    m = draw_rep(data, quiver, field)
+    if m.dim_total == 0:
+        return
+    report = is_brick(m)
+    assert report == _brick_report_of_end(m)
+    d = end_algebra(m).dimension
+    by_rank = bricks._end_is_scalars_by_rank(m)
+    if by_rank:
+        assert d == 1
+    if field.characteristic:
+        assert by_rank == (d == 1)
+
+
+def _count_end_algebra_calls(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return end_algebra(m)
+
+    monkeypatch.setattr(bricks, "end_algebra", counting)
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)])
+def test_rank_certificate_skips_end_algebra_on_bricks_only(field, monkeypatch):
+    calls = _count_end_algebra_calls(monkeypatch)
+    r = quasi_simple(field, field.of(1))
+    assert is_brick(r).status == "certified_brick"
+    assert calls == []
+    assert is_brick(_y2(field)).status == "local_not_certified"
+    assert len(calls) == 1
+
+
+def test_denominator_divisible_by_the_prime_takes_the_fallback(monkeypatch):
+    calls = _count_end_algebra_calls(monkeypatch)
+    monkeypatch.setattr(bricks, "_MODULAR_PRIME", 2)
+    third, half = quasi_simple(QQ, Fraction(1, 3)), quasi_simple(QQ, Fraction(1, 2))
+    assert is_brick(third).status == "certified_brick"
+    assert calls == []
+    assert not bricks._end_is_scalars_by_rank(half)
+    report = is_brick(half)
+    assert calls == [half]
+    assert report.status == "certified_brick"
+    assert report.end_dim == 1
+
+
+def test_unlucky_prime_falls_back_to_the_rational_end_algebra(k2, monkeypatch):
+    # (1,1) with arrow scalars 3 and 0 is a brick over QQ; modulo 3 both
+    # arrows vanish and End of the reduction is k x k.
+    x = make_x11(k2, QQ, [3, 0])
+    reduced = make_x11(k2, GF(3), [3, 0])
+    assert len(hom_basis(reduced, reduced)) == 2
+    assert bricks._end_is_scalars_by_rank(x)
+    calls = _count_end_algebra_calls(monkeypatch)
+    monkeypatch.setattr(bricks, "_MODULAR_PRIME", 3)
+    assert not bricks._end_is_scalars_by_rank(x)
+    report = is_brick(x)
+    assert calls == [x]
+    assert report == is_brick(quasi_simple(QQ, QQ.of(0)))
+    assert (report.status, report.end_dim, report.notes) == (
+        "certified_brick",
+        1,
+        "endomorphisms are scalars",
+    )
+
+
+def test_modular_certificate_on_a_preprojective_level_matches_the_rational_rank():
+    # dims (4, 3): End is one-dimensional over QQ and modulo 2^31 - 1 alike.
+    members = [quasi_simple(QQ, QQ.of(3)), quasi_simple(QQ, QQ.of(5)), quasi_simple(QQ, "inf")]
+    sb = check_semibrick(members)
+    level = tower(standard_module(kronecker(2), QQ, "projective", 1), sb, 2).levels[-1]
+    assert (level.dims[1], level.dims[2]) == (4, 3)
+    assert bricks._end_is_scalars_by_rank(level)
+    assert len(hom_basis(level, level)) == 1
 
 
 # ---------------------------------------------------------------------------

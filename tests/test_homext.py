@@ -37,7 +37,6 @@ from quiverfilt.errors import InvariantError, UndecidedError
 from quiverfilt.homext import _intertwine_matrix, pullback_with_map, pushout_with_map
 from quiverfilt.linalg import (
     Matrix,
-    columns_contained,
     inverse,
     is_invertible,
     mat_from_cols,
@@ -45,7 +44,7 @@ from quiverfilt.linalg import (
 )
 from quiverfilt.reps import linear_combination
 
-from conftest import draw_rep, make_x11
+from conftest import columns_contained, draw_rep, make_x11
 
 
 def x_k3():
@@ -481,6 +480,21 @@ def test_pullback_pushout_squares_commute_and_classes_follow(quiver, field, rng)
     assert compose(ses.incl, nat) == compose(g, pushed.incl)
     assert compose(nat, pushed.proj) == ses.proj
     assert ExtSpace(ses.quot, w).same_class(cocycle_of(pushed), e.pushed_forward(g))
+
+
+def test_short_exact_sequence_rejects_each_broken_condition(r0):
+    s, injs, projs = direct_sum([r0, r0])
+    zero = Rep.zero(r0.quiver, r0.field)
+    ShortExactSequence(r0, s, r0, injs[0], projs[1])
+    cases = [
+        ((r0, s, r0, Morphism.zero(r0, s), projs[1]), "inclusion is not injective"),
+        ((r0, s, r0, injs[0], Morphism.zero(s, r0)), "projection is not surjective"),
+        ((r0, s, r0, injs[0], projs[0]), "composite sub -> quot is nonzero"),
+        ((zero, s, r0, Morphism.zero(zero, s), projs[1]), "dimension count fails exactness"),
+    ]
+    for args, message in cases:
+        with pytest.raises(InvariantError, match=message):
+            ShortExactSequence(*args)
 
 
 def _reference_intertwine_matrix(m, n):

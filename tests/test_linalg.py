@@ -2,16 +2,16 @@
 
 import pytest
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from hypothesis import given, settings, strategies as st
 
 from quiverfilt import GF, QQ, Matrix
 from quiverfilt.errors import FormatError, InvariantError
 from quiverfilt.linalg import (
     RowSpace,
+    _is_prime,
     column_space_basis,
     column_space_pivots,
-    columns_contained,
     hstack,
     inverse,
     is_invertible,
@@ -28,7 +28,7 @@ from quiverfilt.linalg import (
     vstack,
 )
 
-from conftest import field_scalar
+from conftest import columns_contained, field_scalar
 
 F2 = GF(2)
 F5 = GF(5)
@@ -69,6 +69,38 @@ def test_gf_requires_prime():
     with pytest.raises(InvariantError):
         GF(6)
     assert GF(5) is GF(5)  # cached singleton
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_10_5():
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        (2047, False),  # strong pseudoprime to base 2
+        (1373653, False),  # strong pseudoprime to bases 2, 3
+        (3215031751, False),  # strong pseudoprime to bases 2, 3, 5, 7
+        (561, False),  # Carmichael numbers
+        (1105, False),
+        (2**31 - 1, True),
+        (2**61 - 1, True),
+        (41**16, False),  # beyond the Miller-Rabin bound: trial division
+    ],
+)
+def test_is_prime_on_pseudoprimes_and_mersenne_primes(n, prime):
+    assert _is_prime(n) is prime
+    if prime:
+        assert GF(n).characteristic == n
+    else:
+        with pytest.raises(InvariantError):
+            GF(n)
 
 
 def test_field_identity():
@@ -267,6 +299,38 @@ def test_rref_matches_reference_and_keeps_input(m):
     assert m.entries == before
 
 
+@st.composite
+def _low_rank(draw):
+    """A product a*b of random sparse factors: rank at most the inner dimension."""
+    field = draw(_kernel_fields)
+    rows, inner, cols = (draw(_kernel_dims) for _ in range(3))
+    a = draw(_sparse_matrix(field, rows, inner))
+    b = draw(_sparse_matrix(field, inner, cols))
+    return a.mul(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(_kernel_fields, _kernel_dims, _kernel_dims).flatmap(
+            lambda t: _sparse_matrix(*t)
+        ),
+        _low_rank(),
+    )
+)
+def test_rank_is_the_pivot_count_of_rref(m):
+    before = list(m.entries)
+    assert rank(m) == len(rref(m)[1])
+    assert m.entries == before
+
+
+@pytest.mark.parametrize("field", [QQ, F2, GF(101)])
+def test_rank_of_empty_shapes(field):
+    for shape in [(0, 0), (0, 5), (5, 0)]:
+        assert rank(Matrix.zeros(field, *shape)) == 0
+    assert rank(Matrix.identity(field, 4)) == 4
+
+
 def _canonical(m):
     """Entries are the values ``Field.of`` returns; ``Matrix.__eq__`` alone
     would accept an ``int`` 0 in place of ``Fraction(0)``."""
@@ -336,6 +400,7 @@ def test_rref_rational_big_entries_rank_deficient(case, data):
     red, pivots = rref(m)
     assert (red, pivots) == _reference_rref(m)
     assert len(pivots) <= base
+    assert rank(m) == len(pivots)
     assert m.entries == before
     assert _canonical(red)
     null = nullspace_basis(m)

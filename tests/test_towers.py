@@ -43,7 +43,12 @@ from quiverfilt.bricks import end_coordinates
 from quiverfilt.errors import BudgetError, InapplicableError, InvariantError
 from quiverfilt.homext import ShortExactSequence
 from quiverfilt.linalg import RowSpace, _integer_multiple, solve, unit_vectors
-from quiverfilt.towers import _ideal_checks, _restriction_coords
+from quiverfilt.towers import (
+    _assemble_universal,
+    _ideal_checks,
+    _restriction_coords,
+    _universal_data,
+)
 
 from conftest import field_scalar, make_x11
 
@@ -135,6 +140,30 @@ def test_is_universal_rejects_split_with_ext(r0, sb0):
     assert not report.ok
     entry = report.per_member[0]
     assert entry["square"] and not entry["invertible"]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_is_universal_rejects_one_perturbed_connecting_map(field):
+    k2 = kronecker(2)
+    r0, r1 = quasi_simple(field, field.of(0)), quasi_simple(field, field.of(1))
+    p1 = standard_module(k2, field, "projective", 1)
+    r0r0, _, _ = direct_sum([r0, r0])
+    # Over {R0, R1} on P1 one member's cocycle becomes zero; over {R0} on
+    # R0 + R0 the second cocycle becomes a copy of the first.
+    for members, base, perturb in (
+        ([r0, r1], p1, lambda parts, cs: [ExtCocycle.zero(parts[0], base)] + cs[1:]),
+        ([r0], r0r0, lambda parts, cs: [cs[0], cs[0]]),
+    ):
+        sb = check_semibrick(members)
+        parts, cocycles = _universal_data(base, sb)
+        assert is_universal(_assemble_universal(base, sb, parts, cocycles), sb).ok
+        ses = _assemble_universal(base, sb, parts, perturb(parts, cocycles))
+        report = is_universal(ses, sb)
+        assert not report.ok
+        assert [e["invertible"] for e in report.per_member] == [False] + [True] * (
+            len(members) - 1
+        )
+        assert report.per_member[0]["square"]
 
 
 def test_quotient_sequences_stay_universal(r0, sb0):
