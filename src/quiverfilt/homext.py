@@ -19,6 +19,7 @@ the cokernel of (incl, -g), both on ``direct_sum([middle, W])``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import InvariantError, UndecidedError
 from .linalg import (
@@ -57,38 +58,53 @@ def _hom_layout(m: Rep, n: Rep):
 
 
 def _intertwine_matrix(m: Rep, n: Rep) -> Matrix:
+    """Phi for Hom(M, N); over QQ it is built with its integer form.
+
+    Phi's entries are those of the M_a and -N_a, so over QQ its integer form
+    holds M_a's times ``den // d_M`` and -N_a's times ``den // d_N``.  ``den``
+    is the lcm of the denominators d of the arrow maps whose entries appear
+    in Phi, which is the lcm of the denominators of Phi's entries: M_a's
+    appear when N_{t(a)} is nonzero, N_a's when M_{s(a)} is.
+    """
     if m.quiver != n.quiver or m.field != n.field:
         raise InvariantError("hom/ext needs a common quiver and field")
     f = m.field
-    col_off, ncols = _hom_layout(m, n)
-    row_off = {}
-    nrows = 0
-    for aid, s, t in m.quiver.arrows:
-        row_off[aid] = nrows
-        nrows += n.dims[t] * m.dims[s]
     p = f.characteristic
-    flat = [f.zero] * (nrows * ncols)
+    maps = [(m.arrow_maps[aid], n.arrow_maps[aid]) for aid, _, _ in m.quiver.arrows]
+    if p:
+        blocks = [(a.entries, [-x % p for x in b.entries]) for a, b in maps]
+        return Matrix(f, *_intertwine_entries(m, n, blocks, f.zero))
+    forms = [(a._integer_form(), b._integer_form()) for a, b in maps]
+    den = 1
+    for (_, s, t), ((_, dm), (_, dn)) in zip(m.quiver.arrows, forms):
+        den = lcm(den, dm if n.dims[t] else 1, dn if m.dims[s] else 1)
+    blocks = [(a.entries, [-x for x in b.entries]) for a, b in maps]
+    phi = Matrix(f, *_intertwine_entries(m, n, blocks, f.zero))
+    int_blocks = [([x * (den // dm) for x in mi], [-x * (den // dn) for x in ni])
+                  for (mi, dm), (ni, dn) in forms]
+    phi._ints = (_intertwine_entries(m, n, int_blocks, 0)[2], den)
+    return phi
+
+
+def _intertwine_entries(m: Rep, n: Rep, blocks: list, zero) -> tuple[int, int, list]:
+    """Shape and flat entries of Phi, from the flat ``(M_a, -N_a)`` of each arrow in turn."""
+    col_off, ncols = _hom_layout(m, n)
+    nrows = sum(n.dims[t] * m.dims[s] for _, s, t in m.quiver.arrows)
+    flat = [zero] * (nrows * ncols)
+    base = 0
     # The quiver is acyclic, so s != t and each entry is written at most once.
-    for aid, s, t in m.quiver.arrows:
-        ma = m.arrow_maps[aid].entries
-        na = n.arrow_maps[aid].entries
+    for (_, s, t), (ma, na) in zip(m.quiver.arrows, blocks):
         ms, mt, ns = m.dims[s], m.dims[t], n.dims[s]
         for i in range(n.dims[t]):
+            na_row = na[i * ns : (i + 1) * ns]
             for j in range(ms):
-                base = (row_off[aid] + i * ms + j) * ncols
-                # F_t[i, l] contributes M_a[l, j]
+                # F_t[i, l] contributes M_a[l, j], and F_s[l, j] contributes -N_a[i, l]
                 first = base + col_off[t] + i * mt
-                for l in range(mt):
-                    x = ma[l * ms + j]
-                    if x:
-                        flat[first + l] = x
-                # F_s[l, j] contributes -N_a[i, l]
+                flat[first : first + mt] = ma[j::ms]
                 first = base + col_off[s] + j
-                for l in range(ns):
-                    x = na[i * ns + l]
-                    if x:
-                        flat[first + l * ms] = (-x) % p if p else -x
-    return Matrix(f, nrows, ncols, flat)
+                flat[first : first + ns * ms : ms] = na_row
+                base += ncols
+    return nrows, ncols, flat
 
 
 def _flatten_hom(f: Morphism) -> list:

@@ -8,19 +8,24 @@ package.
 The hot kernels (``rref``, ``Matrix.mul`` and the row kernels below) bypass
 ``Field`` and specialise on the characteristic: ``int`` arithmetic with one
 ``% p`` per result over GF(p), ``int`` arithmetic on cleared denominators
-over the rationals.  ``rref`` over the rationals does no ``Fraction``
-arithmetic at all: it clears each row's denominators once, eliminates by
-cross-multiplication on integer rows kept primitive (divided by the gcd of
-their entries), and builds each ``Fraction`` of the result once, from a
-pivot row and its pivot entry.  ``rank`` eliminates on the same rows but
-only below each pivot, and builds no reduced matrix.  Over QQ every
-``Matrix`` keeps its integer form, its entries times the lcm ``den`` of
-their denominators, once a product has read it.  ``Matrix.mul`` multiplies the two integer forms and
-builds each nonzero entry of the result once, as ``Fraction(x, la*lb)``.
-``products_equal(a, b, c, d)`` decides ``a*b == c*d`` on integers and builds
-no field element: over QQ it compares the integer products of the four
-integer forms by cross-multiplying with the other side's denominators; over
-GF(p) it compares the unreduced products modulo p.  ``Matrix.mul`` and
+over the rationals.  Elimination over the rationals does no ``Fraction``
+arithmetic at all and reads a matrix only through ``_integer_form()``: it
+takes each row of that form divided by its content (the gcd of its entries),
+eliminates by cross-multiplication on rows kept primitive, and ``rref``
+builds each ``Fraction`` of the result once, from a pivot row and its pivot
+entry.  ``nullspace_basis`` builds each kernel entry once from the same
+echelon rows and builds no reduced matrix; ``rank`` eliminates only below
+each pivot.  Over QQ every ``Matrix`` keeps its integer form, its entries
+times the lcm ``den`` of their denominators, once a product or an
+elimination has read it.  Two kinds are born with it: Phi of
+``homext._intertwine_matrix``, built from the arrow maps' forms, and the
+transpose of a matrix whose form is cached.  ``Matrix.mul`` multiplies the
+two integer forms and builds each nonzero entry of the result once, as
+``Fraction(x, la*lb)``.  ``products_equal(a, b, c, d)`` decides ``a*b ==
+c*d`` on integers and builds no field element: over QQ it compares the
+integer products of the four integer forms by cross-multiplying with the
+other side's denominators; over GF(p) it compares the unreduced products
+modulo p.  ``Matrix.mul`` and
 ``products_equal`` share one zero-skipping product loop.  The kernels skip
 zeros by truthiness, so they require canonical entries, the values
 ``Field.of`` returns: a ``Fraction`` over QQ, an ``int`` in [0, p) over GF(p).
@@ -245,10 +250,12 @@ def field_from_spec(kind: str, characteristic: int) -> Field:
 class Matrix:
     """Immutable dense matrix with row-major flat storage.
 
-    Over QQ a matrix keeps its integer form once a product has read it (see
-    ``_integer_form``).  The cache is sound only because ``entries`` never
-    changes: no routine writes to ``entries``, or to a list after passing it
-    to ``Matrix(...)``.
+    Over QQ a matrix keeps its integer form once a product or an elimination
+    has read it (see ``_integer_form``); QQ elimination reads nothing else.
+    Phi of ``homext._intertwine_matrix`` and the transpose of a matrix whose
+    form is cached are built with it.  The cache is sound only because
+    ``entries`` never changes: no routine writes to ``entries``, or to a list
+    after passing it to ``Matrix(...)``.
     """
 
     __slots__ = ("field", "rows", "cols", "entries", "_ints")
@@ -391,12 +398,13 @@ class Matrix:
         return Matrix(f, self.rows, other.cols, out)
 
     def transpose(self) -> "Matrix":
-        f = self.field
-        out = [f.zero] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j * self.rows + i] = self.entries[i * self.cols + j]
-        return Matrix(f, self.cols, self.rows, out)
+        """The transpose; a cached integer form is carried over, permuted."""
+        r, c = self.rows, self.cols
+        t = Matrix(self.field, c, r, [x for j in range(c) for x in self.entries[j::c]])
+        if self._ints is not None:
+            ints, den = self._ints
+            t._ints = ([x for j in range(c) for x in ints[j::c]], den)
+        return t
 
     def __eq__(self, other):
         return (
@@ -617,10 +625,53 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     Returns the reduced matrix and the tuple of pivot column indices.  The
     output is canonical: equal row spaces give equal results.
     """
+    rows, pivots = _echelon(m)
+    zero = m.field.zero
+    if m.field.characteristic:
+        flat = [x for row in rows for x in row]
+    else:
+        flat = []
+        for row, c in zip(rows, pivots):
+            a = row[c]
+            flat += [Fraction(x, a) if x else zero for x in row]
+    flat += [zero] * ((m.rows - len(pivots)) * m.cols)
+    return Matrix(m.field, m.rows, m.cols, flat), tuple(pivots)
+
+
+def _rows(m: Matrix) -> list[list]:
+    """Fresh rows of m to eliminate on.
+
+    Over GF(p) these are the entries.  Over QQ they are the rows of
+    ``m._integer_form()`` divided by their content; a row of the whole
+    matrix's form is a positive multiple of the row's own, so each
+    primitive row depends on that row alone.
+    """
+    n = m.cols
+    if m.field.characteristic:
+        return [m.entries[i * n : (i + 1) * n] for i in range(m.rows)]
+    ints = m._integer_form()[0]
+    return [_primitive(ints[i * n : (i + 1) * n]) for i in range(m.rows)]
+
+
+def _primitive(row: list) -> list:
+    """``row`` divided by the gcd of its entries (a zero row is returned as is)."""
+    g = gcd(*row)
+    return row if g < 2 else [x // g for x in row]
+
+
+def _echelon(m: Matrix) -> tuple[list[list], list[int]]:
+    """The nonzero rows of rref(m), up to scaling, and their pivot columns.
+
+    The rows are those of ``_rows``.  Over GF(p) each pivot row is scaled to
+    a unit, so the rows are those of rref(m).  Over QQ they stay primitive
+    integer rows with positive pivot entries, and row i of rref(m) is
+    ``rows[i]`` divided by its pivot entry: an entry ``b`` is cleared against
+    the pivot entry ``a`` by ``row = (a/g)*row - (b/g)*pivot`` with ``g =
+    gcd(a, b)``, and a changed row is divided by its content, which keeps the
+    entries bounded by the minors of the integer form of m.
+    """
     p = m.field.characteristic
-    if not p:
-        return _rref_rational(m)
-    rows = [m.row(i) for i in range(m.rows)]
+    rows = _rows(m)
     pivots: list[int] = []
     r = 0
     for c in range(m.cols):
@@ -631,96 +682,46 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
             continue
         rows[r], rows[i] = rows[i], rows[r]
         pivot = rows[r]
-        items = scale_to_unit(pivot, c, p)
-        for row in [row for row in rows if row[c]]:
-            if row is not pivot:
-                subtract_multiple(row, row[c], items, p)
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    flat = [x for row in rows for x in row]
-    return Matrix(m.field, m.rows, m.cols, flat), tuple(pivots)
-
-
-def _primitive(row: list) -> list:
-    """``row`` divided by the gcd of its entries (a zero row is returned as is)."""
-    g = gcd(*row)
-    return row if g < 2 else [x // g for x in row]
-
-
-def _rref_rational(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """``rref`` over QQ, eliminating on integer rows.
-
-    Scaling a row keeps the row space, so each row is multiplied once by the
-    lcm of its denominators.  An entry ``b`` is cleared against the pivot
-    entry ``a`` by ``row = (a/g)*row - (b/g)*pivot`` with ``g = gcd(a, b)``,
-    and a changed row is divided by its content; primitive rows keep the
-    entries bounded by the minors of the cleared integer matrix.  The ``Fraction`` entries of
-    the result are built once, by dividing each pivot row by its pivot entry.
-    """
-    n = m.cols
-    e = m.entries
-    rows = []
-    for i in range(m.rows):
-        rows.append(_primitive(_integer_multiple(e[i * n : (i + 1) * n])[0]))
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                break
+        if p:
+            items = scale_to_unit(pivot, c, p)
+            for row in [row for row in rows if row[c]]:
+                if row is not pivot:
+                    subtract_multiple(row, row[c], items, p)
         else:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        pivot = rows[r]
-        if pivot[c] < 0:
-            pivot = rows[r] = [-x for x in pivot]
-        a = pivot[c]
-        items = nonzero_items(pivot, c)
-        for i, row in enumerate(rows):
-            b = row[c]
-            if not b or i == r:
-                continue
-            g = gcd(a, b)
-            s, t = a // g, b // g
-            if s != 1:
-                row = [s * x for x in row]
-            for j, x in items:
-                row[j] -= t * x
-            rows[i] = _primitive(row)
+            if pivot[c] < 0:
+                pivot = rows[r] = [-x for x in pivot]
+            a = pivot[c]
+            items = nonzero_items(pivot, c)
+            for i, row in enumerate(rows):
+                b = row[c]
+                if not b or i == r:
+                    continue
+                g = gcd(a, b)
+                s, t = a // g, b // g
+                if s != 1:
+                    row = [s * x for x in row]
+                for j, x in items:
+                    row[j] -= t * x
+                rows[i] = _primitive(row)
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    zero = QQ.zero
-    flat = []
-    for row, c in zip(rows, pivots):
-        a = row[c]
-        flat += [Fraction(x, a) if x else zero for x in row]
-    flat += [zero] * ((m.rows - r) * n)
-    return Matrix(m.field, m.rows, n, flat), tuple(pivots)
+    return rows[:r], pivots
 
 
 def rank(m: Matrix) -> int:
     """The rank of m, by forward elimination only.
 
     Each pivot row clears the rows below it; nothing above a pivot is
-    touched and no reduced matrix is built.  Over GF(p) the pivot row is
-    scaled to a unit, as in ``rref``; over QQ the rows are primitive
-    integer rows, eliminated by cross-multiplication as in
-    ``_rref_rational``, and no ``Fraction`` is built.
+    touched and no reduced matrix is built.  The rows are those of
+    ``_rows``, cleared as in ``_echelon``: against a unit pivot over GF(p),
+    by cross-multiplication over QQ, where no ``Fraction`` is built.
     """
     p = m.field.characteristic
-    n = m.cols
-    e = m.entries
-    if p:
-        rows = [e[i * n : (i + 1) * n] for i in range(m.rows)]
-    else:
-        rows = [_primitive(_integer_multiple(e[i * n : (i + 1) * n])[0]) for i in range(m.rows)]
-    rows = [row for row in rows if any(row)]
+    rows = [row for row in _rows(m) if any(row)]
     r = 0
-    for c in range(n):
+    for c in range(m.cols):
         if r == len(rows):
             break
         for i in range(r, len(rows)):
@@ -753,24 +754,38 @@ def rank(m: Matrix) -> int:
     return r
 
 
+def _kernel_vectors(m: Matrix) -> tuple[list[list], list[int]]:
+    """The canonical kernel basis of m as coordinate lists, and the free columns.
+
+    One vector per free column of rref(m), in increasing order, with a 1 at
+    its free column fc and, at each pivot column pc, the entry of rref(m) at
+    fc negated.  Each entry is built once from the echelon row: ``-row[fc] %
+    p`` over GF(p), ``Fraction(-row[fc], row[pc])`` over QQ.
+    """
+    f = m.field
+    p = f.characteristic
+    rows, pivots = _echelon(m)
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
+    vecs = []
+    for fc in free:
+        vec = [f.zero] * m.cols
+        vec[fc] = f.one
+        for row, pc in zip(rows, pivots):
+            x = row[fc]
+            if x:
+                vec[pc] = -x % p if p else Fraction(-x, row[pc])
+        vecs.append(vec)
+    return vecs, free
+
+
 def nullspace_basis(m: Matrix) -> list[Matrix]:
     """Canonical kernel basis: one column vector per free column of rref(m).
 
     Free columns are taken in increasing order and each basis vector has a 1
     in its free coordinate, so the result is determined by the row space.
     """
-    f = m.field
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [f.zero] * m.cols
-        vec[fc] = f.one
-        for r_idx, pc in enumerate(pivots):
-            vec[pc] = f.neg(red.at(r_idx, fc))
-        basis.append(Matrix(f, m.cols, 1, vec))
-    return basis
+    return [Matrix(m.field, m.cols, 1, vec) for vec in _kernel_vectors(m)[0]]
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
@@ -846,20 +861,8 @@ def quotient_map_free(span: Matrix) -> tuple[Matrix, list[int]]:
 
     So an X with ``X * q == B``, if one exists, is ``B`` at the free columns.
     """
-    f = span.field
-    n = span.rows
-    red, pivots = rref(span.transpose())
-    r = len(pivots)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    flat = []
-    for c in free:
-        row = [f.zero] * n
-        row[c] = f.one
-        for i, p in enumerate(pivots):
-            row[p] = f.neg(red.at(i, c))
-        flat.extend(row)
-    return Matrix(f, n - r, n, flat), free
+    vecs, free = _kernel_vectors(span.transpose())
+    return Matrix(span.field, len(free), span.rows, [x for vec in vecs for x in vec]), free
 
 
 def preimage_basis(a: Matrix, target: Matrix) -> Matrix:

@@ -69,13 +69,17 @@ def field_scalar(field):
     return st.one_of(st.just(field.zero), nonzero)
 
 
-def draw_rep(data, quiver, field, max_dim=2):
-    """A random rep with dims in 0..max_dim, drawn through Hypothesis ``data``."""
+def draw_rep(data, quiver, field, max_dim=2, scalar=None):
+    """A random rep with dims in 0..max_dim, drawn through Hypothesis ``data``.
+
+    Entries come from ``scalar``, by default ``field_scalar(field)``.
+    """
+    scalar = field_scalar(field) if scalar is None else scalar
     dims = {v: data.draw(st.integers(min_value=0, max_value=max_dim)) for v in quiver.vertices}
     maps = {}
     for aid, s, t in quiver.arrows:
         n = dims[t] * dims[s]
-        entries = data.draw(st.lists(field_scalar(field), min_size=n, max_size=n))
+        entries = data.draw(st.lists(scalar, min_size=n, max_size=n))
         maps[aid] = Matrix(field, dims[t], dims[s], entries)
     return Rep(quiver, field, dims, maps)
 
@@ -86,3 +90,19 @@ def columns_contained(inner, outer):
     if inner.cols == 0:
         return True
     return len(rref(hstack([outer, inner]))[1]) == len(rref(outer)[1])
+
+
+def reference_nullspace(m):
+    """Reference: the canonical kernel basis read off the reduced matrix, one
+    vector per free column of rref(m) with a 1 there and, at each pivot
+    column, the negated entry of rref(m) in that free column."""
+    f = m.field
+    red, pivots = rref(m)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        vec = [f.zero] * m.cols
+        vec[fc] = f.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = f.neg(red.at(r, fc))
+        basis.append(Matrix(f, m.cols, 1, vec))
+    return basis

@@ -1,6 +1,7 @@
 """Hom spaces, Ext cocycles, short exact sequences, pullback/pushout calculus."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +38,7 @@ from quiverfilt.errors import InvariantError, UndecidedError
 from quiverfilt.homext import _intertwine_matrix, pullback_with_map, pushout_with_map
 from quiverfilt.linalg import (
     Matrix,
+    _integer_multiple,
     inverse,
     is_invertible,
     mat_from_cols,
@@ -535,3 +537,28 @@ def test_intertwine_matrix_matches_reference(field, quiver, data):
     got = _intertwine_matrix(m, n)
     assert got == _reference_intertwine_matrix(m, n)
     assert all(type(x) is type(field.zero) for x in got.entries)
+
+
+_wide_denominators = st.one_of(
+    st.just(QQ.zero),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2**40), max_value=2**40),
+        st.integers(min_value=1, max_value=2**40),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([kronecker(2), kronecker(3), linear_quiver(3)]), st.data())
+def test_intertwine_matrix_is_built_with_its_exact_integer_form(quiver, data):
+    """Over QQ, Phi and its transpose carry the integer form their entries
+    give, ``den`` included, also where a zero-dimensional vertex keeps an
+    arrow map's denominators out of Phi."""
+    m = draw_rep(data, quiver, QQ, max_dim=3, scalar=_wide_denominators)
+    n = draw_rep(data, quiver, QQ, max_dim=3, scalar=_wide_denominators)
+    phi = _intertwine_matrix(m, n)
+    assert phi == _reference_intertwine_matrix(m, n)
+    for x in (phi, phi.transpose()):
+        assert x._ints is not None
+        assert x._ints == _integer_multiple(x.entries)

@@ -9,6 +9,7 @@ from quiverfilt import GF, QQ, Matrix
 from quiverfilt.errors import FormatError, InvariantError
 from quiverfilt.linalg import (
     RowSpace,
+    _integer_multiple,
     _is_prime,
     column_space_basis,
     column_space_pivots,
@@ -28,7 +29,7 @@ from quiverfilt.linalg import (
     vstack,
 )
 
-from conftest import columns_contained, field_scalar
+from conftest import columns_contained, field_scalar, reference_nullspace
 
 F2 = GF(2)
 F5 = GF(5)
@@ -517,6 +518,45 @@ def test_products_equal_rejects_mismatched_factors():
     assert not products_equal(half, mq([[1]]), mq([[1]]), mq([[1]]))
     # equal modulo p, unequal as integers
     assert products_equal(Matrix(F5, 1, 1, [4]), Matrix(F5, 1, 1, [4]), one, one)
+
+
+@st.composite
+def _kernel_input(draw):
+    """Shapes 0..8 over QQ (entries up to 2^70), GF(2) and GF(101); half of
+    them a product a*b, whose kernel is larger than its shape forces."""
+    field = draw(st.sampled_from([QQ, F2, GF(101)]))
+    entry = _big_rational if field == QQ else field_scalar(field)
+
+    def matrix(rows, cols):
+        n = rows * cols
+        return Matrix(field, rows, cols, draw(st.lists(entry, min_size=n, max_size=n)))
+
+    rows, inner, cols = (draw(_kernel_dims) for _ in range(3))
+    if draw(st.booleans()):
+        return matrix(rows, cols)
+    return matrix(rows, inner).mul(matrix(inner, cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_input(), st.booleans())
+def test_nullspace_basis_matches_the_rref_reference(m, cached):
+    """The kernel read off the echelon rows equals the one read off the
+    reduced matrix, with the input's integer form cached beforehand or not;
+    ``quotient_map_free`` of the transpose has the same vectors as its rows."""
+    qq = not m.field.characteristic
+    if cached and qq:
+        m._integer_form()
+    assert (m._ints is not None) == (cached and qq)
+    before = list(m.entries)
+    got = nullspace_basis(m)
+    assert got == reference_nullspace(m)
+    assert all(_canonical(v) for v in got)
+    assert m.entries == before
+    if qq:
+        assert m._integer_form() == _integer_multiple(m.entries)
+    q, free = quotient_map_free(m.transpose())
+    assert q == Matrix(m.field, len(got), m.cols, [x for v in got for x in v.entries])
+    assert free == [c for c in range(m.cols) if c not in rref(m)[1]]
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,16 @@ from quiverfilt import (
 )
 from quiverfilt.bricks import end_coordinates
 from quiverfilt.errors import BudgetError, InapplicableError, InvariantError
-from quiverfilt.homext import ShortExactSequence
-from quiverfilt.linalg import RowSpace, _integer_multiple, solve, unit_vectors
+from quiverfilt.homext import ShortExactSequence, _intertwine_matrix
+from quiverfilt.linalg import (
+    RowSpace,
+    _integer_multiple,
+    nullspace_basis,
+    rank,
+    solve,
+    unit_vectors,
+)
+from quiverfilt.reps import linear_combination
 from quiverfilt.towers import (
     _assemble_universal,
     _ideal_checks,
@@ -283,6 +291,89 @@ def test_end_ring_tower_refuses_a_top_ideal_short_of_the_composite_kernel(
     assert et.ok is False
 
 
+_PSI_FLAGS = ("psi_surjective", "psi_unital", "psi_multiplicative")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("column", ["first", "last"])
+def test_end_ring_tower_refuses_one_perturbed_psi_column(field, level, column, monkeypatch):
+    """One entry of one column of one restriction map is moved by 1: the
+    tower is refused, and only the level whose psi changed fails a psi check."""
+    from quiverfilt import towers
+
+    r = quasi_simple(field, field.of(0))
+    t = tower(r, check_semibrick([r]), 4)
+    full = towers._restriction_coords
+    calls = []
+
+    def perturbed(coords_of, incl, endos):
+        cols = full(coords_of, incl, endos)
+        calls.append(len(cols))
+        if len(calls) == level + 1:
+            k = 0 if column == "first" else len(cols) - 1
+            cols[k] = [field.add(cols[k][0], field.one), *cols[k][1:]]
+        return cols
+
+    monkeypatch.setattr(towers, "_restriction_coords", perturbed)
+    et = end_ring_tower(t)
+    assert calls == [2, 3, 4]
+    assert et.ok is False
+    for i, report in enumerate(et.level_reports[:-1]):
+        flags = [report[name] for name in _PSI_FLAGS]
+        assert all(flags) == (i != level), (i, flags)
+
+
+def _nilpotency_index(f):
+    """The least k with f^k = 0, composing f with itself; None past dim."""
+    power = Morphism.identity(f.source)
+    for k in range(f.source.dim_total + 2):
+        if power.is_zero():
+            return k
+        power = compose(power, f)
+    return None
+
+
+# a field and a point of the projective line over it, for the K2 tower of R_point
+_kronecker_point = st.sampled_from([QQ, GF(2), GF(101)]).flatmap(
+    lambda f: st.tuples(st.just(f), st.one_of(st.just("inf"), field_scalar(f)))
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_kronecker_point)
+def test_end_of_each_level_is_a_truncated_valuation_ring(case):
+    """End(Y(n)) = k[t]/(t^n) for a single brick with one self-extension (the
+    Pruefer module's End ring is a discrete valuation ring): dim End = n and
+    some t has t^(n-1) != 0 = t^n, so 1, t, ..., t^(n-1) is a basis."""
+    field, point = case
+    r = quasi_simple(field, point)
+    t = tower(r, check_semibrick([r]), 5)
+    et = end_ring_tower(t)
+    for n, (level, alg, ideal) in enumerate(zip(t.levels, et.algebras, et.ideal_bases), 1):
+        assert alg.dimension == n
+        candidates = [linear_combination(alg.basis, vec) for vec in ideal]
+        candidates = candidates or [Morphism.zero(level, level)]
+        assert n in [_nilpotency_index(c) for c in candidates]
+
+
+@settings(max_examples=12, deadline=None)
+@given(_kronecker_point)
+def test_inclusions_carry_hom_from_the_member_bijectively(case):
+    """Composing with incl : Y(i) -> Y(i+1) maps hom_basis(X, Y(i)) onto a
+    basis of Hom(X, Y(i+1)) for the member X."""
+    field, point = case
+    x = quasi_simple(field, point)
+    t = tower(x, check_semibrick([x]), 5)
+    for i, seq in enumerate(t.sequences):
+        below = hom_basis(x, t.levels[i])
+        above = hom_basis(x, t.levels[i + 1])
+        assert len(below) == len(above) == 1
+        images = [compose(h, seq.incl) for h in below]
+        flat = [[e for v in x.quiver.vertices for e in h.blocks[v].entries] for h in images]
+        assert RowSpace(field, flat).dim == len(above)
+
+
 def _ideal_checks_reference(alg, ideal):
     """``_ideal_checks`` one ``AlgebraPresentation.multiply`` per product."""
     f, d = alg.field, alg.dimension
@@ -365,8 +456,10 @@ def _cache_guard_case(name):
 
 @pytest.mark.parametrize("name", ["K2", "K3", "A3"])
 def test_cached_integer_forms_match_the_entries_after_a_tower(name):
-    """Every arrow map and basis block read by a QQ product keeps its entries,
-    and its cached integer form is the one its entries give now."""
+    """Every arrow map and basis block read by a QQ product, and every Phi
+    between the tower's levels and its transpose, keeps its entries, and its
+    cached integer form is the one its entries give now, after elimination
+    has read it."""
     base, members = _cache_guard_case(name)
     seen = {}
 
@@ -394,6 +487,13 @@ def test_cached_integer_forms_match_the_entries_after_a_tower(name):
     assert et.ok
     for alg in et.algebras:
         watch(*alg.basis)
+    phis = [_intertwine_matrix(a, b) for a in t.levels for b in t.levels]
+    phis += [phi.transpose() for phi in phis]
+    assert all(phi._ints is not None for phi in phis)
+    for phi in phis:
+        seen.setdefault(id(phi), (phi, list(phi.entries)))
+        nullspace_basis(phi)
+        rank(phi)
     cached = 0
     for m, before in seen.values():
         assert m.entries == before
