@@ -7,7 +7,9 @@ strings: lowest-term "p/q" (or "n") over the rationals, decimal residues in
 [0, p) over prime fields.  The text is what
 ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)`` writes,
 produced by a small writer of its own (``indent`` sends ``json`` to its
-pure-Python encoder).  ``parse`` distinguishes malformed syntax
+pure-Python encoder).  A rep's text is written once: ``serialize`` keeps
+the text of ``rep_payload`` on the rep and re-indents it into every rep or
+morphism document that holds the rep.  ``parse`` distinguishes malformed syntax
 (``FormatError``) from well-formed documents that violate structural
 invariants (``InvariantError``), and re-checks everything it returns.
 """
@@ -79,9 +81,12 @@ def serialize(x) -> str:
     if isinstance(x, Quiver):
         kind, payload = "quiver", quiver_payload(x)
     elif isinstance(x, Rep):
-        kind, payload = "rep", rep_payload(x)
+        kind, payload = "rep", _rep_text(x)
     elif isinstance(x, Morphism):
-        kind, payload = "morphism", morphism_payload(x)
+        # morphism_payload, with each endpoint written from its kept text
+        blocks = [matrix_payload(x.blocks[v]) for v in x.source.quiver.vertices]
+        kind = "morphism"
+        payload = {"source": _rep_text(x.source), "target": _rep_text(x.target), "blocks": blocks}
     elif isinstance(x, SemiBrickCert):
         kind, payload = "semibrick", semibrick_payload(x)
     elif isinstance(x, dict):
@@ -92,6 +97,31 @@ def serialize(x) -> str:
     return _json_text(doc, "") + "\n"
 
 
+class _Written:
+    """Text that ``_json_text`` wrote at indentation "", to be placed at another.
+
+    JSON string escaping leaves no raw newline inside a string, so every
+    newline of the text starts a line, and indenting after each newline
+    gives the text ``_json_text`` writes at the new indentation.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _rep_text(r: Rep) -> _Written:
+    """The text of ``rep_payload(r)``, written on the first call and kept in ``r._text``.
+
+    Sound because a rep and its arrow maps are never written after they are
+    built (see ``Rep``).
+    """
+    if r._text is None:
+        r._text = _json_text(rep_payload(r), "")
+    return _Written(r._text)
+
+
 _encode_str = json.encoder.encode_basestring_ascii
 
 
@@ -99,8 +129,9 @@ def _json_text(x, pad: str) -> str:
     """``x`` as ``json.dumps(x, sort_keys=True, indent=2, ensure_ascii=True)``
     writes it at indentation ``pad``.
 
-    Supports dict, list, tuple, str, int, bool and None.  Dict keys are all
-    strings or all ints; int keys sort by value and print as strings.
+    Supports dict, list, tuple, str, int, bool and None, and the ``_Written``
+    text of a rep.  Dict keys are all strings or all ints; int keys sort by
+    value and print as strings.
     """
     if isinstance(x, str):
         return _encode_str(x)
@@ -137,6 +168,8 @@ def _json_text(x, pad: str) -> str:
         return "false"
     if isinstance(x, int):
         return int.__repr__(x)
+    if isinstance(x, _Written):
+        return x.text.replace("\n", "\n" + pad)
     raise InvariantError(f"cannot serialize values of type {type(x).__name__}")
 
 

@@ -19,17 +19,18 @@ the cokernel of (incl, -g), both on ``direct_sum([middle, W])``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from .errors import InvariantError, UndecidedError
 from .linalg import (
     Matrix,
     RowSpace,
+    forward_echelon,
     hstack,
     mat_from_cols,
     nullspace_basis,
     quotient_map_free,
-    rref,
     solve,
     unit_vectors,
     vstack,
@@ -203,7 +204,10 @@ class ExtSpace:
     Class arithmetic goes through ``reduce``: a cocycle's coordinates in the
     canonical cokernel basis (free coordinates of the column space of Phi in
     echelon form).  Two cocycles represent the same class iff their reduced
-    coordinates agree.
+    coordinates agree.  One forward elimination of Phi^T gives the pivots of
+    its rref, hence ``dim``, ``coboundary_rank`` and the free coordinates;
+    the coboundary space is built from its echelon rows on the first
+    ``reduce``, which clears every pivot whichever echelon rows span it.
     """
 
     def __init__(self, from_rep: Rep, to_rep: Rep):
@@ -216,15 +220,15 @@ class ExtSpace:
         for aid, s, t in from_rep.quiver.arrows:
             self._row_off[aid] = off
             off += to_rep.dims[t] * from_rep.dims[s]
-        reduced, pivots = rref(phi.transpose())
-        self._coboundaries = RowSpace(
-            from_rep.field, (reduced.row(i) for i in range(len(pivots)))
-        )
-        self._pivots = pivots
-        pivot_set = set(pivots)
+        self._echelon, self._pivots = forward_echelon(phi.transpose())
+        pivot_set = set(self._pivots)
         self._free = [c for c in range(self._nrows) if c not in pivot_set]
         self.dim = len(self._free)
-        self.coboundary_rank = len(pivots)
+        self.coboundary_rank = len(self._pivots)
+
+    @cached_property
+    def _coboundaries(self) -> RowSpace:
+        return RowSpace.from_echelon(self.from_rep.field, self._echelon, self._pivots)
 
     def _flatten(self, c: ExtCocycle) -> list:
         if c.from_rep != self.from_rep or c.to_rep != self.to_rep:

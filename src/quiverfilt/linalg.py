@@ -14,9 +14,11 @@ takes each row of that form divided by its content (the gcd of its entries),
 eliminates by cross-multiplication on rows kept primitive, and ``rref``
 builds each ``Fraction`` of the result once, from a pivot row and its pivot
 entry.  ``nullspace_basis`` builds each kernel entry once from the same
-echelon rows and builds no reduced matrix; ``rank`` eliminates only below
-each pivot.  Over QQ every ``Matrix`` keeps its integer form, its entries
-times the lcm ``den`` of their denominators, once a product or an
+echelon rows and builds no reduced matrix.  ``forward_echelon`` eliminates
+only below each pivot; ``rank`` counts its pivots, and
+``RowSpace.from_echelon`` spans its rows, building one ``Fraction`` per
+nonzero entry.  Over QQ every ``Matrix`` keeps its integer form, its
+entries times the lcm ``den`` of their denominators, once a product or an
 elimination has read it.  Two kinds are born with it: Phi of
 ``homext._intertwine_matrix``, built from the arrow maps' forms, and the
 transpose of a matrix whose form is cached.  ``Matrix.mul`` multiplies the
@@ -585,7 +587,9 @@ class RowSpace:
     """A growing subspace of k^n, kept as echelon rows, with membership tests.
 
     ``echelon`` lists ``(pivot, items)`` pairs in the form ``reduce_against``
-    takes; ``reduce`` returns a copy of a vector with every pivot cleared.
+    takes; ``reduce`` returns a copy of a vector with every pivot cleared,
+    the unique vector of ``vec`` + the space that is zero at every pivot, so
+    it does not depend on which echelon rows span the space.
     """
 
     def __init__(self, field: Field, vectors: Iterable[Sequence] = ()):
@@ -593,6 +597,24 @@ class RowSpace:
         self.echelon: list = []
         for vec in vectors:
             self.add(vec)
+
+    @classmethod
+    def from_echelon(cls, field: Field, rows: list[list], pivots: list[int]) -> "RowSpace":
+        """The span of the rows and pivots of ``forward_echelon``, in place of re-adding them.
+
+        Each row is scaled to a unit pivot: over GF(p) the rows already have
+        one, over QQ an integer row is divided by its pivot entry.
+        """
+        space = cls(field)
+        p = field.characteristic
+        for row, c in zip(rows, pivots):
+            if p:
+                items = scale_to_unit(row, c, p)
+            else:
+                a = row[c]
+                items = [(j, Fraction(x, a)) for j, x in nonzero_items(row, c)]
+            space.echelon.append((c, items))
+        return space
 
     @property
     def dim(self) -> int:
@@ -710,16 +732,19 @@ def _echelon(m: Matrix) -> tuple[list[list], list[int]]:
     return rows[:r], pivots
 
 
-def rank(m: Matrix) -> int:
-    """The rank of m, by forward elimination only.
+def forward_echelon(m: Matrix) -> tuple[list[list], list[int]]:
+    """Echelon rows of m by forward elimination only, and their pivot columns.
 
     Each pivot row clears the rows below it; nothing above a pivot is
-    touched and no reduced matrix is built.  The rows are those of
-    ``_rows``, cleared as in ``_echelon``: against a unit pivot over GF(p),
-    by cross-multiplication over QQ, where no ``Fraction`` is built.
+    touched.  The rows are those of ``_rows``, cleared as in ``_echelon``:
+    against a unit pivot over GF(p), by cross-multiplication over QQ, where
+    no ``Fraction`` is built and the rows stay primitive integer rows.  Row
+    i is zero before its pivot and at the pivots of the rows before it.  The
+    pivots are those of rref(m), and the rows span the row space of m.
     """
     p = m.field.characteristic
     rows = [row for row in _rows(m) if any(row)]
+    pivots: list[int] = []
     r = 0
     for c in range(m.cols):
         if r == len(rows):
@@ -731,6 +756,7 @@ def rank(m: Matrix) -> int:
             continue
         rows[r], rows[i] = rows[i], rows[r]
         pivot = rows[r]
+        pivots.append(c)
         r += 1
         if p:
             items = scale_to_unit(pivot, c, p)
@@ -751,7 +777,13 @@ def rank(m: Matrix) -> int:
                 for j, x in items:
                     row[j] -= t * x
                 rows[i] = _primitive(row)
-    return r
+    return rows[:r], pivots
+
+
+def rank(m: Matrix) -> int:
+    """The rank of m: the pivot count of ``forward_echelon``, so no reduced
+    matrix is built."""
+    return len(forward_echelon(m)[1])
 
 
 def _kernel_vectors(m: Matrix) -> tuple[list[list], list[int]]:

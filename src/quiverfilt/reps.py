@@ -50,9 +50,16 @@ _SEARCH_CAP = 200_000
 
 
 class Rep:
-    """Finite-dimensional representation of a quiver over an exact field."""
+    """Finite-dimensional representation of a quiver over an exact field.
 
-    __slots__ = ("quiver", "field", "dims", "arrow_maps")
+    A rep is never written after ``__init__``: nothing sets its quiver,
+    field, dims or arrow maps later, and its ``Matrix`` arrow maps are never
+    written either.  ``_text`` relies on this: ``formats`` keeps there the
+    text of the rep's payload once it has been written.  Equality and the
+    hash ignore it.
+    """
+
+    __slots__ = ("quiver", "field", "dims", "arrow_maps", "_text")
 
     def __init__(self, quiver: Quiver, field: Field, dims: dict, arrow_maps: dict):
         if set(dims) != set(quiver.vertices):
@@ -74,6 +81,7 @@ class Rep:
         self.field = field
         self.dims = dict(dims)
         self.arrow_maps = dict(arrow_maps)
+        self._text = None
 
     @classmethod
     def zero(cls, quiver: Quiver, field: Field) -> "Rep":

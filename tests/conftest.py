@@ -1,10 +1,12 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import strategies as st
 
 from quiverfilt import GF, QQ, Matrix, Rep, kronecker, linear_quiver, quasi_simple
-from quiverfilt.linalg import hstack, rref
+from quiverfilt.homext import ExtCocycle, _intertwine_matrix
+from quiverfilt.linalg import RowSpace, hstack, rref
 
 
 @pytest.fixture(scope="session")
@@ -106,3 +108,43 @@ def reference_nullspace(m):
             vec[pc] = f.neg(red.at(r, fc))
         basis.append(Matrix(f, m.cols, 1, vec))
     return basis
+
+
+def reference_ext(m, n):
+    """Reference: Ext^1(m, n) built from the full rref of Phi^T, its reduced
+    rows re-added one by one to a ``RowSpace``.
+
+    Returns ``dim``, ``coboundary_rank``, the ``basis`` cocycles (a 1 at one
+    free coordinate of the rref, zero elsewhere) and ``reduce``, the class
+    coordinates of a cocycle: its flattened components reduced against the
+    coboundaries, read at the free coordinates.
+    """
+    f = m.field
+    reduced, pivots = rref(_intertwine_matrix(m, n).transpose())
+    space = RowSpace(f, (reduced.row(i) for i in range(len(pivots))))
+    free = [c for c in range(reduced.cols) if c not in pivots]
+    shapes = [(aid, n.dims[t], m.dims[s]) for aid, s, t in m.quiver.arrows]
+
+    def cocycle(vec):
+        comps, off = {}, 0
+        for aid, r, c in shapes:
+            comps[aid] = Matrix(f, r, c, vec[off : off + r * c])
+            off += r * c
+        return ExtCocycle(m, n, comps)
+
+    def unit(i):
+        vec = [f.zero] * reduced.cols
+        vec[free[i]] = f.one
+        return cocycle(vec)
+
+    def reduce(c):
+        vec = space.reduce([x for aid, _, _ in shapes for x in c.components[aid].entries])
+        assert not any(vec[pc] for pc in pivots)
+        return [vec[fc] for fc in free]
+
+    return SimpleNamespace(
+        dim=len(free),
+        coboundary_rank=len(pivots),
+        basis=[unit(i) for i in range(len(free))],
+        reduce=reduce,
+    )

@@ -11,6 +11,7 @@ from quiverfilt import (
     GF,
     QQ,
     Morphism,
+    Rep,
     check_semibrick,
     hom_basis,
     kronecker,
@@ -23,8 +24,10 @@ from quiverfilt import (
     standard_module,
 )
 from quiverfilt.errors import FormatError, InvariantError
+from quiverfilt.formats import morphism_payload, rep_payload
+from quiverfilt.reps import linear_combination
 
-from conftest import make_x11
+from conftest import draw_rep, field_scalar, make_x11
 
 
 def _doc(text):
@@ -87,7 +90,15 @@ def test_report_writer_matches_json_dumps(tree, extra):
 
 @pytest.mark.parametrize(
     "bad",
-    [{"x": 1.5}, {"x": Fraction(1, 2)}, {"x": {1, 2}}, {1: "a", "b": "c"}, {True: "t"}, {1.5: "f"}],
+    [
+        {"x": 1.5},
+        {"x": Fraction(1, 2)},
+        {"x": {1, 2}},
+        {1: "a", "b": "c"},
+        {True: "t"},
+        {1.5: "f"},
+        {"x": quasi_simple(QQ, QQ.of(0))},
+    ],
 )
 def test_report_writer_refuses_what_json_would_not_print_alike(bad):
     with pytest.raises(InvariantError):
@@ -102,6 +113,58 @@ def test_serialize_matches_json_dumps_on_every_kind(k2, r0, r1):
         if isinstance(value, dict):  # int keys print as strings
             doc["payload"] = value
         assert text == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+def _unwritten(r):
+    """A new rep equal to r, whose text has not been written yet."""
+    return Rep(r.quiver, r.field, r.dims, r.arrow_maps)
+
+
+def _json_dumps_document(kind, payload):
+    doc = {"kind": kind, "version": FORMAT_VERSION, "payload": payload}
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([kronecker(2), kronecker(3), linear_quiver(3)]),
+    st.sampled_from([QQ, GF(2), GF(101)]),
+    st.data(),
+)
+def test_morphism_text_from_kept_rep_text_matches_json_dumps(quiver, field, data):
+    """A morphism's endpoints are written from the text kept on each rep; the
+    document is the same whether that text is written by this call, was kept
+    by an earlier morphism, or by serializing the rep on its own."""
+    m = draw_rep(data, quiver, field, max_dim=3)
+    n = draw_rep(data, quiver, field, max_dim=3)
+    basis = hom_basis(m, n)
+    coeffs = data.draw(st.lists(field_scalar(field), min_size=len(basis), max_size=len(basis)))
+    f = linear_combination(basis, coeffs) if basis else Morphism.zero(m, n)
+    expected = _json_dumps_document("morphism", morphism_payload(f))
+
+    source, target = _unwritten(m), _unwritten(n)
+    assert source._text is None and target._text is None
+    assert serialize(Morphism(source, target, f.blocks)) == expected
+    assert source._text is not None and target._text is not None
+    assert serialize(Morphism(source, target, f.blocks)) == expected
+    for b in basis:
+        kept = Morphism(source, target, b.blocks)
+        assert serialize(kept) == _json_dumps_document("morphism", morphism_payload(b))
+
+    source, target = _unwritten(m), _unwritten(n)
+    assert serialize(source) == _json_dumps_document("rep", rep_payload(m))
+    assert serialize(Morphism(source, target, f.blocks)) == expected
+    endo = Morphism.identity(_unwritten(n))
+    assert serialize(endo) == _json_dumps_document("morphism", morphism_payload(endo))
+
+
+def test_rep_equality_and_hash_ignore_the_kept_text(r0):
+    kept, bare = _unwritten(r0), _unwritten(r0)
+    serialize(kept)
+    assert kept._text is not None and bare._text is None
+    assert kept == bare and hash(kept) == hash(bare)
+    bare._text = "{}"
+    assert kept == bare and hash(kept) == hash(bare)
 
 
 def test_dicts_become_reports():

@@ -46,7 +46,7 @@ from quiverfilt.linalg import (
 )
 from quiverfilt.reps import linear_combination
 
-from conftest import columns_contained, draw_rep, make_x11
+from conftest import columns_contained, draw_rep, field_scalar, make_x11, reference_ext
 
 
 def x_k3():
@@ -562,3 +562,38 @@ def test_intertwine_matrix_is_built_with_its_exact_integer_form(quiver, data):
     for x in (phi, phi.transpose()):
         assert x._ints is not None
         assert x._ints == _integer_multiple(x.entries)
+
+
+_ext_scalars = {
+    QQ: _wide_denominators,
+    GF(2): field_scalar(GF(2)),
+    GF(101): field_scalar(GF(101)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([kronecker(2), kronecker(3), linear_quiver(3)]),
+    st.sampled_from(list(_ext_scalars)),
+    st.data(),
+)
+def test_ext_space_matches_the_rref_reference(quiver, field, data):
+    """``ExtSpace`` from one forward elimination against the full rref of
+    Phi^T: the same dimensions, basis cocycles and reduced coordinates of
+    random cocycles, zero-dimensional vertices included."""
+    scalar = _ext_scalars[field]
+    m = draw_rep(data, quiver, field, max_dim=3, scalar=scalar)
+    n = draw_rep(data, quiver, field, max_dim=3, scalar=scalar)
+    space, ref = ExtSpace(m, n), reference_ext(m, n)
+    assert (space.dim, space.coboundary_rank) == (ref.dim, ref.coboundary_rank)
+    got = space.basis()
+    assert [c.components for c in got] == [c.components for c in ref.basis]
+    assert [space.reduce(c) for c in got] == [ref.reduce(c) for c in got]
+    for _ in range(3):
+        comps = {}
+        for aid, s, t in quiver.arrows:
+            k = n.dims[t] * m.dims[s]
+            entries = data.draw(st.lists(scalar, min_size=k, max_size=k))
+            comps[aid] = Matrix(field, n.dims[t], m.dims[s], entries)
+        c = ExtCocycle(m, n, comps)
+        assert space.reduce(c) == ref.reduce(c)

@@ -13,6 +13,7 @@ from quiverfilt.linalg import (
     _is_prime,
     column_space_basis,
     column_space_pivots,
+    forward_echelon,
     hstack,
     inverse,
     is_invertible,
@@ -321,8 +322,38 @@ def _low_rank(draw):
 )
 def test_rank_is_the_pivot_count_of_rref(m):
     before = list(m.entries)
-    assert rank(m) == len(rref(m)[1])
+    rows, pivots = forward_echelon(m)
+    assert tuple(pivots) == rref(m)[1]
+    assert rank(m) == len(pivots) == len(rows)
     assert m.entries == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(_kernel_fields, _kernel_dims, _kernel_dims).flatmap(
+            lambda t: _sparse_matrix(*t)
+        ),
+        _low_rank(),
+    ),
+    st.data(),
+)
+def test_row_space_from_forward_echelon_reduces_like_rref_rows(m, data):
+    """``RowSpace.from_echelon`` on the rows of ``forward_echelon`` has unit
+    pivots and reduces every vector as the space of the rref rows does."""
+    f = m.field
+    rows, pivots = forward_echelon(m)
+    for i, (row, c) in enumerate(zip(rows, pivots)):
+        assert not any(row[:c]) and not any(row[pc] for pc in pivots[:i])
+    space = RowSpace.from_echelon(f, rows, pivots)
+    assert [(c, items[0]) for c, items in space.echelon] == [(c, (c, f.one)) for c in pivots]
+    reduced, _ = rref(m)
+    reference = RowSpace(f, (reduced.row(i) for i in range(len(pivots))))
+    vectors = [m.row(i) for i in range(m.rows)]
+    draw_vector = st.lists(field_scalar(f), min_size=m.cols, max_size=m.cols)
+    vectors += [data.draw(draw_vector) for _ in range(3)]
+    for vec in vectors:
+        assert space.reduce(vec) == reference.reduce(vec)
 
 
 @pytest.mark.parametrize("field", [QQ, F2, GF(101)])
