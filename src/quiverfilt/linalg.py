@@ -10,27 +10,29 @@ The hot kernels (``rref``, ``Matrix.mul`` and the row kernels below) bypass
 ``% p`` per result over GF(p), ``int`` arithmetic on cleared denominators
 over the rationals.  Elimination over the rationals does no ``Fraction``
 arithmetic at all and reads a matrix only through ``_integer_form()``: it
-takes each row of that form divided by its content (the gcd of its entries),
-eliminates by cross-multiplication on rows kept primitive, and ``rref``
-builds each ``Fraction`` of the result once, from a pivot row and its pivot
-entry.  ``nullspace_basis`` builds each kernel entry once from the same
-echelon rows and builds no reduced matrix.  ``forward_echelon`` eliminates
-only below each pivot; ``rank`` counts its pivots, and
-``RowSpace.from_echelon`` spans its rows, building one ``Fraction`` per
-nonzero entry.  Over QQ every ``Matrix`` keeps its integer form, its
-entries times the lcm ``den`` of their denominators, once a product or an
-elimination has read it.  Two kinds are born with it: Phi of
-``homext._intertwine_matrix``, built from the arrow maps' forms, and the
-transpose of a matrix whose form is cached.  ``Matrix.mul`` multiplies the
-two integer forms and builds each nonzero entry of the result once, as
-``Fraction(x, la*lb)``.  ``products_equal(a, b, c, d)`` decides ``a*b ==
-c*d`` on integers and builds no field element: over QQ it compares the
-integer products of the four integer forms by cross-multiplying with the
-other side's denominators; over GF(p) it compares the unreduced products
-modulo p.  ``Matrix.mul`` and
-``products_equal`` share one zero-skipping product loop.  The kernels skip
-zeros by truthiness, so they require canonical entries, the values
-``Field.of`` returns: a ``Fraction`` over QQ, an ``int`` in [0, p) over GF(p).
+takes each row of that form divided by its content (the gcd of its entries)
+and eliminates by cross-multiplication on rows kept primitive.  There is one
+elimination loop: ``forward_echelon`` clears each pivot's column below it;
+``rank`` counts its pivots, and ``RowSpace.from_echelon`` spans its rows,
+building one ``Fraction`` per nonzero entry.  ``rref`` is
+``forward_echelon`` plus back-substitution, each pivot row from the last up
+clearing its column above it, and builds each ``Fraction`` of the result
+once, from a pivot row and its pivot entry.  Both passes clear rows with
+``_clear_column`` alone.  ``nullspace_basis`` builds each kernel entry once
+from the same echelon rows and builds no reduced matrix.  Over QQ every
+``Matrix`` keeps its integer form, its entries times the lcm ``den`` of
+their denominators, once a product or an elimination has read it.  Two kinds
+are born with it: Phi of ``homext._intertwine_matrix``, built from the arrow
+maps' forms, and the transpose of a matrix whose form is cached.
+``Matrix.mul`` multiplies the two integer forms and builds each nonzero
+entry of the result once, as ``Fraction(x, la*lb)``.  ``products_equal(a, b,
+c, d)`` decides ``a*b == c*d`` on integers and builds no field element: over
+QQ it compares the integer products of the four integer forms by
+cross-multiplying with the other side's denominators; over GF(p) it compares
+the unreduced products modulo p.  ``Matrix.mul`` and ``products_equal``
+share one zero-skipping product loop.  The kernels skip zeros by truthiness,
+so they require canonical entries, the values ``Field.of`` returns: a
+``Fraction`` over QQ, an ``int`` in [0, p) over GF(p).
 
 Matrices are immutable by convention: no public routine mutates its inputs,
 and ``Matrix`` instances may be shared freely.  The cached integer form
@@ -684,63 +686,34 @@ def _primitive(row: list) -> list:
 def _echelon(m: Matrix) -> tuple[list[list], list[int]]:
     """The nonzero rows of rref(m), up to scaling, and their pivot columns.
 
-    The rows are those of ``_rows``.  Over GF(p) each pivot row is scaled to
-    a unit, so the rows are those of rref(m).  Over QQ they stay primitive
-    integer rows with positive pivot entries, and row i of rref(m) is
-    ``rows[i]`` divided by its pivot entry: an entry ``b`` is cleared against
-    the pivot entry ``a`` by ``row = (a/g)*row - (b/g)*pivot`` with ``g =
-    gcd(a, b)``, and a changed row is divided by its content, which keeps the
-    entries bounded by the minors of the integer form of m.
+    The rows of ``forward_echelon``, then back-substitution: from the last
+    pivot row up, each pivot row clears its column in the rows above it.
+    Over GF(p) the pivots are units, so the rows are those of rref(m).  Over
+    QQ they stay primitive integer rows, and row i of rref(m) is ``rows[i]``
+    divided by its pivot entry, whose sign may be either.
     """
+    rows, pivots = forward_echelon(m)
     p = m.field.characteristic
-    rows = _rows(m)
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        for i in range(r, len(rows)):
-            if rows[i][c]:
+    for k in range(len(pivots) - 1, 0, -1):
+        c = pivots[k]
+        # Most pivot columns of a sparse input are already clear above, so
+        # the pivot row's items are built only once a row needs them.
+        for row in rows[:k]:
+            if row[c]:
+                _clear_column(rows, 0, k, c, nonzero_items(rows[k], c), p)
                 break
-        else:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        pivot = rows[r]
-        if p:
-            items = scale_to_unit(pivot, c, p)
-            for row in [row for row in rows if row[c]]:
-                if row is not pivot:
-                    subtract_multiple(row, row[c], items, p)
-        else:
-            if pivot[c] < 0:
-                pivot = rows[r] = [-x for x in pivot]
-            a = pivot[c]
-            items = nonzero_items(pivot, c)
-            for i, row in enumerate(rows):
-                b = row[c]
-                if not b or i == r:
-                    continue
-                g = gcd(a, b)
-                s, t = a // g, b // g
-                if s != 1:
-                    row = [s * x for x in row]
-                for j, x in items:
-                    row[j] -= t * x
-                rows[i] = _primitive(row)
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    return rows, pivots
 
 
 def forward_echelon(m: Matrix) -> tuple[list[list], list[int]]:
     """Echelon rows of m by forward elimination only, and their pivot columns.
 
     Each pivot row clears the rows below it; nothing above a pivot is
-    touched.  The rows are those of ``_rows``, cleared as in ``_echelon``:
-    against a unit pivot over GF(p), by cross-multiplication over QQ, where
-    no ``Fraction`` is built and the rows stay primitive integer rows.  Row
-    i is zero before its pivot and at the pivots of the rows before it.  The
-    pivots are those of rref(m), and the rows span the row space of m.
+    touched.  The rows are those of ``_rows``: over GF(p) each pivot row is
+    scaled to a unit; over QQ they stay primitive integer rows, with pivot
+    entries of either sign, and no ``Fraction`` is built.  Row i is zero
+    before its pivot and at the pivots of the rows before it.  The pivots
+    are those of rref(m), and the rows span the row space of m.
     """
     p = m.field.characteristic
     rows = [row for row in _rows(m) if any(row)]
@@ -755,29 +728,40 @@ def forward_echelon(m: Matrix) -> tuple[list[list], list[int]]:
         else:
             continue
         rows[r], rows[i] = rows[i], rows[r]
-        pivot = rows[r]
+        items = scale_to_unit(rows[r], c, p) if p else nonzero_items(rows[r], c)
         pivots.append(c)
         r += 1
-        if p:
-            items = scale_to_unit(pivot, c, p)
-            for row in rows[r:]:
-                if row[c]:
-                    subtract_multiple(row, row[c], items, p)
-            continue
-        a = pivot[c]
-        items = nonzero_items(pivot, c)
-        for i in range(r, len(rows)):
-            row = rows[i]
-            b = row[c]
-            if b:
-                g = gcd(a, b)
-                s, t = a // g, b // g
-                if s != 1:
-                    row = [s * x for x in row]
-                for j, x in items:
-                    row[j] -= t * x
-                rows[i] = _primitive(row)
+        _clear_column(rows, r, len(rows), c, items, p)
     return rows[:r], pivots
+
+
+def _clear_column(rows: list[list], lo: int, hi: int, c: int, items: list, p: int) -> None:
+    """Clear column c in ``rows[lo:hi]`` against a pivot row at c, given by its
+    nonzero ``items`` from c on.
+
+    Over GF(p) the pivot is a unit and a row ``v`` becomes ``v - v[c]*pivot``.
+    Over QQ an entry ``b`` is cleared against the pivot entry ``a`` by ``v =
+    (a/g)*v - (b/g)*pivot`` with ``g = gcd(a, b)``, and a changed row is
+    divided by its content, which keeps the entries bounded by the minors of
+    the integer form of the matrix eliminated.
+    """
+    if p:
+        for row in rows[lo:hi]:
+            if row[c]:
+                subtract_multiple(row, row[c], items, p)
+        return
+    a = items[0][1]
+    for i in range(lo, hi):
+        row = rows[i]
+        b = row[c]
+        if b:
+            g = gcd(a, b)
+            s, t = a // g, b // g
+            if s != 1:
+                row = [s * x for x in row]
+            for j, x in items:
+                row[j] -= t * x
+            rows[i] = _primitive(row)
 
 
 def rank(m: Matrix) -> int:
@@ -840,17 +824,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
 
 
 def inverse(m: Matrix) -> Matrix | None:
-    if not m.is_square():
-        return None
-    if m.rows == 0:
-        return Matrix(m.field, 0, 0, [])
-    red, pivots = rref(hstack([m, Matrix.identity(m.field, m.rows)]))
-    if len(pivots) != m.rows or any(p >= m.cols for p in pivots):
-        return None
-    flat = []
-    for i in range(m.rows):
-        flat.extend(red.row(i)[m.cols :])
-    return Matrix(m.field, m.rows, m.rows, flat)
+    return solve(m, Matrix.identity(m.field, m.rows)) if m.is_square() else None
 
 
 def is_invertible(m: Matrix) -> bool:

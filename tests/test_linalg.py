@@ -3,7 +3,7 @@
 import pytest
 from fractions import Fraction
 from math import isqrt, lcm
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quiverfilt import GF, QQ, Matrix
 from quiverfilt.errors import FormatError, InvariantError
@@ -38,6 +38,31 @@ F5 = GF(5)
 
 def mq(rows):
     return Matrix.from_rows(QQ, [[QQ.of(x) for x in r] for r in rows])
+
+
+# Inputs whose back-substitution does work, each built fresh so that no test
+# sees an integer form another one cached: negative QQ pivot entries; a
+# triangular QQ matrix whose last pivot clears all three rows above it; a
+# rank-3 GF(5) matrix whose last pivot column is nonzero in both rows above.
+def _negative_pivots():
+    return mq([[-2, 3, 1, 0], [4, -1, 5, 2], [-6, 2, -3, 1]])
+
+
+def _triangular():
+    return mq(
+        [
+            ["1/2", "1/3", "2/5", "3/7"],
+            [0, "-2/3", "1/4", "5/6"],
+            [0, 0, "3/2", "-1/5"],
+            [0, 0, 0, "7/3"],
+        ]
+    )
+
+
+def _gf5_rank_3():
+    return Matrix.from_rows(
+        F5, [[1, 2, 0, 3, 1], [0, 1, 4, 2, 3], [0, 0, 0, 1, 2], [1, 3, 4, 0, 4]]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +318,9 @@ def _sparse_matrix(field, rows, cols):
         lambda t: _sparse_matrix(*t)
     )
 )
+@example(_negative_pivots())
+@example(_triangular())
+@example(_gf5_rank_3())
 def test_rref_matches_reference_and_keeps_input(m):
     before = list(m.entries)
     out = rref(m)
@@ -570,6 +598,9 @@ def _kernel_input(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_kernel_input(), st.booleans())
+@example(_negative_pivots(), True)
+@example(_triangular(), False)
+@example(_gf5_rank_3(), False)
 def test_nullspace_basis_matches_the_rref_reference(m, cached):
     """The kernel read off the echelon rows equals the one read off the
     reduced matrix, with the input's integer form cached beforehand or not;
