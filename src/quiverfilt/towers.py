@@ -176,6 +176,20 @@ class Tower:
     levels: list  # Rep: Y(1) ... Y(r)
     sequences: list  # ShortExactSequence: level i joins Y(i) to Y(i+1)
 
+    def __post_init__(self):
+        if not self.levels or self.levels[0] != self.base:
+            raise InvariantError("tower levels must start at the base")
+        if len(self.sequences) != len(self.levels) - 1:
+            raise InvariantError(
+                f"{len(self.levels)} tower levels need {len(self.levels) - 1} "
+                f"sequences, got {len(self.sequences)}"
+            )
+        for i, seq in enumerate(self.sequences):
+            if seq.sub != self.levels[i] or seq.middle != self.levels[i + 1]:
+                raise InvariantError(
+                    f"sequence {i + 1} does not join level {i + 1} to level {i + 2}"
+                )
+
     @property
     def height(self) -> int:
         return len(self.levels)
@@ -227,8 +241,6 @@ def tower(y: Rep, sb: SemiBrickCert, r: int, budget: int | None = None) -> Tower
         report = is_universal(ses, sb)
         if not report.ok:
             raise InvariantError("tower level failed the universality check")
-        if ses.sub != current:
-            raise InvariantError("tower level does not start at the previous middle")
         sequences.append(ses)
         current = ses.middle
         levels.append(current)
@@ -416,9 +428,15 @@ def uniserial_check(t: Tower) -> bool:
 
     Applicable only when the semi-brick's ext table is concentrated on the
     base: dim Ext(base, base) = 1 and Ext(member, base) = 0 for the other
-    members; otherwise ``InapplicableError``.  True iff every nonzero
-    morphism from a member into Y(i)/Y(j) has image exactly the distinguished
-    bottom layer Y(j+1)/Y(j).
+    members; otherwise ``InapplicableError``.  True iff for every member X
+    and every 0 <= j < i <= height, dim Hom(X, Y(i)/Y(j)) <= 1 and every
+    nonzero morphism X -> Y(i)/Y(j) has image exactly the distinguished
+    bottom layer Y(j+1)/Y(j) (Y(0) = 0).
+
+    Only the top quotient Q_j = Y(height)/Y(j) is built for each j: every
+    Y(i)/Y(j) embeds in Q_j, so by left exactness Hom(X, Y(i)/Y(j)) embeds
+    in Hom(X, Q_j), and the bottom layer lies in Y(i)/Y(j).  Both conditions
+    therefore hold at every i exactly when they hold at i = height.
     """
     sb = t.semibrick
     base_idx = None
@@ -440,25 +458,22 @@ def uniserial_check(t: Tower) -> bool:
             )
     lower = None
     for j in range(t.height):
-        # upper[k] = inclusion(j + 1, j + 1 + k); lower[k] = inclusion(j, j + k)
-        upper = list(t._inclusions_from(j + 1))
-        for i in range(j + 1, t.height + 1):
-            # quotient Y(i)/Y(j); j = 0 means Y(i) itself (1-based levels)
-            if j == 0:
-                quot = t.levels[i - 1]
-                bottom = image(upper[i - 1])
-            else:
-                quot, proj = cokernel(lower[i - j])
-                bottom = image(compose(upper[i - j - 1], proj))
-            for member in sb.members:
-                basis = hom_basis(member, quot)
-                if len(basis) > 1:
+        # Q_j = Y(h)/Y(j), and Y(j+1)/Y(j) inside it; j = 0 means Y(h) itself
+        upper = t.inclusion(j + 1, t.height)
+        if j == 0:
+            quot, bottom = t.levels[-1], image(upper)
+        else:
+            quot, proj = cokernel(lower)
+            bottom = image(compose(upper, proj))
+        for member in sb.members:
+            basis = hom_basis(member, quot)
+            if len(basis) > 1:
+                return False
+            for fmor in basis:
+                img = image(fmor)
+                if img.sub.dim_vector() != bottom.sub.dim_vector():
                     return False
-                for fmor in basis:
-                    img = image(fmor)
-                    if img.sub.dim_vector() != bottom.sub.dim_vector():
-                        return False
-                    if img.inclusion.blocks != bottom.inclusion.blocks:
-                        return False
+                if img.inclusion.blocks != bottom.inclusion.blocks:
+                    return False
         lower = upper
     return True

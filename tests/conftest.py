@@ -4,7 +4,19 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import strategies as st
 
-from quiverfilt import GF, QQ, Matrix, Rep, kronecker, linear_quiver, quasi_simple
+from quiverfilt import (
+    GF,
+    QQ,
+    Matrix,
+    Rep,
+    cokernel,
+    compose,
+    hom_basis,
+    image,
+    kronecker,
+    linear_quiver,
+    quasi_simple,
+)
 from quiverfilt.homext import ExtCocycle, _intertwine_matrix
 from quiverfilt.linalg import RowSpace, hstack, rref
 
@@ -148,3 +160,34 @@ def reference_ext(m, n):
         basis=[unit(i) for i in range(len(free))],
         reduce=reduce,
     )
+
+
+def reference_uniserial(t):
+    """Reference: ``uniserial_check``'s verdict from every quotient Y(i)/Y(j),
+    0 <= j < i <= height, each built from scratch: for every member X,
+    dim Hom(X, Y(i)/Y(j)) <= 1 and each basis morphism's image is the bottom
+    layer Y(j+1)/Y(j).  The applicability checks are left to the caller."""
+    lower = None
+    for j in range(t.height):
+        # upper[k] = inclusion(j + 1, j + 1 + k); lower[k] = inclusion(j, j + k)
+        upper = list(t._inclusions_from(j + 1))
+        for i in range(j + 1, t.height + 1):
+            # quotient Y(i)/Y(j); j = 0 means Y(i) itself (1-based levels)
+            if j == 0:
+                quot = t.levels[i - 1]
+                bottom = image(upper[i - 1])
+            else:
+                quot, proj = cokernel(lower[i - j])
+                bottom = image(compose(upper[i - j - 1], proj))
+            for member in t.semibrick.members:
+                basis = hom_basis(member, quot)
+                if len(basis) > 1:
+                    return False
+                for fmor in basis:
+                    img = image(fmor)
+                    if img.sub.dim_vector() != bottom.sub.dim_vector():
+                        return False
+                    if img.inclusion.blocks != bottom.inclusion.blocks:
+                        return False
+        lower = upper
+    return True

@@ -5,12 +5,13 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from quiverfilt import (
     GF,
     QQ,
     ExtCocycle,
+    ExtSpace,
     Matrix,
     Morphism,
     Rep,
@@ -58,7 +59,7 @@ from quiverfilt.towers import (
     _universal_data,
 )
 
-from conftest import field_scalar, make_x11
+from conftest import field_scalar, make_x11, reference_uniserial
 
 
 @pytest.fixture
@@ -357,21 +358,42 @@ def test_end_of_each_level_is_a_truncated_valuation_ring(case):
         assert n in [_nilpotency_index(c) for c in candidates]
 
 
+def _assert_inclusions_carry_hom_bijectively(t):
+    """Composing with incl : Y(i) -> Y(i+1) maps hom_basis(X, Y(i)) onto a
+    basis of Hom(X, Y(i+1)) for every member X; returns the Hom dimensions."""
+    dims = []
+    for x in t.semibrick.members:
+        for i, seq in enumerate(t.sequences):
+            below = hom_basis(x, t.levels[i])
+            above = hom_basis(x, t.levels[i + 1])
+            images = [compose(h, seq.incl) for h in below]
+            flat = [[e for v in x.quiver.vertices for e in h.blocks[v].entries] for h in images]
+            assert len(below) == len(above) == RowSpace(x.field, flat).dim
+            dims.append(len(above))
+    return dims
+
+
 @settings(max_examples=12, deadline=None)
 @given(_kronecker_point)
 def test_inclusions_carry_hom_from_the_member_bijectively(case):
-    """Composing with incl : Y(i) -> Y(i+1) maps hom_basis(X, Y(i)) onto a
-    basis of Hom(X, Y(i+1)) for the member X."""
     field, point = case
     x = quasi_simple(field, point)
     t = tower(x, check_semibrick([x]), 5)
-    for i, seq in enumerate(t.sequences):
-        below = hom_basis(x, t.levels[i])
-        above = hom_basis(x, t.levels[i + 1])
-        assert len(below) == len(above) == 1
-        images = [compose(h, seq.incl) for h in below]
-        flat = [[e for v in x.quiver.vertices for e in h.blocks[v].entries] for h in images]
-        assert RowSpace(field, flat).dim == len(above)
+    assert _assert_inclusions_carry_hom_bijectively(t) == [1] * 4
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)])
+def test_inclusions_carry_hom_bijectively_on_k3_and_a3(k3, a3, field):
+    """The same over the wild K3 member of ``x_and_sb`` and over the
+    semibrick {S1, S2} of A3 (Ext(S2, S1) = k), three levels each."""
+    x = make_x11(k3, field, [1, 0, 0])
+    t = tower(x, check_semibrick([x]), 3)
+    assert [sum(y.dims.values()) for y in t.levels] == [2, 6, 14]
+    assert _assert_inclusions_carry_hom_bijectively(t) == [1, 1]
+    s1, s2 = (standard_module(a3, field, "simple", v) for v in (1, 2))
+    t = tower(s1, check_semibrick([s1, s2]), 3)
+    assert [y.dim_vector() for y in t.levels] == [{1: 1, 2: 0, 3: 0}] + [{1: 1, 2: 1, 3: 0}] * 2
+    assert _assert_inclusions_carry_hom_bijectively(t) == [1, 1, 0, 0]
 
 
 def _ideal_checks_reference(alg, ideal):
@@ -543,6 +565,54 @@ def test_uniserial_check_refuses_a_split_level(r0, sb0):
     assert uniserial_check(t3) is False
 
 
+def test_tower_refuses_levels_and_sequences_that_do_not_chain(r0, sb0):
+    t = tower(r0, sb0, 3)
+    r0_cubed = direct_sum([r0, r0, r0])[0]
+    assert r0_cubed.dims == t.levels[-1].dims
+    with pytest.raises(InvariantError, match="sequence 2 does not join level 2 to level 3"):
+        Tower(r0, sb0, t.levels[:-1] + [r0_cubed], t.sequences)
+    with pytest.raises(InvariantError, match="3 tower levels need 2 sequences, got 1"):
+        Tower(r0, sb0, t.levels, t.sequences[:-1])
+    with pytest.raises(InvariantError, match="sequence 1 does not join level 1 to level 2"):
+        Tower(r0, sb0, t.levels, t.sequences[::-1])
+    for levels in ([], t.levels[1:]):
+        with pytest.raises(InvariantError, match="must start at the base"):
+            Tower(r0, sb0, levels, t.sequences[1:])
+
+
+@st.composite
+def _uniserial_cases(draw):
+    """A K2 tower of R_point, heights 1-6, over {R_point} or {R_point, R_other}:
+    either ``tower``'s own, or hand-built with level i+1 the middle of a random
+    class in Ext(X, Y(i)) for a drawn member X (the zero class splits)."""
+    field, point = draw(_kronecker_point)
+    base = quasi_simple(field, point)
+    members = [base]
+    if draw(st.booleans()):
+        points = {"inf", field.zero, field.one, field.of(2)} - {point}
+        members.append(quasi_simple(field, draw(st.sampled_from(sorted(points, key=str)))))
+    sb = check_semibrick(members)
+    height = draw(st.integers(min_value=1, max_value=6))
+    if draw(st.booleans()):
+        return tower(base, sb, height)
+    levels, sequences = [base], []
+    while len(levels) < height:
+        x = draw(st.sampled_from(members))
+        space = ExtSpace(x, levels[-1])
+        coords = draw(st.lists(field_scalar(field), min_size=space.dim, max_size=space.dim))
+        sequences.append(extension_middle(x, levels[-1], space.from_coords(coords)))
+        levels.append(sequences[-1].middle)
+    return Tower(base, sb, levels, sequences)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_uniserial_cases())
+def test_uniserial_check_matches_every_quotient(t):
+    verdict = uniserial_check(t)
+    event(f"uniserial {verdict}")
+    assert verdict == reference_uniserial(t)
+
+
 def _restriction_reference(coords_of, incl, endo):
     """The restriction of one endomorphism along incl, one solve per vertex."""
     blocks = {}
@@ -604,8 +674,6 @@ def test_orthogonality_shadow(k2, r0, sb0):
 
 def test_ext_classes_die_in_next_level(r0, sb0):
     t = tower(r0, sb0, 3)
-    from quiverfilt import ExtSpace
-
     for i in range(1, t.height):
         incl = t.inclusion(i, i + 1)
         classes, _ = ext_basis(r0, t.levels[i - 1])
