@@ -16,8 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .homext import ExtSpace, _intertwine_matrix, hom_basis
-from .linalg import GF, Matrix, is_invertible, mat_from_cols, rank, unit_vectors, vstack
+from .homext import ExtSpace, _hom_layout, _intertwine_rows, hom_basis
+from .linalg import (
+    GF,
+    Matrix,
+    is_invertible,
+    mat_from_cols,
+    rank,
+    sparse_rank,
+    unit_vectors,
+    vstack,
+)
 from .reps import Morphism, Rep, is_isomorphic, linear_combination
 
 
@@ -207,8 +216,13 @@ def _end_is_scalars_by_rank(m: Rep) -> bool:
     cols - 1, so does rank_QQ.  If p divides some denominator there is no
     reduction and the answer is False, as it is for an unlucky prime or a
     genuine dim End > 1: False certifies nothing.
+
+    Phi is never built densely here: its rows come as their nonzero items
+    straight from the arrow maps (``_intertwine_rows``, a few per row) and
+    ``sparse_rank`` eliminates them in column order.
     """
-    if m.field.characteristic == 0:
+    p = m.field.characteristic
+    if not p:
         p = _MODULAR_PRIME
         if any(x.denominator % p == 0 for a in m.arrow_maps.values() for x in a.entries):
             return False
@@ -218,8 +232,7 @@ def _end_is_scalars_by_rank(m: Rep) -> bool:
             for aid, a in m.arrow_maps.items()
         }
         m = Rep(m.quiver, f, m.dims, maps)
-    phi = _intertwine_matrix(m, m)
-    return rank(phi) == phi.cols - 1
+    return sparse_rank(_intertwine_rows(m, m), p) == _hom_layout(m, m)[1] - 1
 
 
 def is_brick(m: Rep) -> BrickReport:

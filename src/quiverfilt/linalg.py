@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact dense linear algebra over the rationals and prime fields, and one sparse rank.
 
 Scalars are plain Python values: ``fractions.Fraction`` over the rationals,
 ``int`` in the range [0, p) over GF(p).  A ``Field`` object owns the scalar
@@ -19,7 +19,10 @@ building one ``Fraction`` per nonzero entry.  ``rref`` is
 clearing its column above it, and builds each ``Fraction`` of the result
 once, from a pivot row and its pivot entry.  Both passes clear rows with
 ``_clear_column`` alone.  ``nullspace_basis`` builds each kernel entry once
-from the same echelon rows and builds no reduced matrix.  Over QQ every
+from the same echelon rows and builds no reduced matrix.  The one sparse
+routine is ``sparse_rank``, over GF(p) only: it takes rows as their nonzero
+``(column, value)`` items and eliminates them one at a time in column order,
+pivoting on each row's leftmost nonzero column.  Over QQ every
 ``Matrix`` keeps its integer form, its entries times the lcm ``den`` of
 their denominators, once a product or an elimination has read it.  Two kinds
 are born with it: Phi of ``homext._intertwine_matrix``, built from the arrow
@@ -768,6 +771,43 @@ def rank(m: Matrix) -> int:
     """The rank of m: the pivot count of ``forward_echelon``, so no reduced
     matrix is built."""
     return len(forward_echelon(m)[1])
+
+
+def sparse_rank(rows: Iterable[list], p: int) -> int:
+    """The rank over GF(p) of the rows given by their nonzero ``(column,
+    value)`` items: the pivot count of ``_sparse_echelon``."""
+    return len(_sparse_echelon(rows, p))
+
+
+def _sparse_echelon(rows: Iterable[list], p: int) -> dict:
+    """Sparse forward elimination over GF(p), one incoming row at a time.
+
+    Each row is reduced against the pivot rows found so far: while a pivot
+    row sits at the row's leftmost nonzero column, the row subtracts its
+    multiple of that pivot row.  A row that does not vanish becomes the pivot
+    row at that column, scaled to 1 there.  Only nonzero entries are stored
+    or touched.  A pivot row is zero before its pivot, so fill-in lands only
+    to the right of the column being cleared, and the pivots are those of
+    rref.  Returns ``{pivot column: the nonzero items after it}``.
+    """
+    pivots: dict = {}
+    for items in rows:
+        row = dict(items)
+        while row:
+            c = min(row)
+            x = row.pop(c)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(x, -1, p)
+                pivots[c] = [(j, v * inv % p) for j, v in row.items()]
+                break
+            for j, v in pivot:
+                y = (row.get(j, 0) - x * v) % p
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+    return pivots
 
 
 def _kernel_vectors(m: Matrix) -> tuple[list[list], list[int]]:

@@ -173,10 +173,13 @@ def is_universal(ses: ShortExactSequence, sb: SemiBrickCert) -> UniversalityRepo
 class Tower:
     base: Rep
     semibrick: SemiBrickCert
-    levels: list  # Rep: Y(1) ... Y(r)
-    sequences: list  # ShortExactSequence: level i joins Y(i) to Y(i+1)
+    levels: tuple  # Rep: Y(1) ... Y(r)
+    sequences: tuple  # ShortExactSequence: level i joins Y(i) to Y(i+1)
 
     def __post_init__(self):
+        # Stored as tuples, so the chain checked here cannot be changed later.
+        object.__setattr__(self, "levels", tuple(self.levels))
+        object.__setattr__(self, "sequences", tuple(self.sequences))
         if not self.levels or self.levels[0] != self.base:
             raise InvariantError("tower levels must start at the base")
         if len(self.sequences) != len(self.levels) - 1:

@@ -9,13 +9,16 @@ hom-basis coordinates; the reports of ``euler``, ``defect``, ``socle``,
 ``filtration``, ``membership``, ``universal`` and ``demo-kronecker`` before
 the CLI became one command table; ``pullback_pushout.json`` before the
 pullback and pushout were rebuilt on the direct sum.  Every subcommand has
-a report here.  ``preproj-qq-10.json``, ``endtower-qq-20.json`` and
-``uniserial-qq-30.json``, the largest QQ reports, are not read here: CI
-compares the 10-level QQ ``preproj``, 20-level QQ ``endtower`` and 30-level
-QQ ``uniserial`` reports with them, byte for byte.  The first two were
-recorded before ``rref`` became forward elimination plus back-substitution,
-the third before ``uniserial_check`` tested only the top quotient
-Y(h)/Y(j) for each j.  A refactor or speed-up must reproduce them exactly; a
+a report here.  ``preproj-qq-10.json``, ``preproj-qq-13.json``,
+``endtower-qq-20.json`` and ``uniserial-qq-30.json``, the largest QQ
+reports, are not read here: CI compares the 10- and 13-level QQ
+``preproj``, 20-level QQ ``endtower`` and 30-level QQ ``uniserial`` reports
+with them, byte for byte.  ``preproj-qq-10.json`` and
+``endtower-qq-20.json`` were recorded before ``rref`` became forward
+elimination plus back-substitution, ``uniserial-qq-30.json`` before
+``uniserial_check`` tested only the top quotient Y(h)/Y(j) for each j, and
+``preproj-qq-13.json`` before ``is_brick``'s rank certificate eliminated
+sparse rows of Phi.  A refactor or speed-up must reproduce them exactly; a
 deliberate output change re-records them with
 
     PYTHONPATH=src python tests/test_golden.py

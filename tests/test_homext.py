@@ -34,15 +34,25 @@ from quiverfilt import (
     standard_module,
     universal_sequence,
 )
+from quiverfilt.bricks import _MODULAR_PRIME
 from quiverfilt.errors import InvariantError, UndecidedError
-from quiverfilt.homext import _intertwine_matrix, pullback_with_map, pushout_with_map
+from quiverfilt.homext import (
+    _intertwine_matrix,
+    _intertwine_rows,
+    pullback_with_map,
+    pushout_with_map,
+)
 from quiverfilt.linalg import (
     Matrix,
     _integer_multiple,
+    _sparse_echelon,
+    forward_echelon,
     inverse,
     is_invertible,
     mat_from_cols,
+    rank,
     solve,
+    sparse_rank,
 )
 from quiverfilt.reps import linear_combination
 
@@ -562,6 +572,64 @@ def test_intertwine_matrix_is_built_with_its_exact_integer_form(quiver, data):
     for x in (phi, phi.transpose()):
         assert x._ints is not None
         assert x._ints == _integer_multiple(x.entries)
+
+
+def _reduced_mod(m, p):
+    """m over QQ with its arrow maps reduced into GF(p)."""
+    f = GF(p)
+    maps = {aid: Matrix(f, a.rows, a.cols, [f.of(x) for x in a.entries])
+            for aid, a in m.arrow_maps.items()}
+    return Rep(m.quiver, f, m.dims, maps)
+
+
+def _sparse_rank_input(data, quiver, field):
+    """A random rep, one with zero arrow maps, or a direct sum of two; on K2
+    the sums are R_lambda + R_mu with lambda = mu allowed, so End has dim 2 or 4."""
+    kind = data.draw(st.sampled_from(["random", "zero maps", "direct sum"]))
+    if kind == "random":
+        return draw_rep(data, quiver, field, max_dim=3)
+    if kind == "zero maps":
+        return draw_rep(data, quiver, field, max_dim=3, scalar=st.just(field.zero))
+    if quiver == kronecker(2):
+        extra = {QQ: [-2, Fraction(1, 3)], GF(2): [], GF(101): [5]}[field]
+        points = st.sampled_from([0, 1, "inf"] + extra)
+        parts = [quasi_simple(field, data.draw(points)) for _ in range(2)]
+    else:
+        parts = [draw_rep(data, quiver, field, max_dim=2) for _ in range(2)]
+    return direct_sum(parts)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(2), GF(101)]),
+    st.sampled_from([kronecker(2), kronecker(3), linear_quiver(3)]),
+    st.data(),
+)
+def test_sparse_rank_of_phi_rows_matches_dense_rank(field, quiver, data):
+    """``sparse_rank`` of Phi's item rows against ``rank`` of the dense Phi,
+    over GF(p) and over QQ reduced modulo 2^31 - 1; the sparse pivots are
+    those of forward elimination, and the item rows written out are Phi's rows."""
+    m = _sparse_rank_input(data, quiver, field)
+    n = m if data.draw(st.booleans()) else _sparse_rank_input(data, quiver, field)
+    if field == QQ:
+        qq_rank = rank(_intertwine_matrix(m, n))
+        m, n = _reduced_mod(m, _MODULAR_PRIME), _reduced_mod(n, _MODULAR_PRIME)
+    p = m.field.characteristic
+    phi = _intertwine_matrix(m, n)
+    rows = _intertwine_rows(m, n)
+    assert len(rows) == phi.rows
+    for i, items in enumerate(rows):
+        written = [0] * phi.cols
+        for j, x in items:
+            assert x and not written[j]
+            written[j] = x
+        assert written == phi.row(i)
+    got = sparse_rank(rows, p)
+    assert got == rank(phi)
+    assert sorted(_sparse_echelon(rows, p)) == forward_echelon(phi)[1]
+    assert got == phi.cols - len(hom_basis(m, n))
+    if field == QQ:
+        assert got <= qq_rank
 
 
 _ext_scalars = {

@@ -431,7 +431,7 @@ def _test_algebras(field):
     p1 = standard_module(k2, field, "projective", 1)
     p2 = standard_module(k2, field, "projective", 2)
     y2 = tower(r0, check_semibrick([r0]), 2).levels[-1]
-    reps = levels + [direct_sum(parts)[0] for parts in ([r0, r0], [p1, p2], [r0, y2])]
+    reps = list(levels) + [direct_sum(parts)[0] for parts in ([r0, r0], [p1, p2], [r0, y2])]
     return [end_algebra(m) for m in reps]
 
 
@@ -560,7 +560,7 @@ def test_uniserial_check_refuses_a_split_level(r0, sb0):
     # the same split level on top of a genuine Y(2)
     good = tower(r0, sb0, 2)
     top = extension_middle(r0, good.levels[1], ExtCocycle.zero(r0, good.levels[1]))
-    t3 = Tower(r0, sb0, good.levels + [top.middle], good.sequences + [top])
+    t3 = Tower(r0, sb0, list(good.levels) + [top.middle], list(good.sequences) + [top])
     assert uniserial_check(good) is True
     assert uniserial_check(t3) is False
 
@@ -570,7 +570,7 @@ def test_tower_refuses_levels_and_sequences_that_do_not_chain(r0, sb0):
     r0_cubed = direct_sum([r0, r0, r0])[0]
     assert r0_cubed.dims == t.levels[-1].dims
     with pytest.raises(InvariantError, match="sequence 2 does not join level 2 to level 3"):
-        Tower(r0, sb0, t.levels[:-1] + [r0_cubed], t.sequences)
+        Tower(r0, sb0, list(t.levels[:-1]) + [r0_cubed], t.sequences)
     with pytest.raises(InvariantError, match="3 tower levels need 2 sequences, got 1"):
         Tower(r0, sb0, t.levels, t.sequences[:-1])
     with pytest.raises(InvariantError, match="sequence 1 does not join level 1 to level 2"):
@@ -578,6 +578,21 @@ def test_tower_refuses_levels_and_sequences_that_do_not_chain(r0, sb0):
     for levels in ([], t.levels[1:]):
         with pytest.raises(InvariantError, match="must start at the base"):
             Tower(r0, sb0, levels, t.sequences[1:])
+
+
+def test_tower_chain_cannot_be_changed_after_construction(r0, sb0):
+    levels, sequences = [r0], []
+    t = Tower(r0, sb0, levels, sequences)
+    levels.append(r0)
+    assert t.levels == (r0,) and t.sequences == ()
+    grown = tower(r0, sb0, 3)
+    with pytest.raises(AttributeError):
+        grown.levels.append(r0)
+    with pytest.raises(AttributeError):
+        grown.sequences.append(grown.sequences[0])
+    with pytest.raises(TypeError):
+        grown.levels[2] = r0
+    assert uniserial_check(grown) is True
 
 
 @st.composite
