@@ -206,7 +206,7 @@ _SCALARS_ONLY = BrickReport(
 def _end_is_scalars_by_rank(m: Rep) -> bool:
     """True only if dim End(m) = 1, read off one rank of the intertwining system.
 
-    End(m) is the kernel of Phi = ``_intertwine_matrix(m, m)``, and the
+    End(m) is the kernel of Phi, the intertwining system of (m, m), and the
     identity lies in it, so rank Phi <= cols - 1 and dim End = 1 exactly
     when rank Phi = cols - 1.  Over GF(p) that rank is taken of Phi itself.
     Over QQ it is taken of Phi_p, the intertwining matrix of m's arrow maps

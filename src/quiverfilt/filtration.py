@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .bricks import SemiBrickCert
 from .errors import InvariantError
 from .homext import hom_basis
-from .linalg import Matrix, hstack, preimage_basis
+from .linalg import Matrix, hstack, preimage_basis, rank
 from .reps import (
     Morphism,
     Rep,
@@ -100,8 +100,6 @@ def decompose_semisimple(l: Rep, sb: SemiBrickCert) -> SemisimpleDecomposition:
     witness = Morphism(total, l, blocks)
     if witness.is_isomorphism():
         return SemisimpleDecomposition(True, mults, witness, total, None)
-    from .linalg import rank
-
     diagnostics = {
         "reason": "assembled map is not an isomorphism",
         "source_dims": total.dim_vector(),

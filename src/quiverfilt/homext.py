@@ -20,13 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import lcm
 
 from .errors import InvariantError, UndecidedError
 from .linalg import (
     Matrix,
     RowSpace,
-    forward_echelon,
+    _row_forward_echelon,
+    _row_kernel,
     hstack,
     mat_from_cols,
     nullspace_basis,
@@ -58,31 +60,6 @@ def _hom_layout(m: Rep, n: Rep):
     return col_off, total
 
 
-def _intertwine_matrix(m: Rep, n: Rep) -> Matrix:
-    """Phi for Hom(M, N); over QQ it is built with its integer form.
-
-    Phi's entries are those of the M_a and -N_a, so over QQ its integer form
-    holds M_a's times ``den // d_M`` and -N_a's times ``den // d_N``.  ``den``
-    is the lcm of the denominators d of the arrow maps whose entries appear
-    in Phi, which is the lcm of the denominators of Phi's entries: M_a's
-    appear when N_{t(a)} is nonzero, N_a's when M_{s(a)} is.
-    """
-    f = m.field
-    if f.characteristic:
-        return Matrix(f, *_intertwine_entries(m, n, _prime_blocks(m, n), f.zero))
-    maps = _arrow_pairs(m, n)
-    forms = [(a._integer_form(), b._integer_form()) for a, b in maps]
-    den = 1
-    for (_, s, t), ((_, dm), (_, dn)) in zip(m.quiver.arrows, forms):
-        den = lcm(den, dm if n.dims[t] else 1, dn if m.dims[s] else 1)
-    blocks = [(a.entries, [-x for x in b.entries]) for a, b in maps]
-    phi = Matrix(f, *_intertwine_entries(m, n, blocks, f.zero))
-    int_blocks = [([x * (den // dm) for x in mi], [-x * (den // dn) for x in ni])
-                  for (mi, dm), (ni, dn) in forms]
-    phi._ints = (_intertwine_entries(m, n, int_blocks, 0)[2], den)
-    return phi
-
-
 def _arrow_pairs(m: Rep, n: Rep) -> list:
     """``(M_a, N_a)`` for each arrow a in turn."""
     if m.quiver != n.quiver or m.field != n.field:
@@ -90,10 +67,25 @@ def _arrow_pairs(m: Rep, n: Rep) -> list:
     return [(m.arrow_maps[aid], n.arrow_maps[aid]) for aid, _, _ in m.quiver.arrows]
 
 
-def _prime_blocks(m: Rep, n: Rep) -> list:
-    """The flat ``(M_a, -N_a)`` of each arrow over GF(p)."""
+def _phi_blocks(m: Rep, n: Rep) -> list:
+    """The flat ``(M_a, -N_a)`` of each arrow as Phi's rows hold them.
+
+    Over GF(p) these are residues.  Over QQ they are integers: M_a's entries
+    times ``den // d_M`` and -N_a's times ``den // d_N``, where ``den`` is the
+    lcm of the denominators d of the arrow maps whose entries appear in Phi,
+    which is the lcm of the denominators of Phi's entries: M_a's appear when
+    N_{t(a)} is nonzero, N_a's when M_{s(a)} is.
+    """
+    maps = _arrow_pairs(m, n)
     p = m.field.characteristic
-    return [(a.entries, [-x % p for x in b.entries]) for a, b in _arrow_pairs(m, n)]
+    if p:
+        return [(a.entries, [-x % p for x in b.entries]) for a, b in maps]
+    forms = [(a._integer_form(), b._integer_form()) for a, b in maps]
+    den = 1
+    for (_, s, t), ((_, dm), (_, dn)) in zip(m.quiver.arrows, forms):
+        den = lcm(den, dm if n.dims[t] else 1, dn if m.dims[s] else 1)
+    return [([x * (den // dm) for x in mi], [-x * (den // dn) for x in ni])
+            for (mi, dm), (ni, dn) in forms]
 
 
 def _intertwine_segments(m: Rep, n: Rep, blocks: list):
@@ -116,61 +108,63 @@ def _intertwine_segments(m: Rep, n: Rep, blocks: list):
                 yield t_first, ma[j::ms], col_off[s] + j, na_row, ms
 
 
-def _intertwine_entries(m: Rep, n: Rep, blocks: list, zero) -> tuple[int, int, list]:
-    """Shape and flat entries of Phi: one slice assignment per segment of
-    ``_intertwine_segments`` into a list of zeros."""
+def _phi_rows(m: Rep, n: Rep) -> list[list]:
+    """Phi for Hom(M, N) as the raw rows the ``linalg`` row kernels take:
+    one slice assignment per segment of ``_intertwine_segments`` into
+    ``[0] * ncols``, from the blocks of ``_phi_blocks``.  Over QQ row r is
+    row r of Phi times ``den``; elimination divides it by its content."""
     _, ncols = _hom_layout(m, n)
-    nrows = sum(n.dims[t] * m.dims[s] for _, s, t in m.quiver.arrows)
-    flat = [zero] * (nrows * ncols)
-    base = 0
-    for t_first, t_vals, s_first, s_vals, stride in _intertwine_segments(m, n, blocks):
-        flat[base + t_first : base + t_first + len(t_vals)] = t_vals
-        first = base + s_first
-        flat[first : first + len(s_vals) * stride : stride] = s_vals
-        base += ncols
-    return nrows, ncols, flat
+    rows = []
+    for t_first, t_vals, s_first, s_vals, stride in _intertwine_segments(
+        m, n, _phi_blocks(m, n)
+    ):
+        row = [0] * ncols
+        row[t_first : t_first + len(t_vals)] = t_vals
+        row[s_first : s_first + len(s_vals) * stride : stride] = s_vals
+        rows.append(row)
+    return rows
 
 
 def _intertwine_rows(m: Rep, n: Rep) -> list[list]:
     """Phi's rows over GF(p) as their nonzero ``(column, value)`` items, for
-    ``sparse_rank``, read off the segments the dense Phi is written from.
+    ``sparse_rank``, read off the segments ``_phi_rows`` is written from.
 
-    The dense Phi is not filled from these items: over the 668 fills of one
+    The dense rows are not filled from these items: over the 668 fills of one
     ``sweep-qq`` benchmark pass, building and writing them took 0.025-0.036 s
     against 0.009-0.016 s for the slice assignments (2 vCPUs, Python 3.11.7).
     """
     rows = []
     for t_first, t_vals, s_first, s_vals, stride in _intertwine_segments(
-        m, n, _prime_blocks(m, n)
+        m, n, _phi_blocks(m, n)
     ):
         items = [(t_first + k, x) for k, x in enumerate(t_vals) if x]
         rows.append(items + [(s_first + k * stride, x) for k, x in enumerate(s_vals) if x])
     return rows
 
 
-def _flatten_hom(f: Morphism) -> list:
-    """The blocks of f in the coordinates of ``_hom_layout``."""
-    return [x for v in f.source.quiver.vertices for x in f.blocks[v].entries]
+def _flatten(blocks: dict, keys) -> list:
+    """The entries of ``blocks[k]`` for each key in turn.  Hom blocks in
+    vertex order are coordinates on Phi's columns, cocycle components in
+    arrow order coordinates on its rows."""
+    return [x for k in keys for x in blocks[k].entries]
 
 
-def _unflatten_hom(m: Rep, n: Rep, vec: list) -> dict:
-    col_off, _ = _hom_layout(m, n)
-    blocks = {}
-    for v in m.quiver.vertices:
-        r, c = n.dims[v], m.dims[v]
-        start = col_off[v]
-        blocks[v] = Matrix(m.field, r, c, list(vec[start : start + r * c]))
+def _unflatten(field, vec: list, shapes) -> dict:
+    """The inverse of ``_flatten``: ``{key: Matrix}`` cut from ``vec`` in turn,
+    for each ``(key, rows, cols)`` of ``shapes``."""
+    blocks, off = {}, 0
+    for key, r, c in shapes:
+        blocks[key] = Matrix(field, r, c, vec[off : off + r * c])
+        off += r * c
     return blocks
 
 
 def hom_basis(m: Rep, n: Rep) -> list[Morphism]:
-    """Canonical basis of the space of morphisms M -> N."""
-    a = _intertwine_matrix(m, n)
-    basis = []
-    for vec in nullspace_basis(a):
-        blocks = _unflatten_hom(m, n, vec.col(0))
-        basis.append(Morphism(m, n, blocks))
-    return basis
+    """Canonical basis of the space of morphisms M -> N: the kernel of Phi."""
+    rows = _phi_rows(m, n)
+    shapes = [(v, n.dims[v], m.dims[v]) for v in m.quiver.vertices]
+    vecs = _row_kernel(rows, sum(r * c for _, r, c in shapes), m.field)[0]
+    return [Morphism(m, n, _unflatten(m.field, vec, shapes)) for vec in vecs]
 
 
 class ExtCocycle:
@@ -253,14 +247,18 @@ class ExtSpace:
     def __init__(self, from_rep: Rep, to_rep: Rep):
         self.from_rep = from_rep
         self.to_rep = to_rep
-        phi = _intertwine_matrix(from_rep, to_rep)
-        self._nrows = phi.rows
-        self._row_off = {}
-        off = 0
-        for aid, s, t in from_rep.quiver.arrows:
-            self._row_off[aid] = off
-            off += to_rep.dims[t] * from_rep.dims[s]
-        self._echelon, self._pivots = forward_echelon(phi.transpose())
+        rows = _phi_rows(from_rep, to_rep)
+        self._nrows = len(rows)
+        self._shapes = [
+            (aid, to_rep.dims[t], from_rep.dims[s]) for aid, s, t in from_rep.quiver.arrows
+        ]
+        # Phi's columns as strided slices of its flat entries.  Not zip(*rows):
+        # its tuple per column stays on the interpreter's free lists, which
+        # raises the tracemalloc peak of a preproj-gf101 pass by 0.045 MiB.
+        flat, ncols = list(chain.from_iterable(rows)), _hom_layout(from_rep, to_rep)[1]
+        self._echelon, self._pivots = _row_forward_echelon(
+            [flat[j::ncols] for j in range(ncols)], self._nrows, from_rep.field.characteristic
+        )
         pivot_set = set(self._pivots)
         self._free = [c for c in range(self._nrows) if c not in pivot_set]
         self.dim = len(self._free)
@@ -270,28 +268,11 @@ class ExtSpace:
     def _coboundaries(self) -> RowSpace:
         return RowSpace.from_echelon(self.from_rep.field, self._echelon, self._pivots)
 
-    def _flatten(self, c: ExtCocycle) -> list:
-        if c.from_rep != self.from_rep or c.to_rep != self.to_rep:
-            raise InvariantError("cocycle belongs to a different ext space")
-        vec = [self.from_rep.field.zero] * self._nrows
-        for aid, s, t in self.from_rep.quiver.arrows:
-            comp = c.components[aid]
-            off = self._row_off[aid]
-            for idx, val in enumerate(comp.entries):
-                vec[off + idx] = val
-        return vec
-
-    def _unflatten(self, vec: list) -> ExtCocycle:
-        comps = {}
-        for aid, s, t in self.from_rep.quiver.arrows:
-            r, c = self.to_rep.dims[t], self.from_rep.dims[s]
-            off = self._row_off[aid]
-            comps[aid] = Matrix(self.from_rep.field, r, c, list(vec[off : off + r * c]))
-        return ExtCocycle(self.from_rep, self.to_rep, comps)
-
     def reduce(self, c: ExtCocycle) -> list:
         """Coordinates of the class of c in the canonical cokernel basis."""
-        vec = self._coboundaries.reduce(self._flatten(c))
+        if c.from_rep != self.from_rep or c.to_rep != self.to_rep:
+            raise InvariantError("cocycle belongs to a different ext space")
+        vec = self._coboundaries.reduce(_flatten(c.components, [k for k, _, _ in self._shapes]))
         if any(vec[pivot] for pivot in self._pivots):
             raise InvariantError("cocycle reduction failed to clear pivots")
         return [vec[c_idx] for c_idx in self._free]
@@ -315,7 +296,7 @@ class ExtSpace:
         vec = [f.zero] * self._nrows
         for fc, c in zip(self._free, coords):
             vec[fc] = f.of(c)
-        return self._unflatten(vec)
+        return ExtCocycle(self.from_rep, self.to_rep, _unflatten(f, vec, self._shapes))
 
 
 def ext_basis(m: Rep, n: Rep) -> tuple[list[ExtCocycle], int]:
@@ -546,11 +527,12 @@ def ses_equivalence_witness(
     # They are f's entries at the free columns of Phi, so the solution with
     # free coordinates zero depends only on the solution set: f is canonical.
     basis = hom_basis(top.middle, bottom.middle)
+    vs = quot.quiver.vertices
     cols = [
-        _flatten_hom(compose(top.incl, b)) + _flatten_hom(compose(b, bottom.proj))
+        _flatten(compose(top.incl, b).blocks, vs) + _flatten(compose(b, bottom.proj).blocks, vs)
         for b in basis
     ]
-    rhs = _flatten_hom(bottom.incl) + _flatten_hom(compose(top.proj, g_found))
+    rhs = _flatten(bottom.incl.blocks, vs) + _flatten(compose(top.proj, g_found).blocks, vs)
     coords = solve(mat_from_cols(fld, len(rhs), cols), Matrix(fld, len(rhs), 1, rhs))
     if coords is None:
         raise InvariantError("ladder system inconsistent despite matching classes")

@@ -8,25 +8,26 @@ package.
 The hot kernels (``rref``, ``Matrix.mul`` and the row kernels below) bypass
 ``Field`` and specialise on the characteristic: ``int`` arithmetic with one
 ``% p`` per result over GF(p), ``int`` arithmetic on cleared denominators
-over the rationals.  Elimination over the rationals does no ``Fraction``
-arithmetic at all and reads a matrix only through ``_integer_form()``: it
-takes each row of that form divided by its content (the gcd of its entries)
-and eliminates by cross-multiplication on rows kept primitive.  There is one
-elimination loop: ``forward_echelon`` clears each pivot's column below it;
-``rank`` counts its pivots, and ``RowSpace.from_echelon`` spans its rows,
-building one ``Fraction`` per nonzero entry.  ``rref`` is
-``forward_echelon`` plus back-substitution, each pivot row from the last up
-clearing its column above it, and builds each ``Fraction`` of the result
-once, from a pivot row and its pivot entry.  Both passes clear rows with
-``_clear_column`` alone.  ``nullspace_basis`` builds each kernel entry once
-from the same echelon rows and builds no reduced matrix.  The one sparse
-routine is ``sparse_rank``, over GF(p) only: it takes rows as their nonzero
-``(column, value)`` items and eliminates them one at a time in column order,
-pivoting on each row's leftmost nonzero column.  Over QQ every
-``Matrix`` keeps its integer form, its entries times the lcm ``den`` of
-their denominators, once a product or an elimination has read it.  Two kinds
-are born with it: Phi of ``homext._intertwine_matrix``, built from the arrow
-maps' forms, and the transpose of a matrix whose form is cached.
+over the rationals.  Elimination runs on raw rows, ``(rows, ncols, p)``:
+residues over GF(p), integers over the rationals, which ``_rows`` reads off a
+``Matrix`` (its entries, or its ``_integer_form()``) and which callers such
+as ``homext`` may build directly.  Over the rationals it does no ``Fraction``
+arithmetic at all: it takes each row divided by its content (the gcd of its
+entries) and eliminates by cross-multiplication on rows kept primitive.
+There is one elimination loop: ``_row_forward_echelon`` clears each pivot's
+column below it; ``rank`` counts its pivots, and ``RowSpace.from_echelon``
+spans its rows, building one ``Fraction`` per nonzero entry.
+``_row_echelon`` adds back-substitution, each pivot row from the last up
+clearing its column above it; ``rref`` builds each ``Fraction`` of its
+result once, from a pivot row and its pivot entry.  Both passes clear rows
+with ``_clear_column`` alone.  ``_row_kernel`` (behind ``nullspace_basis``)
+builds each kernel entry once from the same echelon rows and builds no
+reduced matrix.  The one sparse routine is ``sparse_rank``, over GF(p) only:
+it takes rows as their nonzero ``(column, value)`` items and eliminates them
+one at a time in column order, pivoting on each row's leftmost nonzero
+column.  Over QQ every ``Matrix`` keeps its integer form, its entries times
+the lcm ``den`` of their denominators, once a product or an elimination has
+read it; the transpose of a matrix whose form is cached is born with it.
 ``Matrix.mul`` multiplies the two integer forms and builds each nonzero
 entry of the result once, as ``Fraction(x, la*lb)``.  ``products_equal(a, b,
 c, d)`` decides ``a*b == c*d`` on integers and builds no field element: over
@@ -259,10 +260,10 @@ class Matrix:
 
     Over QQ a matrix keeps its integer form once a product or an elimination
     has read it (see ``_integer_form``); QQ elimination reads nothing else.
-    Phi of ``homext._intertwine_matrix`` and the transpose of a matrix whose
-    form is cached are built with it.  The cache is sound only because
-    ``entries`` never changes: no routine writes to ``entries``, or to a list
-    after passing it to ``Matrix(...)``.
+    The transpose of a matrix whose form is cached is built with it.  The
+    cache is sound only because ``entries`` never changes: no routine writes
+    to ``entries``, or to a list after passing it to ``Matrix(...)``.  Only
+    this module sets ``_ints``.
     """
 
     __slots__ = ("field", "rows", "cols", "entries", "_ints")
@@ -652,7 +653,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     Returns the reduced matrix and the tuple of pivot column indices.  The
     output is canonical: equal row spaces give equal results.
     """
-    rows, pivots = _echelon(m)
+    rows, pivots = _row_echelon(_rows(m), m.cols, m.field.characteristic)
     zero = m.field.zero
     if m.field.characteristic:
         flat = [x for row in rows for x in row]
@@ -666,18 +667,11 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def _rows(m: Matrix) -> list[list]:
-    """Fresh rows of m to eliminate on.
-
-    Over GF(p) these are the entries.  Over QQ they are the rows of
-    ``m._integer_form()`` divided by their content; a row of the whole
-    matrix's form is a positive multiple of the row's own, so each
-    primitive row depends on that row alone.
-    """
+    """Fresh raw rows of m for the row kernels: the entries over GF(p), the
+    rows of ``m._integer_form()`` over QQ."""
     n = m.cols
-    if m.field.characteristic:
-        return [m.entries[i * n : (i + 1) * n] for i in range(m.rows)]
-    ints = m._integer_form()[0]
-    return [_primitive(ints[i * n : (i + 1) * n]) for i in range(m.rows)]
+    flat = m.entries if m.field.characteristic else m._integer_form()[0]
+    return [flat[i * n : (i + 1) * n] for i in range(m.rows)]
 
 
 def _primitive(row: list) -> list:
@@ -686,17 +680,16 @@ def _primitive(row: list) -> list:
     return row if g < 2 else [x // g for x in row]
 
 
-def _echelon(m: Matrix) -> tuple[list[list], list[int]]:
-    """The nonzero rows of rref(m), up to scaling, and their pivot columns.
+def _row_echelon(rows: list[list], ncols: int, p: int) -> tuple[list[list], list[int]]:
+    """The nonzero rows of the rref of ``rows``, up to scaling, and their pivot columns.
 
-    The rows of ``forward_echelon``, then back-substitution: from the last
-    pivot row up, each pivot row clears its column in the rows above it.
-    Over GF(p) the pivots are units, so the rows are those of rref(m).  Over
-    QQ they stay primitive integer rows, and row i of rref(m) is ``rows[i]``
-    divided by its pivot entry, whose sign may be either.
+    The rows of ``_row_forward_echelon``, then back-substitution: from the
+    last pivot row up, each pivot row clears its column in the rows above
+    it.  Over GF(p) the pivots are units, so the rows are those of the rref.
+    Over QQ they stay primitive integer rows, and row i of the rref is
+    ``rows[i]`` divided by its pivot entry, whose sign may be either.
     """
-    rows, pivots = forward_echelon(m)
-    p = m.field.characteristic
+    rows, pivots = _row_forward_echelon(rows, ncols, p)
     for k in range(len(pivots) - 1, 0, -1):
         c = pivots[k]
         # Most pivot columns of a sparse input are already clear above, so
@@ -709,20 +702,27 @@ def _echelon(m: Matrix) -> tuple[list[list], list[int]]:
 
 
 def forward_echelon(m: Matrix) -> tuple[list[list], list[int]]:
-    """Echelon rows of m by forward elimination only, and their pivot columns.
+    """``_row_forward_echelon`` of the rows of m."""
+    return _row_forward_echelon(_rows(m), m.cols, m.field.characteristic)
 
-    Each pivot row clears the rows below it; nothing above a pivot is
-    touched.  The rows are those of ``_rows``: over GF(p) each pivot row is
-    scaled to a unit; over QQ they stay primitive integer rows, with pivot
-    entries of either sign, and no ``Fraction`` is built.  Row i is zero
-    before its pivot and at the pivots of the rows before it.  The pivots
-    are those of rref(m), and the rows span the row space of m.
+
+def _row_forward_echelon(rows: list[list], ncols: int, p: int) -> tuple[list[list], list[int]]:
+    """Echelon rows by forward elimination only, and their pivot columns.
+
+    ``rows`` are fresh lists of length ``ncols``, eliminated in place: over
+    GF(p) residues, each pivot row scaled to a unit; over QQ integers, each
+    row first divided by its content and kept primitive, with pivot entries
+    of either sign, and no ``Fraction`` is built.  A primitive row depends
+    only on the row's own entries up to a positive factor, so rows scaled by
+    any common positive ``den`` eliminate alike.  Each pivot row clears the
+    rows below it; nothing above a pivot is touched.  Row i is zero before
+    its pivot and at the pivots of the rows before it.  The pivots are those
+    of the rref, and the rows span the same row space.
     """
-    p = m.field.characteristic
-    rows = [row for row in _rows(m) if any(row)]
+    rows = [row if p else _primitive(row) for row in rows if any(row)]
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
+    for c in range(ncols):
         if r == len(rows):
             break
         for i in range(r, len(rows)):
@@ -811,21 +811,26 @@ def _sparse_echelon(rows: Iterable[list], p: int) -> dict:
 
 
 def _kernel_vectors(m: Matrix) -> tuple[list[list], list[int]]:
-    """The canonical kernel basis of m as coordinate lists, and the free columns.
+    """``_row_kernel`` of the rows of m."""
+    return _row_kernel(_rows(m), m.cols, m.field)
 
-    One vector per free column of rref(m), in increasing order, with a 1 at
-    its free column fc and, at each pivot column pc, the entry of rref(m) at
-    fc negated.  Each entry is built once from the echelon row: ``-row[fc] %
-    p`` over GF(p), ``Fraction(-row[fc], row[pc])`` over QQ.
+
+def _row_kernel(rows: list[list], ncols: int, f: Field) -> tuple[list[list], list[int]]:
+    """The canonical kernel basis of ``rows`` as coordinate lists, and the free columns.
+
+    ``rows`` are raw rows as ``_row_forward_echelon`` takes them.  One vector
+    per free column of the rref, in increasing order, with a 1 at its free
+    column fc and, at each pivot column pc, the entry of the rref at fc
+    negated.  Each entry is built once from the echelon row: ``-row[fc] % p``
+    over GF(p), ``Fraction(-row[fc], row[pc])`` over QQ.
     """
-    f = m.field
     p = f.characteristic
-    rows, pivots = _echelon(m)
+    rows, pivots = _row_echelon(rows, ncols, p)
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    free = [c for c in range(ncols) if c not in pivot_set]
     vecs = []
     for fc in free:
-        vec = [f.zero] * m.cols
+        vec = [f.zero] * ncols
         vec[fc] = f.one
         for row, pc in zip(rows, pivots):
             x = row[fc]

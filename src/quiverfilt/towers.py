@@ -16,7 +16,7 @@ from itertools import islice
 
 from .bricks import AlgebraPresentation, SemiBrickCert, end_algebra, end_coordinates, is_brick
 from .errors import BudgetError, InapplicableError, InvariantError
-from .filtration import _require_cert
+from .filtration import _require_cert, decompose_semisimple
 from .homext import (
     ExtCocycle,
     ExtSpace,
@@ -146,8 +146,6 @@ def is_universal(ses: ShortExactSequence, sb: SemiBrickCert) -> UniversalityRepo
     universal iff every member's connecting matrix is square and invertible.
     """
     _require_cert(sb)
-    from .filtration import decompose_semisimple
-
     dec = decompose_semisimple(ses.quot, sb)
     if not dec.ok:
         raise InvariantError("quotient does not decompose over the semi-brick")

@@ -17,7 +17,7 @@ from quiverfilt import (
     linear_quiver,
     quasi_simple,
 )
-from quiverfilt.homext import ExtCocycle, _intertwine_matrix
+from quiverfilt.homext import ExtCocycle
 from quiverfilt.linalg import RowSpace, hstack, rref
 
 
@@ -122,9 +122,40 @@ def reference_nullspace(m):
     return basis
 
 
+def reference_intertwine_matrix(m, n):
+    """Reference: Phi for Hom(m, n), written entry by entry through Field.add/sub.
+
+    Row (i, j) of arrow a: s -> t holds entry (i, j) of F_t M_a - N_a F_s;
+    the columns are the blocks F_v in vertex order, each row-major.
+    """
+    f = m.field
+    quiver = m.quiver
+    col_off, ncols = {}, 0
+    for v in quiver.vertices:
+        col_off[v] = ncols
+        ncols += n.dims[v] * m.dims[v]
+    nrows = sum(n.dims[t] * m.dims[s] for _, s, t in quiver.arrows)
+    flat = [f.zero] * (nrows * ncols)
+    r = 0
+    for aid, s, t in quiver.arrows:
+        ma, na = m.arrow_maps[aid], n.arrow_maps[aid]
+        for i in range(n.dims[t]):
+            for j in range(m.dims[s]):
+                base = r * ncols
+                for l in range(m.dims[t]):
+                    c = base + col_off[t] + i * m.dims[t] + l
+                    flat[c] = f.add(flat[c], ma.at(l, j))
+                for l in range(n.dims[s]):
+                    c = base + col_off[s] + l * m.dims[s] + j
+                    flat[c] = f.sub(flat[c], na.at(i, l))
+                r += 1
+    return Matrix(f, nrows, ncols, flat)
+
+
 def reference_ext(m, n):
-    """Reference: Ext^1(m, n) built from the full rref of Phi^T, its reduced
-    rows re-added one by one to a ``RowSpace``.
+    """Reference: Ext^1(m, n) built from the full rref of Phi^T, Phi from
+    ``reference_intertwine_matrix``, its reduced rows re-added one by one to
+    a ``RowSpace``.
 
     Returns ``dim``, ``coboundary_rank``, the ``basis`` cocycles (a 1 at one
     free coordinate of the rref, zero elsewhere) and ``reduce``, the class
@@ -132,7 +163,7 @@ def reference_ext(m, n):
     coboundaries, read at the free coordinates.
     """
     f = m.field
-    reduced, pivots = rref(_intertwine_matrix(m, n).transpose())
+    reduced, pivots = rref(reference_intertwine_matrix(m, n).transpose())
     space = RowSpace(f, (reduced.row(i) for i in range(len(pivots))))
     free = [c for c in range(reduced.cols) if c not in pivots]
     shapes = [(aid, n.dims[t], m.dims[s]) for aid, s, t in m.quiver.arrows]

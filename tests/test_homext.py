@@ -37,14 +37,14 @@ from quiverfilt import (
 from quiverfilt.bricks import _MODULAR_PRIME
 from quiverfilt.errors import InvariantError, UndecidedError
 from quiverfilt.homext import (
-    _intertwine_matrix,
     _intertwine_rows,
+    _phi_rows,
     pullback_with_map,
     pushout_with_map,
 )
 from quiverfilt.linalg import (
     Matrix,
-    _integer_multiple,
+    _rows,
     _sparse_echelon,
     forward_echelon,
     inverse,
@@ -56,7 +56,15 @@ from quiverfilt.linalg import (
 )
 from quiverfilt.reps import linear_combination
 
-from conftest import columns_contained, draw_rep, field_scalar, make_x11, reference_ext
+from conftest import (
+    columns_contained,
+    draw_rep,
+    field_scalar,
+    make_x11,
+    reference_ext,
+    reference_intertwine_matrix,
+    reference_nullspace,
+)
 
 
 def x_k3():
@@ -509,46 +517,6 @@ def test_short_exact_sequence_rejects_each_broken_condition(r0):
             ShortExactSequence(*args)
 
 
-def _reference_intertwine_matrix(m, n):
-    """The Hom(m, n) equations written entry by entry through Field.add/sub."""
-    f = m.field
-    quiver = m.quiver
-    col_off, ncols = {}, 0
-    for v in quiver.vertices:
-        col_off[v] = ncols
-        ncols += n.dims[v] * m.dims[v]
-    nrows = sum(n.dims[t] * m.dims[s] for _, s, t in quiver.arrows)
-    flat = [f.zero] * (nrows * ncols)
-    r = 0
-    for aid, s, t in quiver.arrows:
-        ma, na = m.arrow_maps[aid], n.arrow_maps[aid]
-        for i in range(n.dims[t]):
-            for j in range(m.dims[s]):
-                base = r * ncols
-                for l in range(m.dims[t]):
-                    c = base + col_off[t] + i * m.dims[t] + l
-                    flat[c] = f.add(flat[c], ma.at(l, j))
-                for l in range(n.dims[s]):
-                    c = base + col_off[s] + l * m.dims[s] + j
-                    flat[c] = f.sub(flat[c], na.at(i, l))
-                r += 1
-    return Matrix(f, nrows, ncols, flat)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([QQ, GF(2), GF(101)]),
-    st.sampled_from([kronecker(2), kronecker(3), linear_quiver(3)]),
-    st.data(),
-)
-def test_intertwine_matrix_matches_reference(field, quiver, data):
-    m = draw_rep(data, quiver, field, max_dim=3)
-    n = draw_rep(data, quiver, field, max_dim=3)
-    got = _intertwine_matrix(m, n)
-    assert got == _reference_intertwine_matrix(m, n)
-    assert all(type(x) is type(field.zero) for x in got.entries)
-
-
 _wide_denominators = st.one_of(
     st.just(QQ.zero),
     st.builds(
@@ -558,20 +526,53 @@ _wide_denominators = st.one_of(
     ),
 )
 
+_phi_scalars = {
+    QQ: _wide_denominators,
+    GF(2): field_scalar(GF(2)),
+    GF(101): field_scalar(GF(101)),
+}
+
+_phi_cases = (
+    st.sampled_from([kronecker(2), kronecker(3), linear_quiver(3)]),
+    st.sampled_from(list(_phi_scalars)),
+    st.data(),
+)
+
+
+def _draw_phi_pair(data, quiver, field):
+    """Two random reps with dims 0..3, over QQ with denominators up to 2^40."""
+    scalar = _phi_scalars[field]
+    return [draw_rep(data, quiver, field, max_dim=3, scalar=scalar) for _ in range(2)]
+
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([kronecker(2), kronecker(3), linear_quiver(3)]), st.data())
-def test_intertwine_matrix_is_built_with_its_exact_integer_form(quiver, data):
-    """Over QQ, Phi and its transpose carry the integer form their entries
-    give, ``den`` included, also where a zero-dimensional vertex keeps an
-    arrow map's denominators out of Phi."""
-    m = draw_rep(data, quiver, QQ, max_dim=3, scalar=_wide_denominators)
-    n = draw_rep(data, quiver, QQ, max_dim=3, scalar=_wide_denominators)
-    phi = _intertwine_matrix(m, n)
-    assert phi == _reference_intertwine_matrix(m, n)
-    for x in (phi, phi.transpose()):
-        assert x._ints is not None
-        assert x._ints == _integer_multiple(x.entries)
+@given(*_phi_cases)
+def test_intertwine_matrix_matches_reference(quiver, field, data):
+    """``_phi_rows`` are the raw rows the row kernels read off the reference
+    Phi: its entries over GF(p); over QQ its integer form, the entries times
+    the lcm of their denominators, also where a zero-dimensional vertex keeps
+    an arrow map's denominators out of Phi."""
+    m, n = _draw_phi_pair(data, quiver, field)
+    got = _phi_rows(m, n)
+    assert got == _rows(reference_intertwine_matrix(m, n))
+    assert all(type(x) is int for row in got for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(*_phi_cases)
+def test_hom_basis_matches_the_reference_kernel(quiver, field, data):
+    """``hom_basis`` against the kernel of the reference Phi read off its
+    rref, each vector cut into per-vertex blocks in vertex order."""
+    m, n = _draw_phi_pair(data, quiver, field)
+    want = []
+    for vec in reference_nullspace(reference_intertwine_matrix(m, n)):
+        entries, off, blocks = vec.col(0), 0, {}
+        for v in quiver.vertices:
+            r, c = n.dims[v], m.dims[v]
+            blocks[v] = Matrix(field, r, c, entries[off : off + r * c])
+            off += r * c
+        want.append(blocks)
+    assert [f.blocks for f in hom_basis(m, n)] == want
 
 
 def _reduced_mod(m, p):
@@ -612,10 +613,10 @@ def test_sparse_rank_of_phi_rows_matches_dense_rank(field, quiver, data):
     m = _sparse_rank_input(data, quiver, field)
     n = m if data.draw(st.booleans()) else _sparse_rank_input(data, quiver, field)
     if field == QQ:
-        qq_rank = rank(_intertwine_matrix(m, n))
+        qq_rank = rank(reference_intertwine_matrix(m, n))
         m, n = _reduced_mod(m, _MODULAR_PRIME), _reduced_mod(n, _MODULAR_PRIME)
     p = m.field.characteristic
-    phi = _intertwine_matrix(m, n)
+    phi = reference_intertwine_matrix(m, n)
     rows = _intertwine_rows(m, n)
     assert len(rows) == phi.rows
     for i, items in enumerate(rows):
@@ -632,26 +633,14 @@ def test_sparse_rank_of_phi_rows_matches_dense_rank(field, quiver, data):
         assert got <= qq_rank
 
 
-_ext_scalars = {
-    QQ: _wide_denominators,
-    GF(2): field_scalar(GF(2)),
-    GF(101): field_scalar(GF(101)),
-}
-
-
 @settings(max_examples=150, deadline=None)
-@given(
-    st.sampled_from([kronecker(2), kronecker(3), linear_quiver(3)]),
-    st.sampled_from(list(_ext_scalars)),
-    st.data(),
-)
+@given(*_phi_cases)
 def test_ext_space_matches_the_rref_reference(quiver, field, data):
     """``ExtSpace`` from one forward elimination against the full rref of
     Phi^T: the same dimensions, basis cocycles and reduced coordinates of
     random cocycles, zero-dimensional vertices included."""
-    scalar = _ext_scalars[field]
-    m = draw_rep(data, quiver, field, max_dim=3, scalar=scalar)
-    n = draw_rep(data, quiver, field, max_dim=3, scalar=scalar)
+    scalar = _phi_scalars[field]
+    m, n = _draw_phi_pair(data, quiver, field)
     space, ref = ExtSpace(m, n), reference_ext(m, n)
     assert (space.dim, space.coboundary_rank) == (ref.dim, ref.coboundary_rank)
     got = space.basis()

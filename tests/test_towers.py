@@ -42,12 +42,10 @@ from quiverfilt import (
 )
 from quiverfilt.bricks import end_coordinates
 from quiverfilt.errors import BudgetError, InapplicableError, InvariantError
-from quiverfilt.homext import ShortExactSequence, _intertwine_matrix
+from quiverfilt.homext import ShortExactSequence
 from quiverfilt.linalg import (
     RowSpace,
     _integer_multiple,
-    nullspace_basis,
-    rank,
     solve,
     unit_vectors,
 )
@@ -478,10 +476,9 @@ def _cache_guard_case(name):
 
 @pytest.mark.parametrize("name", ["K2", "K3", "A3"])
 def test_cached_integer_forms_match_the_entries_after_a_tower(name):
-    """Every arrow map and basis block read by a QQ product, and every Phi
-    between the tower's levels and its transpose, keeps its entries, and its
-    cached integer form is the one its entries give now, after elimination
-    has read it."""
+    """Every arrow map and basis block read by a QQ product keeps its
+    entries, and its cached integer form is the one its entries give now,
+    after elimination has read it."""
     base, members = _cache_guard_case(name)
     seen = {}
 
@@ -509,13 +506,6 @@ def test_cached_integer_forms_match_the_entries_after_a_tower(name):
     assert et.ok
     for alg in et.algebras:
         watch(*alg.basis)
-    phis = [_intertwine_matrix(a, b) for a in t.levels for b in t.levels]
-    phis += [phi.transpose() for phi in phis]
-    assert all(phi._ints is not None for phi in phis)
-    for phi in phis:
-        seen.setdefault(id(phi), (phi, list(phi.entries)))
-        nullspace_basis(phi)
-        rank(phi)
     cached = 0
     for m, before in seen.values():
         assert m.entries == before
