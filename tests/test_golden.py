@@ -28,6 +28,7 @@ and says so in the change log.
 
 import json
 import os
+import random
 import sys
 
 import pytest
@@ -65,13 +66,20 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 # R_0 + R_1 on the Kronecker quiver over QQ: End has dimension 2, and the
 # brick report carries an idempotent witness.
 BRICK_INPUT = os.path.join(GOLDEN, "inputs", "r0_plus_r1.json")
-# Level 3 of the tower over R_0 with X = {R_0} over QQ, dims (3, 3).
+# Level 3 of the tower over R_0 with X = {R_0} over QQ, dims (3, 3); End has
+# dimension 3 and no witness, so its brick report carries the trace-form radical.
 Y3_INPUT = os.path.join(GOLDEN, "inputs", "y3_r0.json")
+# R_0 + R_inf + R_inf over QQ in a seeded unimodular change of basis, dims (3, 3):
+# End has dimension 5, and the brick report carries a non-invertible
+# non-nilpotent witness.
+TWISTED_INPUT = os.path.join(GOLDEN, "inputs", "r0_rinf_rinf_twisted.json")
 
 CLI_CASES = {
     "hom": ["hom", "--quiver", "k3", "--field", "f5", "--left", "p1", "--right", "p2"],
     "ext": ["ext", "--quiver", "k3", "--left", "x11:1,0,0", "--right", "x11:0,1,0"],
     "brick": ["brick", "--module", BRICK_INPUT],
+    "brick-y3": ["brick", "--module", Y3_INPUT],
+    "brick-twisted": ["brick", "--module", TWISTED_INPUT],
     "semibrick": ["semibrick", "--members", "r0", "r1", "rinf"],
     "tower": ["tower", "--base", "r1", "--semibrick", "r1", "--levels", "4"],
     "endtower": ["endtower", "--base", "r0", "--semibrick", "r0", "--levels", "4"],
@@ -117,6 +125,27 @@ def _twisted_a3_pair():
     }
     twisted = {aid: g[t].mul(maps[aid]).mul(inverse(g[s])) for aid, s, t in q.arrows}
     return m, Rep(q, QQ, dims, twisted)
+
+
+def _unimodular(rng, n):
+    """An n x n integer matrix of determinant 1: 2n random elementary row operations."""
+    g = Matrix.identity(QQ, n)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        e = Matrix.identity(QQ, n).to_rows()
+        e[i][j] = QQ.of(rng.choice([-2, -1, 1, 2]))
+        g = Matrix.from_rows(QQ, e).mul(g)
+    return g
+
+
+def _twisted_r0_rinf_rinf():
+    """R_0 + R_inf + R_inf with each vertex's basis changed by a seeded unimodular g_v."""
+    r0, rinf = quasi_simple(QQ, QQ.of(0)), quasi_simple(QQ, "inf")
+    m = direct_sum([r0, rinf, rinf])[0]
+    rng = random.Random(2)
+    g = {v: _unimodular(rng, 3) for v in m.quiver.vertices}
+    maps = {aid: g[t].mul(m.arrow_maps[aid]).mul(inverse(g[s])) for aid, s, t in m.quiver.arrows}
+    return Rep(m.quiver, QQ, m.dims, maps)
 
 
 def _witness_text():
@@ -272,6 +301,7 @@ def _record():
     save(direct_sum([quasi_simple(QQ, QQ.of(0)), quasi_simple(QQ, QQ.of(1))])[0], BRICK_INPUT)
     r0 = quasi_simple(QQ, QQ.of(0))
     save(tower(r0, check_semibrick([r0]), 3).levels[-1], Y3_INPUT)
+    save(_twisted_r0_rinf_rinf(), TWISTED_INPUT)
     for name in CLI_CASES:
         _cli_report(name, os.path.join(GOLDEN, f"{name}.json"))
     with open(os.path.join(GOLDEN, "is_isomorphic_a3_witness.json"), "wb") as fh:
