@@ -7,8 +7,8 @@ End basis is built; a failed test falls back to ``end_algebra``.  Larger
 endomorphism algebras are either refuted by an explicit witness (a
 nontrivial idempotent or a non-invertible non-nilpotent element, both
 re-checkable) or reported as ``local_not_certified`` together with
-trace-form radical evidence in characteristic 0.  Deciding "division ring"
-beyond dimension 1 is out of scope.
+trace-form radical evidence in characteristic 0, the radical of tr(y o x) on
+M, J(End M).  Deciding "division ring" beyond dimension 1 is out of scope.
 """
 
 from __future__ import annotations
@@ -17,17 +17,8 @@ from dataclasses import dataclass
 
 from .errors import InvariantError
 from .homext import ExtSpace, _hom_layout, _intertwine_rows, hom_basis
-from .linalg import (
-    GF,
-    Matrix,
-    is_invertible,
-    mat_from_cols,
-    rank,
-    sparse_rank,
-    unit_vectors,
-    vstack,
-)
-from .reps import Morphism, Rep, is_isomorphic, linear_combination
+from .linalg import GF, Matrix, mat_from_cols, sparse_rank, unit_vectors, vstack
+from .reps import Morphism, Rep, is_isomorphic, linear_combination, trace_pairing_rank
 
 
 @dataclass(frozen=True)
@@ -252,11 +243,12 @@ def is_brick(m: Rep) -> BrickReport:
 def _brick_report_of_end(m: Rep) -> BrickReport:
     """The brick verdict of a nonzero m read off its endomorphism algebra.
 
-    When neither dim End = 1 nor a witness applies the verdict is
-    ``local_not_certified``; over characteristic 0 the report then carries
-    the radical of the trace form tr(L_a L_b) on the endomorphism algebra,
-    whose rank defect equals the Jacobson radical dimension for the
-    semisimple-quotient evidence.
+    A witness is a nontrivial idempotent or an endomorphism that is neither
+    an automorphism nor nilpotent.  Otherwise the verdict is
+    ``local_not_certified``, and over characteristic 0 the report carries the
+    radical of the trace form tr(y o x) on M over End(m), from one product
+    (``trace_pairing_rank``): a nil ideal containing J(End m) (Newton's
+    identities), so its dimension is dim J.
     """
     alg = end_algebra(m)
     d = alg.dimension
@@ -277,8 +269,7 @@ def _brick_report_of_end(m: Rep) -> BrickReport:
                 None,
                 "nontrivial idempotent endomorphism found",
             )
-        op = alg.operator_matrix(cand)
-        if not is_invertible(op) and not alg.is_nilpotent(cand):
+        if not alg.element(cand).is_isomorphism() and not alg.is_nilpotent(cand):
             return BrickReport(
                 "not_brick",
                 d,
@@ -289,16 +280,7 @@ def _brick_report_of_end(m: Rep) -> BrickReport:
                 "endomorphism that is neither invertible nor nilpotent",
             )
     if f.characteristic == 0:
-        ops = [alg.operator_matrix(e) for e in unit_vectors(f, d)]
-        gram_rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                prod = ops[i].mul(ops[j])
-                row.append(_trace(prod))
-            gram_rows.append(row)
-        gram = Matrix.from_rows(f, gram_rows)
-        rad = d - rank(gram)
+        rad = d - trace_pairing_rank(alg.basis, alg.basis)
         return BrickReport(
             "local_not_certified",
             d,
@@ -317,14 +299,6 @@ def _brick_report_of_end(m: Rep) -> BrickReport:
         None,
         "no witness found; trace-form evidence only computed in characteristic 0",
     )
-
-
-def _trace(m: Matrix):
-    f = m.field
-    total = f.zero
-    for i in range(m.rows):
-        total = f.add(total, m.at(i, i))
-    return total
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,12 @@ from .errors import InvariantError, UndecidedError
 from .linalg import (
     Matrix,
     RowSpace,
+    _kernel_vectors,
     _row_forward_echelon,
     _row_kernel,
     hstack,
     mat_from_cols,
     nullspace_basis,
-    quotient_map_free,
     solve,
     unit_vectors,
     vstack,
@@ -396,7 +396,8 @@ def pullback_with_map(
     """Base change along f : W -> quot; also returns the map to the old middle.
 
     The new middle is the kernel of (proj, -f) : middle + W -> quot, with the
-    canonical kernel basis of each vertex's block as its basis.
+    canonical kernel basis of each vertex's block as its basis; that basis
+    carries an identity at the block's free columns.
     """
     if f.target != ses.quot:
         raise InvariantError("pullback needs a morphism into the quotient")
@@ -405,9 +406,8 @@ def pullback_with_map(
     bases = {}
     free = {}
     for v, block in glue.blocks.items():
-        # the rows of quotient_map_free(A^T) are the nullspace_basis vectors of A
-        kernel_rows, free[v] = quotient_map_free(block.transpose())
-        bases[v] = kernel_rows.transpose()
+        vecs, free[v] = _kernel_vectors(block)
+        bases[v] = mat_from_cols(total.field, block.cols, vecs)
     pb = _subrep_on_basis(total, bases, free)
     incl = factor_through_inclusion(compose(ses.incl, inj_mid), pb)
     proj = compose(pb.inclusion, to_w)

@@ -276,6 +276,29 @@ def linear_combination(basis: list[Morphism], coeffs) -> Morphism:
     return Morphism._trusted(first.source, first.target, blocks)
 
 
+def trace_pairing_rank(xs: list[Morphism], ys: list[Morphism]) -> int:
+    """The rank of ``[tr(compose(x_i, y_j))]`` for ``x_i : M -> N``, ``y_j : N -> M``.
+
+    tr(compose(x, y)) sums tr(y_v x_v) over the vertices: the dot product of
+    x_v and the transpose of y_v, both flattened.  So the matrix is one
+    product, the flattened x_i as rows times the flattened transposed y_j as
+    columns, and no composite is formed.
+    """
+    if not xs or not ys:
+        return 0
+    m, n = xs[0].source, xs[0].target
+    if not all(_same_rep(x.source, m) and _same_rep(x.target, n) for x in xs) or not all(
+        _same_rep(y.source, n) and _same_rep(y.target, m) for y in ys
+    ):
+        raise InvariantError("trace_pairing_rank needs x_i : M -> N and y_j : N -> M")
+    vertices, f = m.quiver.vertices, m.field
+    width = sum(m.dims[v] * n.dims[v] for v in vertices)
+    left = [e for x in xs for v in vertices for e in x.blocks[v].entries]
+    right = [e for y in ys for v in vertices for e in y.blocks[v].transpose().entries]
+    cols = Matrix(f, len(ys), width, right).transpose()
+    return rank(Matrix(f, len(xs), width, left).mul(cols))
+
+
 @dataclass(frozen=True)
 class SubrepInclusion:
     """A subrepresentation together with its inclusion into the ambient one."""

@@ -18,7 +18,7 @@ from quiverfilt import (
     quasi_simple,
 )
 from quiverfilt.homext import ExtCocycle
-from quiverfilt.linalg import RowSpace, hstack, rref
+from quiverfilt.linalg import RowSpace, hstack, rank, rref, unit_vectors
 
 
 @pytest.fixture(scope="session")
@@ -120,6 +120,32 @@ def reference_nullspace(m):
             vec[pc] = f.neg(red.at(r, fc))
         basis.append(Matrix(f, m.cols, 1, vec))
     return basis
+
+
+def _matrix_trace(m):
+    f = m.field
+    total = f.zero
+    for i in range(m.rows):
+        total = f.add(total, m.at(i, i))
+    return total
+
+
+def reference_trace(f):
+    """Reference: the trace of an endomorphism, the sum of its blocks' diagonals."""
+    total = f.source.field.zero
+    for block in f.blocks.values():
+        total = f.source.field.add(total, _matrix_trace(block))
+    return total
+
+
+def reference_trace_radical(alg):
+    """Reference: the dimension of the radical of the regular trace form
+    tr(L_a L_b) on an endomorphism algebra over QQ, from the d operator
+    matrices L_e of its left-regular representation and their d^2 products."""
+    f, d = alg.field, alg.dimension
+    ops = [alg.operator_matrix(e) for e in unit_vectors(f, d)]
+    gram = Matrix.from_rows(f, [[_matrix_trace(a.mul(b)) for b in ops] for a in ops])
+    return d - rank(gram)
 
 
 def reference_intertwine_matrix(m, n):

@@ -1,6 +1,8 @@
 """Endomorphism algebras, brick certification, semi-brick checking."""
 
+import functools
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from quiverfilt import (
     QQ,
     Matrix,
     Morphism,
+    Rep,
     check_semibrick,
     direct_sum,
     end_algebra,
@@ -18,6 +21,7 @@ from quiverfilt import (
     is_brick,
     kronecker,
     linear_quiver,
+    load,
     quasi_simple,
     standard_module,
     tower,
@@ -26,9 +30,16 @@ from quiverfilt import (
 from quiverfilt import bricks
 from quiverfilt.bricks import AlgebraPresentation, _brick_report_of_end, end_coordinates
 from quiverfilt.errors import InvariantError
-from quiverfilt.reps import compose, linear_combination
+from quiverfilt.linalg import inverse, rank
+from quiverfilt.reps import compose, linear_combination, trace_pairing_rank
 
-from conftest import draw_rep, field_scalar, make_x11
+from conftest import (
+    draw_rep,
+    field_scalar,
+    make_x11,
+    reference_trace,
+    reference_trace_radical,
+)
 
 
 def _y2(field=QQ):
@@ -240,6 +251,126 @@ def test_brick_local_uncertified_char_p():
     assert report.status == "local_not_certified"
     assert report.radical_dim is None  # trace-form evidence is char-0 only
     assert "characteristic 0" in report.notes
+
+
+_LAMBDAS = (0, 1, -1, Fraction(1, 2), "inf")
+
+
+@functools.lru_cache(maxsize=None)
+def _r_tower_levels(lam):
+    """Levels 1..5 of the tower over R_lambda with X = {R_lambda} over QQ."""
+    r = quasi_simple(QQ, lam if lam == "inf" else QQ.of(lam))
+    return tuple(tower(r, check_semibrick([r]), 5).levels)
+
+
+def _draw_lower_unitriangular(data, n):
+    def entry(i, j):
+        if i > j:
+            return QQ.of(data.draw(st.integers(-2, 2)))
+        return QQ.one if i == j else QQ.zero
+
+    return Matrix(QQ, n, n, [entry(i, j) for i in range(n) for j in range(n)])
+
+
+def _draw_twist(data, m):
+    """m in a drawn change of basis g_v = L_v U_v, with L_v lower and U_v upper
+    unitriangular, their off-diagonal entries in -2..2."""
+    g = {}
+    for v in m.quiver.vertices:
+        lower, upper = (_draw_lower_unitriangular(data, m.dims[v]) for _ in range(2))
+        g[v] = lower.mul(upper.transpose())
+    maps = {
+        aid: g[t].mul(m.arrow_maps[aid]).mul(inverse(g[s]))
+        for aid, s, t in m.quiver.arrows
+    }
+    return Rep(m.quiver, QQ, m.dims, maps)
+
+
+def _assert_radical_matches_reference(m):
+    """is_brick's radical_dim against the gram of the left-regular
+    representation, if the report reaches it; returns the report."""
+    report = is_brick(m)
+    if report.status == "local_not_certified":
+        alg = end_algebra(m)
+        assert report.radical_dim == reference_trace_radical(alg)
+        assert report.residue_dim == alg.dimension - report.radical_dim
+    return report
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([kronecker(2), kronecker(3), linear_quiver(3)]), st.data())
+def test_trace_form_radical_matches_the_regular_trace_form(quiver, data):
+    """radical_dim against the regular trace form, on a twisted tower level
+    Y(n), n >= 2, of R_lambda on K2 and on a random rep, or a direct sum of
+    two, on the drawn quiver, all over QQ.
+
+    The radical of tr(y o x) on M and that of tr(L_a L_b) on End(M) are
+    both J(End M).  Every level reaches the radical: its End is k[t]/(t^n),
+    local, so no witness exists, and its radical has dimension n - 1.
+    """
+    levels = _r_tower_levels(data.draw(st.sampled_from(_LAMBDAS)))
+    n = data.draw(st.integers(2, len(levels)))
+    report = _assert_radical_matches_reference(_draw_twist(data, levels[n - 1]))
+    assert (report.status, report.end_dim, report.radical_dim) == ("local_not_certified", n, n - 1)
+    m = draw_rep(data, quiver, QQ)
+    if data.draw(st.booleans()):
+        m = direct_sum([m, draw_rep(data, quiver, QQ)])[0]
+    if m.dim_total:
+        _assert_radical_matches_reference(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([kronecker(2), kronecker(3), linear_quiver(3)]), st.data())
+def test_trace_pairing_rank_matches_the_traces_of_composites(quiver, data):
+    """trace_pairing_rank(Hom(M, N), Hom(N, M)) against the rank of the traces
+    of every ``compose(x, y)``, for M != N: N is random, M plus a random rep,
+    or M twisted."""
+    m = draw_rep(data, quiver, QQ)
+    kind = data.draw(st.sampled_from(["random", "sum", "twist"]))
+    if kind == "random":
+        n = draw_rep(data, quiver, QQ)
+    elif kind == "sum":
+        n = direct_sum([m, draw_rep(data, quiver, QQ)])[0]
+    else:
+        n = _draw_twist(data, m)
+    if m == n:
+        return
+    xs, ys = hom_basis(m, n), hom_basis(n, m)
+    traces = [[reference_trace(compose(x, y)) for y in ys] for x in xs]
+    expected = rank(Matrix.from_rows(QQ, traces)) if xs and ys else 0
+    assert trace_pairing_rank(xs, ys) == expected
+
+
+def test_trace_pairing_rank_refuses_mismatched_endpoints(r0, r1):
+    mm = direct_sum([r0, r1])[0]
+    xs, ys = hom_basis(r0, mm), hom_basis(mm, r0)
+    assert trace_pairing_rank(xs, ys) == 1
+    with pytest.raises(InvariantError):
+        trace_pairing_rank(xs, hom_basis(mm, r1))
+    with pytest.raises(InvariantError):
+        trace_pairing_rank(xs + hom_basis(r1, mm), ys)
+
+
+def test_non_invertible_non_nilpotent_witness_rechecks():
+    """The witness on the twisted R_0 + R_inf + R_inf of the CLI goldens.
+
+    It is an endomorphism of m, nonzero and not idempotent, singular at some
+    vertex and not nilpotent: w^k != 0 for every k <= dim m.
+    """
+    m = load(
+        os.path.join(os.path.dirname(__file__), "golden", "inputs", "r0_rinf_rinf_twisted.json")
+    )
+    report = is_brick(m)
+    assert (report.status, report.end_dim) == ("not_brick", 5)
+    assert report.witness_kind == "non_invertible_non_nilpotent"
+    w = Morphism(m, m, report.witness.blocks)
+    assert not w.is_zero()
+    assert compose(w, w) != w
+    assert any(rank(b) < b.rows for b in w.blocks.values())
+    power = w
+    for _ in range(m.dim_total):
+        assert not power.is_zero()
+        power = compose(power, w)
 
 
 def test_brick_zero_module(k2):

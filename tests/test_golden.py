@@ -18,7 +18,10 @@ with them, byte for byte.  ``preproj-qq-10.json`` and
 elimination plus back-substitution, ``uniserial-qq-30.json`` before
 ``uniserial_check`` tested only the top quotient Y(h)/Y(j) for each j, and
 ``preproj-qq-13.json`` before ``is_brick``'s rank certificate eliminated
-sparse rows of Phi.  A refactor or speed-up must reproduce them exactly; a
+sparse rows of Phi.  The ``brick-y3`` and ``brick-twisted`` reports here
+and ``brick-y12.json`` (CI compares the brick report on Y(12) of the R_0
+tower with it) were recorded before the trace-form radical became one
+pairing product.  A refactor or speed-up must reproduce them exactly; a
 deliberate output change re-records them with
 
     PYTHONPATH=src python tests/test_golden.py
