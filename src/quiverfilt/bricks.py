@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantError
 from .homext import ExtSpace, _hom_layout, _intertwine_rows, hom_basis
-from .linalg import GF, Matrix, mat_from_cols, sparse_rank, unit_vectors, vstack
+from .linalg import GF, Matrix, sparse_rank, unit_vectors, vstack
 from .reps import Morphism, Rep, is_isomorphic, linear_combination, trace_pairing_rank
 
 
@@ -63,12 +63,6 @@ class AlgebraPresentation:
 
     def element(self, coords: list) -> Morphism:
         return linear_combination(self.basis, coords)
-
-    def operator_matrix(self, coords: list) -> Matrix:
-        """Left multiplication by the element with the given coordinates."""
-        d = self.dimension
-        cols = [self.multiply(coords, e) for e in unit_vectors(self.field, d)]
-        return mat_from_cols(self.field, d, cols)
 
     def is_nilpotent(self, coords: list) -> bool:
         f = self.field
@@ -248,15 +242,18 @@ def _brick_report_of_end(m: Rep) -> BrickReport:
     ``local_not_certified``, and over characteristic 0 the report carries the
     radical of the trace form tr(y o x) on M over End(m), from one product
     (``trace_pairing_rank``): a nil ideal containing J(End m) (Newton's
-    identities), so its dimension is dim J.
+    identities), so its dimension is dim J.  It is computed first: when
+    dim End/J = 1, End/J = k and End is local, so every element is a unit or
+    nilpotent, 0 and 1 are the only idempotents, and no candidate is searched.
     """
     alg = end_algebra(m)
     d = alg.dimension
     if d == 1:
         return _SCALARS_ONLY
     f = alg.field
+    rad = d - trace_pairing_rank(alg.basis, alg.basis) if f.characteristic == 0 else None
     zero = [f.zero] * d
-    for cand in _witness_candidates(alg):
+    for cand in () if rad == d - 1 else _witness_candidates(alg):
         if cand == zero or cand == alg.unit_coordinates:
             continue
         if alg.multiply(cand, cand) == cand:
@@ -279,8 +276,7 @@ def _brick_report_of_end(m: Rep) -> BrickReport:
                 None,
                 "endomorphism that is neither invertible nor nilpotent",
             )
-    if f.characteristic == 0:
-        rad = d - trace_pairing_rank(alg.basis, alg.basis)
+    if rad is not None:
         return BrickReport(
             "local_not_certified",
             d,

@@ -30,6 +30,7 @@ from .linalg import (
     _kernel_vectors,
     _row_forward_echelon,
     _row_kernel,
+    combination,
     hstack,
     mat_from_cols,
     nullspace_basis,
@@ -504,13 +505,9 @@ def ses_equivalence_witness(
         if particular is None:
             return None
         nulls = nullspace_basis(lmat)
-        t0 = particular.col(0)
 
         def build(coeffs):
-            t = list(t0)
-            for c, nv in zip(coeffs, nulls):
-                for i in range(len(t)):
-                    t[i] = fld.add(t[i], fld.mul(c, nv.at(i, 0)))
+            t = combination([fld.one, *coeffs], [particular, *nulls]).entries
             return linear_combination(gens, t)
 
         g_found, certified = search_invertible_combination(

@@ -21,22 +21,26 @@ spans its rows, building one ``Fraction`` per nonzero entry.
 clearing its column above it; ``rref`` builds each ``Fraction`` of its
 result once, from a pivot row and its pivot entry.  Both passes clear rows
 with ``_clear_column`` alone.  ``_row_kernel`` (behind ``nullspace_basis``)
-builds each kernel entry once from the same echelon rows and builds no
-reduced matrix.  The one sparse routine is ``sparse_rank``, over GF(p) only:
-it takes rows as their nonzero ``(column, value)`` items and eliminates them
-one at a time in column order, pivoting on each row's leftmost nonzero
-column.  Over QQ every ``Matrix`` keeps its integer form, its entries times
-the lcm ``den`` of their denominators, once a product or an elimination has
-read it; the transpose of a matrix whose form is cached is born with it.
-``Matrix.mul`` multiplies the two integer forms and builds each nonzero
-entry of the result once, as ``Fraction(x, la*lb)``.  ``products_equal(a, b,
-c, d)`` decides ``a*b == c*d`` on integers and builds no field element: over
-QQ it compares the integer products of the four integer forms by
-cross-multiplying with the other side's denominators; over GF(p) it compares
-the unreduced products modulo p.  ``Matrix.mul`` and ``products_equal``
-share one zero-skipping product loop.  The kernels skip zeros by truthiness,
-so they require canonical entries, the values ``Field.of`` returns: a
-``Fraction`` over QQ, an ``int`` in [0, p) over GF(p).
+does no back-substitution and builds no reduced matrix: ``_solve_at_free``
+solves the rref rows at the free columns only, from the forward echelon
+rows, and each kernel entry is built once from them.  The one sparse
+routine is ``sparse_rank``, over GF(p) only: it takes rows as their nonzero
+``(column, value)`` items and eliminates them one at a time in column order,
+pivoting on each row's leftmost nonzero column.  Over QQ every ``Matrix``
+keeps its integer form, its entries times the lcm ``den`` of their
+denominators, once a product or an elimination has read it; the transpose
+of a matrix whose form is cached is born with it.  ``Matrix.mul``
+multiplies the two integer forms and builds each nonzero entry of the
+result once, as ``Fraction(x, la*lb)``; ``combination`` sums multiples of
+matrices on their integer forms the same way, and its result is born with
+its own.  ``products_equal(a, b, c, d)`` decides ``a*b == c*d`` on
+integers and builds no field element: over QQ it compares the integer
+products of the four integer forms by cross-multiplying with the other
+side's denominators; over GF(p) it compares the unreduced products modulo
+p.  ``Matrix.mul`` and ``products_equal`` share one zero-skipping product
+loop.  The kernels skip zeros by truthiness, so they require canonical
+entries, the values ``Field.of`` returns: a ``Fraction`` over QQ, an
+``int`` in [0, p) over GF(p).
 
 Matrices are immutable by convention: no public routine mutates its inputs,
 and ``Matrix`` instances may be shared freely.  The cached integer form
@@ -492,6 +496,40 @@ def _product(ae: list, be: list, n: int, m: int, k: int, zero) -> list:
     return out
 
 
+def combination(coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
+    """The sum of ``c * m`` over canonical coefficients and same-shape matrices.
+
+    Accumulated on integer forms (over GF(p) the entries), skipping zero
+    coefficients.  Over QQ each nonzero entry is built once, and the result
+    is born with its integer form ``(acc/g, den/g)``, ``g = gcd(den, *acc)``,
+    which is ``_integer_multiple`` of its entries.  A single coefficient 1
+    returns its matrix itself.
+    """
+    first = mats[0]
+    f = first.field
+    terms = [(c, m) for c, m in zip(coeffs, mats) if c]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    p = f.characteristic
+    acc = [0] * len(first.entries)
+    if p:
+        for c, m in terms:
+            acc = [x + c * y for x, y in zip(acc, m.entries)]
+        return Matrix(f, first.rows, first.cols, [x % p for x in acc])
+    forms = [(c, m._integer_form()) for c, m in terms]
+    den = lcm(*[c.denominator * d for c, (_, d) in forms])
+    for c, (ints, d) in forms:
+        s = c.numerator * (den // (c.denominator * d))
+        acc = [x + s * y for x, y in zip(acc, ints)]
+    g = gcd(den, *acc)
+    if g > 1:
+        acc, den = [x // g for x in acc], den // g
+    zero = f.zero
+    out = Matrix(f, first.rows, first.cols, [Fraction(x, den) if x else zero for x in acc])
+    out._ints = (acc, den)
+    return out
+
+
 def _integer_multiple(values: list) -> tuple[list, int]:
     """``values`` (Fractions) times the lcm ``den`` of their denominators, and ``den``."""
     items = nonzero_items(values)
@@ -821,23 +859,62 @@ def _row_kernel(rows: list[list], ncols: int, f: Field) -> tuple[list[list], lis
     ``rows`` are raw rows as ``_row_forward_echelon`` takes them.  One vector
     per free column of the rref, in increasing order, with a 1 at its free
     column fc and, at each pivot column pc, the entry of the rref at fc
-    negated.  Each entry is built once from the echelon row: ``-row[fc] % p``
-    over GF(p), ``Fraction(-row[fc], row[pc])`` over QQ.
+    negated, built once from the rref rows solved at the free columns only
+    (``_solve_at_free``); no reduced matrix is built.
     """
     p = f.characteristic
-    rows, pivots = _row_echelon(rows, ncols, p)
+    rows, pivots = _row_forward_echelon(rows, ncols, p)
+    if len(pivots) == ncols:
+        return [], []
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
+    solved = _solve_at_free(rows, pivots, free, p).items()
     vecs = []
-    for fc in free:
+    for i, fc in enumerate(free):
         vec = [f.zero] * ncols
         vec[fc] = f.one
-        for row, pc in zip(rows, pivots):
-            x = row[fc]
+        for pc, (vals, den) in solved:
+            x = vals[i]
             if x:
-                vec[pc] = -x % p if p else Fraction(-x, row[pc])
+                vec[pc] = -x % p if p else Fraction(-x, den)
         vecs.append(vec)
     return vecs, free
+
+
+def _solve_at_free(rows: list[list], pivots: list[int], free: list[int], p: int) -> dict:
+    """The rref rows R_k at the free columns F, from the echelon rows E_k of
+    ``_row_forward_echelon``, last first: ``R_k = (E_k[F] - sum_{j>k}
+    E_k[pc_j] * R_j) / E_k[pc_k]``.  Returns ``{pc_k: (vals, den)}`` with
+    ``R_k[free[i]] == vals[i] / den``, leaving out each R_k that is zero on
+    F, so the sum runs over the rows kept.  Over GF(p) ``den`` is 1; over QQ
+    ``vals`` are integers, ``den > 0`` and ``gcd(den, *vals) == 1``.
+    """
+    solved: dict = {}
+    for k in range(len(pivots) - 1, -1, -1):
+        row = rows[k]
+        vals, den = [row[c] for c in free], 1
+        for pc, (vj, dj) in solved.items():
+            e = row[pc]
+            if e:
+                if p:
+                    vals = [x - e * y for x, y in zip(vals, vj)]
+                else:
+                    g = gcd(den, dj)
+                    s, t = dj // g, e * (den // g)
+                    vals = [s * x - t * y for x, y in zip(vals, vj)]
+                    den *= s
+        if p:
+            vals = [x % p for x in vals]
+        else:
+            den *= row[pivots[k]]
+            if den < 0:
+                vals, den = [-x for x in vals], -den
+            g = gcd(den, *vals)
+            if g > 1:
+                vals, den = [x // g for x in vals], den // g
+        if any(vals):
+            solved[pivots[k]] = (vals, den)
+    return solved
 
 
 def nullspace_basis(m: Matrix) -> list[Matrix]:

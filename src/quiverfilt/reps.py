@@ -34,6 +34,7 @@ from .linalg import (
     Field,
     Matrix,
     column_space_pivots,
+    combination,
     hstack,
     inverse,
     is_invertible,
@@ -245,12 +246,11 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
 
 
 def linear_combination(basis: list[Morphism], coeffs) -> Morphism:
-    """The sum of ``c * b`` over coefficients and basis morphisms, in one pass.
+    """The sum of ``c * b`` over coefficients and basis morphisms.
 
-    Every basis element must share one source and one target.  Each block
-    is accumulated entrywise, skipping zero coefficients and zero entries:
-    ``Fraction`` operators over the rationals, ``int`` with one ``% p`` per
-    entry over GF(p).
+    Every basis element must share one source and one target.  Each block is
+    ``linalg.combination`` of the coefficients and the basis blocks at that
+    vertex, accumulated on integer forms.
     """
     if not basis:
         raise InvariantError("empty basis in linear_combination")
@@ -259,20 +259,8 @@ def linear_combination(basis: list[Morphism], coeffs) -> Morphism:
     first = basis[0]
     for b in basis:
         _require_endpoints(first, b, "linear_combination needs a common source and target")
-    field = first.source.field
-    p = field.characteristic
-    terms = [(c, b.blocks) for c, b in zip(map(field.of, coeffs), basis) if c]
-    zero = field.zero
-    blocks = {}
-    for v, template in first.blocks.items():
-        acc = [zero] * len(template.entries)
-        for c, bb in terms:
-            for i, x in enumerate(bb[v].entries):
-                if x:
-                    acc[i] += c * x
-        if p:
-            acc = [x % p for x in acc]
-        blocks[v] = Matrix(field, template.rows, template.cols, acc)
+    coeffs = [first.source.field.of(c) for c in coeffs]
+    blocks = {v: combination(coeffs, [b.blocks[v] for b in basis]) for v in first.blocks}
     return Morphism._trusted(first.source, first.target, blocks)
 
 

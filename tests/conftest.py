@@ -18,7 +18,7 @@ from quiverfilt import (
     quasi_simple,
 )
 from quiverfilt.homext import ExtCocycle
-from quiverfilt.linalg import RowSpace, hstack, rank, rref, unit_vectors
+from quiverfilt.linalg import RowSpace, hstack, mat_from_cols, rank, rref, unit_vectors
 
 
 @pytest.fixture(scope="session")
@@ -122,6 +122,26 @@ def reference_nullspace(m):
     return basis
 
 
+def reference_linear_combination(basis, coeffs):
+    """Reference: the blocks of the sum of ``c * b``, accumulated entry by entry
+    with the field's own operators (``Fraction`` over QQ, one ``% p`` per entry
+    over GF(p)), skipping zero coefficients and zero entries."""
+    field = basis[0].source.field
+    p = field.characteristic
+    terms = [(c, b.blocks) for c, b in zip(map(field.of, coeffs), basis) if c]
+    blocks = {}
+    for v, template in basis[0].blocks.items():
+        acc = [field.zero] * len(template.entries)
+        for c, bb in terms:
+            for i, x in enumerate(bb[v].entries):
+                if x:
+                    acc[i] += c * x
+        if p:
+            acc = [x % p for x in acc]
+        blocks[v] = Matrix(field, template.rows, template.cols, acc)
+    return blocks
+
+
 def _matrix_trace(m):
     f = m.field
     total = f.zero
@@ -138,12 +158,20 @@ def reference_trace(f):
     return total
 
 
+def operator_matrix(alg, coords):
+    """Reference: left multiplication on ``alg`` by the element with the given
+    coordinates, as a d x d matrix whose columns are its products with the
+    basis."""
+    f, d = alg.field, alg.dimension
+    return mat_from_cols(f, d, [alg.multiply(coords, e) for e in unit_vectors(f, d)])
+
+
 def reference_trace_radical(alg):
     """Reference: the dimension of the radical of the regular trace form
     tr(L_a L_b) on an endomorphism algebra over QQ, from the d operator
     matrices L_e of its left-regular representation and their d^2 products."""
     f, d = alg.field, alg.dimension
-    ops = [alg.operator_matrix(e) for e in unit_vectors(f, d)]
+    ops = [operator_matrix(alg, e) for e in unit_vectors(f, d)]
     gram = Matrix.from_rows(f, [[_matrix_trace(a.mul(b)) for b in ops] for a in ops])
     return d - rank(gram)
 

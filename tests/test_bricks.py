@@ -37,6 +37,7 @@ from conftest import (
     draw_rep,
     field_scalar,
     make_x11,
+    operator_matrix,
     reference_trace,
     reference_trace_radical,
 )
@@ -68,7 +69,7 @@ def test_end_algebra_truncated_level_two():
     found = False
     for c0, c1 in itertools.product(range(-2, 3), repeat=2):
         coords = [f.of(c0), f.of(c1)]
-        op = alg.operator_matrix(coords)
+        op = operator_matrix(alg, coords)
         if not op.is_zero() and alg.is_nilpotent(coords):
             sq = alg.multiply(coords, coords)
             assert all(x == f.zero for x in sq)
@@ -243,6 +244,33 @@ def test_brick_local_uncertified_char_zero():
     assert report.end_dim == 2
     assert report.radical_dim == 1
     assert report.residue_dim == 1
+
+
+def _no_search(alg):
+    raise AssertionError("the witness search ran")
+
+
+@pytest.mark.parametrize("level, end_dim", [(3, 3), (5, 5)])
+def test_local_end_returns_its_report_without_the_witness_search(level, end_dim, monkeypatch):
+    """On Y(3) and Y(5) of the R_0 tower dim End/J = 1, so End is local and no
+    candidate can be a witness: the report, recorded before the search was
+    skipped, comes without it."""
+    monkeypatch.setattr(bricks, "_witness_candidates", _no_search)
+    report = is_brick(_r_tower_levels(0)[level - 1])
+    assert report == bricks.BrickReport(
+        "local_not_certified", end_dim, None, None, end_dim - 1, 1,
+        "no witness found; trace-form radical evidence attached",
+    )
+
+
+def test_semisimple_end_still_searches_for_its_witness(monkeypatch):
+    """The twisted R_0 + R_inf + R_inf has dim End/J = 5 > 1, so the search runs."""
+    m = load(
+        os.path.join(os.path.dirname(__file__), "golden", "inputs", "r0_rinf_rinf_twisted.json")
+    )
+    monkeypatch.setattr(bricks, "_witness_candidates", _no_search)
+    with pytest.raises(AssertionError, match="witness search ran"):
+        is_brick(m)
 
 
 def test_brick_local_uncertified_char_p():

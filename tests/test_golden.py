@@ -21,7 +21,11 @@ elimination plus back-substitution, ``uniserial-qq-30.json`` before
 sparse rows of Phi.  The ``brick-y3`` and ``brick-twisted`` reports here
 and ``brick-y12.json`` (CI compares the brick report on Y(12) of the R_0
 tower with it) were recorded before the trace-form radical became one
-pairing product.  A refactor or speed-up must reproduce them exactly; a
+pairing product.  ``hom-a3-twisted`` here (dim Hom 10, denominators up to
+15) and ``hom-y12.json`` (CI compares the report of ``hom`` from Y(12) of
+the R_0 tower to itself, dim Hom 12 on 288 unknowns, with it) were
+recorded before Hom kernels were solved at the free columns only.  A
+refactor or speed-up must reproduce them exactly; a
 deliberate output change re-records them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -76,9 +80,15 @@ Y3_INPUT = os.path.join(GOLDEN, "inputs", "y3_r0.json")
 # End has dimension 5, and the brick report carries a non-invertible
 # non-nilpotent witness.
 TWISTED_INPUT = os.path.join(GOLDEN, "inputs", "r0_rinf_rinf_twisted.json")
+# The A3 rep of ``_twisted_a3_pair`` with dims (3, 2, 3) and its change of
+# basis over QQ: Hom from the twisted rep to the original has dimension 10,
+# with denominators up to 15 in its basis.
+A3_INPUT = os.path.join(GOLDEN, "inputs", "a3_original.json")
+A3_TWISTED_INPUT = os.path.join(GOLDEN, "inputs", "a3_twisted.json")
 
 CLI_CASES = {
     "hom": ["hom", "--quiver", "k3", "--field", "f5", "--left", "p1", "--right", "p2"],
+    "hom-a3-twisted": ["hom", "--left", A3_TWISTED_INPUT, "--right", A3_INPUT],
     "ext": ["ext", "--quiver", "k3", "--left", "x11:1,0,0", "--right", "x11:0,1,0"],
     "brick": ["brick", "--module", BRICK_INPUT],
     "brick-y3": ["brick", "--module", Y3_INPUT],
@@ -305,6 +315,8 @@ def _record():
     r0 = quasi_simple(QQ, QQ.of(0))
     save(tower(r0, check_semibrick([r0]), 3).levels[-1], Y3_INPUT)
     save(_twisted_r0_rinf_rinf(), TWISTED_INPUT)
+    for rep, path in zip(_twisted_a3_pair(), (A3_INPUT, A3_TWISTED_INPUT)):
+        save(rep, path)
     for name in CLI_CASES:
         _cli_report(name, os.path.join(GOLDEN, f"{name}.json"))
     with open(os.path.join(GOLDEN, "is_isomorphic_a3_witness.json"), "wb") as fh:

@@ -2,7 +2,7 @@
 
 import pytest
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from hypothesis import example, given, settings, strategies as st
 
 from quiverfilt import GF, QQ, Matrix
@@ -11,6 +11,10 @@ from quiverfilt.linalg import (
     RowSpace,
     _integer_multiple,
     _is_prime,
+    _row_forward_echelon,
+    _row_kernel,
+    _rows,
+    _solve_at_free,
     column_space_basis,
     column_space_pivots,
     forward_echelon,
@@ -619,6 +623,67 @@ def test_nullspace_basis_matches_the_rref_reference(m, cached):
     q, free = quotient_map_free(m.transpose())
     assert q == Matrix(m.field, len(got), m.cols, [x for v in got for x in v.entries])
     assert free == [c for c in range(m.cols) if c not in rref(m)[1]]
+
+
+@st.composite
+def _raw_kernel_input(draw):
+    """A tall, wide, zero or full-column-rank matrix over QQ (wide
+    denominators, negative entries), GF(2) or GF(101)."""
+    field = draw(st.sampled_from([QQ, F2, GF(101)]))
+    entry = _big_rational if field == QQ else field_scalar(field)
+    kind = draw(st.sampled_from(["tall", "wide", "zero", "full column rank"]))
+    small, large = st.integers(min_value=1, max_value=4), st.integers(min_value=4, max_value=9)
+    rows, cols = draw(st.tuples(small, large) if kind == "wide" else st.tuples(large, small))
+    if kind == "zero":
+        return Matrix.zeros(field, rows, cols)
+    entries = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    if kind == "full column rank":
+        # an upper triangular block with a nonzero diagonal, among the rows drawn
+        top = [
+            draw(entry.filter(bool)) if i == j else (draw(entry) if i < j else field.zero)
+            for i in range(cols)
+            for j in range(cols)
+        ]
+        order = draw(st.permutations(range(rows + cols)))
+        lines = [top[i * cols : (i + 1) * cols] for i in range(cols)]
+        lines += [entries[i * cols : (i + 1) * cols] for i in range(rows)]
+        return Matrix(field, rows + cols, cols, [x for i in order for x in lines[i]])
+    return Matrix(field, rows, cols, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_kernel_input())
+@example(mq([[2, 1], [0, -3], [1, 1]]))  # no free column
+@example(mq([[0, 1, 2], [0, 3, 4]]))  # column 0 free
+@example(mq([[1, 2, 3], [0, 1, 0]]))  # pivot row 1 is zero at the free column
+@example(Matrix.from_rows(F2, [[1, 1, 0, 0], [0, 1, 0, 0]]))  # both pivot rows zero there
+@example(mq([[-2, 3, 1, "1/3"], [0, -5, 2, "-1/7"], [4, -6, "-5/2", 0]]))  # negative pivots
+@example(Matrix.zeros(GF(101), 3, 4))  # all-zero rows
+def test_row_kernel_on_raw_rows_matches_the_rref_reference(m):
+    """``_row_kernel`` on the raw rows of m, solved at the free columns only,
+    against the kernel read off the reduced matrix; the solved rows are the
+    rref rows at the free columns, over QQ as canonical integer pairs."""
+    vecs, free = _row_kernel(_rows(m), m.cols, m.field)
+    assert [Matrix(m.field, m.cols, 1, v) for v in vecs] == reference_nullspace(m)
+    assert all(_canonical(Matrix(m.field, m.cols, 1, v)) for v in vecs)
+    red, pivots = rref(m)
+    assert free == [c for c in range(m.cols) if c not in pivots]
+    if not free:
+        return
+    rows, pivots = _row_forward_echelon(_rows(m), m.cols, m.field.characteristic)
+    solved = _solve_at_free(rows, pivots, free, m.field.characteristic)
+    for k, pc in enumerate(pivots):
+        want = [red.at(k, c) for c in free]
+        sol = solved.get(pc)
+        if sol is None:
+            assert not any(want)
+            continue
+        vals, den = sol
+        if m.field.characteristic:
+            assert den == 1 and vals == want
+        else:
+            assert den > 0 and gcd(den, *vals) == 1
+            assert [Fraction(x, den) for x in vals] == want
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from quiverfilt import (
 )
 from quiverfilt.errors import InvariantError, UndecidedError
 from quiverfilt.linalg import (
+    _integer_multiple,
     column_space_basis,
     hstack,
     inverse,
@@ -37,7 +38,7 @@ from quiverfilt.linalg import (
 )
 from quiverfilt.reps import factor_through_inclusion, linear_combination
 
-from conftest import draw_rep, field_scalar, make_x11
+from conftest import draw_rep, field_scalar, make_x11, reference_linear_combination
 
 
 def mq(rows):
@@ -376,6 +377,43 @@ def test_morphism_check_matches_reference_on_perturbed_elements(field, quiver, d
     else:
         with pytest.raises(InvariantError):
             Morphism(m, n, blocks)
+
+
+def _draw_coefficients(data, field, d):
+    """Random canonical scalars (non-integer fractions over QQ, zeros), a
+    single 1, a single -1, or all zero."""
+    kind = data.draw(st.sampled_from(["random", "one", "minus one", "zero"]))
+    if kind == "random":
+        return data.draw(st.lists(field_scalar(field), min_size=d, max_size=d))
+    coeffs = [field.zero] * d
+    if kind != "zero":
+        coeffs[data.draw(st.integers(min_value=0, max_value=d - 1))] = field.of(
+            1 if kind == "one" else -1
+        )
+    return coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(5), GF(101)]),
+    st.sampled_from([kronecker(2), kronecker(3), linear_quiver(3)]),
+    st.data(),
+)
+def test_linear_combination_matches_the_entrywise_reference(field, quiver, data):
+    """Combinations of a random hom basis against the entrywise loop; over QQ
+    each block is born with the integer form its entries give."""
+    m, n = (draw_rep(data, quiver, field, max_dim=3) for _ in range(2))
+    basis = hom_basis(m, n)
+    assume(basis)
+    coeffs = _draw_coefficients(data, field, len(basis))
+    got = linear_combination(basis, coeffs)
+    assert got.blocks == reference_linear_combination(basis, coeffs)
+    for block in got.blocks.values():
+        if field.characteristic:
+            assert all(type(x) is int and 0 <= x < field.characteristic for x in block.entries)
+        else:
+            assert all(type(x) is Fraction for x in block.entries)
+            assert block._integer_form() == _integer_multiple(block.entries)
 
 
 def test_linear_combination_rejects_mismatched_endpoints(r0, r1):
