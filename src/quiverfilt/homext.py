@@ -7,8 +7,11 @@ For representations M, N the intertwining operator
 
 has kernel Hom(M, N); because path algebras of acyclic quivers are
 hereditary its cokernel is Ext^1(M, N) and there are no higher cocycle
-conditions.  Extension classes are always compared through ``ExtSpace``
-reduction against the coboundary space, never by raw component equality;
+conditions.  ``hom_basis`` proves its kernel vectors are morphisms once
+per basis, on integers from the arrow maps (``_check_intertwines``), and
+returns them without a per-element ``Morphism(...)`` check.  Extension
+classes are always compared through ``ExtSpace`` reduction against the
+coboundary space, never by raw component equality;
 ``is_split`` is the zero test of a sequence's class.  Linear conditions on
 morphisms (the ladder of ``ses_equivalence_witness``) are solved for
 coordinates in ``hom_basis``, so no other system is built entry by entry.
@@ -28,8 +31,9 @@ from .linalg import (
     Matrix,
     RowSpace,
     _kernel_vectors,
+    _product,
     _row_forward_echelon,
-    _row_kernel,
+    _row_kernel_forms,
     combination,
     hstack,
     mat_from_cols,
@@ -161,11 +165,66 @@ def _unflatten(field, vec: list, shapes) -> dict:
 
 
 def hom_basis(m: Rep, n: Rep) -> list[Morphism]:
-    """Canonical basis of the space of morphisms M -> N: the kernel of Phi."""
+    """Canonical basis of the space of morphisms M -> N: the kernel of Phi.
+
+    The kernel comes with each vector's integer form (``_row_kernel_forms``);
+    the whole basis is checked once on these by ``_check_intertwines``, and
+    each element is then built through ``Morphism._trusted``.
+    """
     rows = _phi_rows(m, n)
     shapes = [(v, n.dims[v], m.dims[v]) for v in m.quiver.vertices]
-    vecs = _row_kernel(rows, sum(r * c for _, r, c in shapes), m.field)[0]
-    return [Morphism(m, n, _unflatten(m.field, vec, shapes)) for vec in vecs]
+    vecs, forms, _ = _row_kernel_forms(rows, sum(r * c for _, r, c in shapes), m.field)
+    _check_intertwines(m, n, [ints for ints, _ in forms])
+    return [Morphism._trusted(m, n, _unflatten(m.field, vec, shapes)) for vec in vecs]
+
+
+def _check_intertwines(m: Rep, n: Rep, vecs: list[list]) -> None:
+    """Raise ``InvariantError`` unless each vector of ``vecs`` on Phi's columns
+    is a morphism M -> N: F_t M_a = N_a F_s for every arrow a: s -> t.
+
+    The vectors are integer: residues over GF(p), over QQ the numerators of
+    kernel vectors, whose denominators cancel in these homogeneous squares.
+    The squares are read off the arrow maps' own integer forms, not off Phi,
+    so a fault in building Phi is caught as ``Morphism(...)`` catches it.
+    Over GF(p) each vector takes one product pair per arrow, compared modulo
+    p.  Over QQ, with M_a = Mi/dM and N_a = Ni/dN, a square holds iff the
+    residual F_t Mi dN - Ni F_s dM is zero, and its entries are at most
+    ``bound = kmax * (m_t max|Mi| dN + n_s max|Ni| dM)``, kmax the largest
+    |entry| of the vectors.  With B = 2 bound + 1 the residual of P = sum_i
+    B^i v_i has the residuals of the v_i as its balanced base-B digits,
+    which are unique, so one product pair per arrow decides the whole basis.
+    """
+    if not vecs:
+        return
+    col_off, _ = _hom_layout(m, n)
+    p = m.field.characteristic
+    form = (lambda a: (a.entries, 1)) if p else Matrix._integer_form
+    squares = [(aid, s, t, *form(m.arrow_maps[aid]), *form(n.arrow_maps[aid]))
+               for aid, s, t in m.quiver.arrows]
+    if not p:
+        kmax = max(max(map(abs, v)) for v in vecs)
+        bound = kmax * max([0] + [
+            m.dims[t] * max(map(abs, mi), default=0) * dn
+            + n.dims[s] * max(map(abs, ni), default=0) * dm
+            for _, s, t, mi, dm, ni, dn in squares
+        ])
+        base = 2 * bound + 1
+        packed = vecs[-1]
+        for v in reversed(vecs[:-1]):
+            packed = [x * base + y for x, y in zip(packed, v)]
+        vecs = [packed]
+    for v in vecs:
+        for aid, s, t, mi, dm, ni, dn in squares:
+            ft = v[col_off[t] : col_off[t] + n.dims[t] * m.dims[t]]
+            fs = v[col_off[s] : col_off[s] + n.dims[s] * m.dims[s]]
+            left = _product(ft, mi, n.dims[t], m.dims[t], m.dims[s], 0)
+            right = _product(ni, fs, n.dims[t], n.dims[s], m.dims[s], 0)
+            if p:
+                ok = not any((x - y) % p for x, y in zip(left, right))
+            else:
+                ok = all(x * dn == y * dm for x, y in zip(left, right))
+            if not ok:
+                raise InvariantError(f"hom basis does not intertwine arrow {aid!r}")
 
 
 class ExtCocycle:

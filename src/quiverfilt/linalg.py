@@ -23,7 +23,9 @@ result once, from a pivot row and its pivot entry.  Both passes clear rows
 with ``_clear_column`` alone.  ``_row_kernel`` (behind ``nullspace_basis``)
 does no back-substitution and builds no reduced matrix: ``_solve_at_free``
 solves the rref rows at the free columns only, from the forward echelon
-rows, and each kernel entry is built once from them.  The one sparse
+rows, and each kernel entry is built once from them.  ``_row_kernel_forms``
+also reads each kernel vector's integer form off the same rows, for
+``homext.hom_basis`` to check its basis on.  The one sparse
 routine is ``sparse_rank``, over GF(p) only: it takes rows as their nonzero
 ``(column, value)`` items and eliminates them one at a time in column order,
 pivoting on each row's leftmost nonzero column.  Over QQ every ``Matrix``
@@ -859,26 +861,47 @@ def _row_kernel(rows: list[list], ncols: int, f: Field) -> tuple[list[list], lis
     ``rows`` are raw rows as ``_row_forward_echelon`` takes them.  One vector
     per free column of the rref, in increasing order, with a 1 at its free
     column fc and, at each pivot column pc, the entry of the rref at fc
-    negated, built once from the rref rows solved at the free columns only
-    (``_solve_at_free``); no reduced matrix is built.
+    negated: the vectors of ``_row_kernel_forms``.
+    """
+    vecs, _, free = _row_kernel_forms(rows, ncols, f)
+    return vecs, free
+
+
+def _row_kernel_forms(rows: list[list], ncols: int, f: Field) -> tuple[list, list, list[int]]:
+    """``_row_kernel``'s vectors, their integer forms ``(ints, L)`` with vector =
+    ints / L, and the free columns.
+
+    Both are built once from the rref rows solved at the free columns only
+    (``_solve_at_free``) after forward elimination; no reduced matrix is
+    built.  For the i-th free column fc, ``L`` is the lcm of ``den_k`` over
+    the solved rows with ``vals_k[i] != 0``, ``ints[fc] = L`` and ``ints[pc_k]
+    = -vals_k[i] * (L // den_k)``, and the vector's entry at pc_k is
+    ``Fraction(-vals_k[i], den_k)``.  Over GF(p) ``L`` is 1 and the vector
+    is its own integer form, the residues.
     """
     p = f.characteristic
     rows, pivots = _row_forward_echelon(rows, ncols, p)
     if len(pivots) == ncols:
-        return [], []
+        return [], [], []
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
-    solved = _solve_at_free(rows, pivots, free, p).items()
-    vecs = []
+    solved = _solve_at_free(rows, pivots, free, p)
+    vecs, forms = [], []
     for i, fc in enumerate(free):
-        vec = [f.zero] * ncols
-        vec[fc] = f.one
-        for pc, (vals, den) in solved:
+        lcd = 1 if p else lcm(*[den for vals, den in solved.values() if vals[i]])
+        ints = [0] * ncols
+        vec = ints if p else [f.zero] * ncols
+        ints[fc], vec[fc] = lcd, f.one
+        for pc, (vals, den) in solved.items():
             x = vals[i]
             if x:
-                vec[pc] = -x % p if p else Fraction(-x, den)
+                if p:
+                    ints[pc] = -x % p
+                else:
+                    vec[pc], ints[pc] = Fraction(-x, den), -x * (lcd // den)
         vecs.append(vec)
-    return vecs, free
+        forms.append((ints, lcd))
+    return vecs, forms, free
 
 
 def _solve_at_free(rows: list[list], pivots: list[int], free: list[int], p: int) -> dict:

@@ -20,7 +20,9 @@ are already valid (``compose``, ``add``, ``sub``, ``scale``, ``inverse``,
 ``linear_combination``, ``zero``, ``identity``) yields morphisms by
 linearity or by construction; with exact arithmetic nothing can drift, so
 those results are built through ``Morphism._trusted`` without re-checking
-the intertwining squares.
+the intertwining squares.  ``homext.hom_basis`` returns trusted morphisms
+too, after its own exact check of the whole basis at once, on integers
+read off the arrow maps.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ from quiverfilt import (
     GF,
     QQ,
     Matrix,
+    Morphism,
     Rep,
     cokernel,
     compose,
@@ -17,8 +18,16 @@ from quiverfilt import (
     linear_quiver,
     quasi_simple,
 )
-from quiverfilt.homext import ExtCocycle
-from quiverfilt.linalg import RowSpace, hstack, mat_from_cols, rank, rref, unit_vectors
+from quiverfilt.homext import ExtCocycle, _phi_rows, _unflatten
+from quiverfilt.linalg import (
+    RowSpace,
+    _row_kernel,
+    hstack,
+    mat_from_cols,
+    rank,
+    rref,
+    unit_vectors,
+)
 
 
 @pytest.fixture(scope="session")
@@ -204,6 +213,15 @@ def reference_intertwine_matrix(m, n):
                     flat[c] = f.sub(flat[c], na.at(i, l))
                 r += 1
     return Matrix(f, nrows, ncols, flat)
+
+
+def reference_hom_basis(m, n):
+    """Reference: the canonical Hom basis with each element validated on its
+    own, ``Morphism(...)`` checking every commuting square of every element."""
+    rows = _phi_rows(m, n)
+    shapes = [(v, n.dims[v], m.dims[v]) for v in m.quiver.vertices]
+    vecs = _row_kernel(rows, sum(r * c for _, r, c in shapes), m.field)[0]
+    return [Morphism(m, n, _unflatten(m.field, vec, shapes)) for vec in vecs]
 
 
 def reference_ext(m, n):

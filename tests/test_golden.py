@@ -24,7 +24,9 @@ tower with it) were recorded before the trace-form radical became one
 pairing product.  ``hom-a3-twisted`` here (dim Hom 10, denominators up to
 15) and ``hom-y12.json`` (CI compares the report of ``hom`` from Y(12) of
 the R_0 tower to itself, dim Hom 12 on 288 unknowns, with it) were
-recorded before Hom kernels were solved at the free columns only.  A
+recorded before Hom kernels were solved at the free columns only, and
+``hom-y12-gf101.json`` (the same report over GF(101), compared in CI)
+before ``hom_basis`` checked each basis once on integers.  A
 refactor or speed-up must reproduce them exactly; a
 deliberate output change re-records them with
 

@@ -34,9 +34,11 @@ from quiverfilt import (
     standard_module,
     universal_sequence,
 )
+from quiverfilt import homext
 from quiverfilt.bricks import _MODULAR_PRIME
 from quiverfilt.errors import InvariantError, UndecidedError
 from quiverfilt.homext import (
+    _check_intertwines,
     _intertwine_rows,
     _phi_rows,
     pullback_with_map,
@@ -62,6 +64,7 @@ from conftest import (
     field_scalar,
     make_x11,
     reference_ext,
+    reference_hom_basis,
     reference_intertwine_matrix,
     reference_nullspace,
 )
@@ -654,3 +657,142 @@ def test_ext_space_matches_the_rref_reference(quiver, field, data):
             comps[aid] = Matrix(field, n.dims[t], m.dims[s], entries)
         c = ExtCocycle(m, n, comps)
         assert space.reduce(c) == ref.reduce(c)
+
+
+_huge_scalars = st.one_of(
+    st.just(QQ.zero),
+    st.integers(min_value=-3, max_value=3).map(QQ.of),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.integers(min_value=1, max_value=2**70),
+    ),
+)
+
+_hom_scalars = {QQ: _huge_scalars, **{GF(p): field_scalar(GF(p)) for p in (2, 5, 101)}}
+
+
+def _twisted(data, m, scalar):
+    """m with the basis at each vertex changed by a random unitriangular g_v,
+    its entries above the diagonal drawn from ``scalar``."""
+    f, g = m.field, {}
+    for v, d in m.dims.items():
+        rows = [[f.one if i == j else f.zero for j in range(d)] for i in range(d)]
+        for i in range(d):
+            for j in range(i + 1, d):
+                rows[i][j] = data.draw(scalar)
+        g[v] = Matrix(f, d, d, [x for row in rows for x in row])
+    maps = {aid: g[t].mul(m.arrow_maps[aid]).mul(inverse(g[s])) for aid, s, t in m.quiver.arrows}
+    return Rep(m.quiver, f, m.dims, maps)
+
+
+def _draw_hom_pair(data, quiver, field):
+    """M with dims 0..3 and N != M in general: a random rep, M in a random
+    change of basis, M plus a random rep, or a rep with zero arrow maps.
+    Over QQ entries have numerators and denominators up to 2^70."""
+    scalar = _hom_scalars[field]
+    m = draw_rep(data, quiver, field, max_dim=3, scalar=scalar)
+    kind = data.draw(st.sampled_from(["random", "twisted", "sum", "zero maps"]))
+    if kind == "twisted":
+        return m, _twisted(data, m, scalar)
+    if kind == "sum":
+        return m, direct_sum([m, draw_rep(data, quiver, field, max_dim=1, scalar=scalar)])[0]
+    if kind == "zero maps":
+        scalar = st.just(field.zero)
+    return m, draw_rep(data, quiver, field, max_dim=3, scalar=scalar)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([kronecker(2), kronecker(3), linear_quiver(3)]),
+    st.sampled_from(list(_hom_scalars)),
+    st.data(),
+)
+def test_hom_basis_matches_the_per_element_validated_reference(quiver, field, data):
+    """``hom_basis``, checked once per basis and built trusted, against
+    ``reference_hom_basis``, which validates each element through
+    ``Morphism(...)``: the same elements, entry for entry and of the same
+    type, each of which ``Morphism(...)`` accepts."""
+    m, n = _draw_hom_pair(data, quiver, field)
+    got, want = hom_basis(m, n), reference_hom_basis(m, n)
+    assert len(got) == len(want)
+    for h, ref in zip(got, want):
+        assert h.source is m and h.target is n
+        for v in quiver.vertices:
+            assert h.blocks[v].shape == ref.blocks[v].shape
+            typed = [(type(x), x) for x in h.blocks[v].entries]
+            assert typed == [(type(x), x) for x in ref.blocks[v].entries]
+        Morphism(m, n, h.blocks)
+
+
+def _huge_hom_pair(field):
+    """R_0 + R_0 on K2 and a change of basis of it by entries 2^70, so that
+    over QQ its Hom basis (dim 4) has entries of 2^70 and more."""
+    r0 = quasi_simple(field, field.of(0))
+    m = direct_sum([r0, r0])[0]
+    big = field.of(2**70)
+    g = {1: Matrix.from_rows(field, [[1, big], [0, 1]]),
+         2: Matrix.from_rows(field, [[1, 0], [big, 1]])}
+    maps = {aid: g[t].mul(m.arrow_maps[aid]).mul(inverse(g[s])) for aid, s, t in m.quiver.arrows}
+    return m, Rep(m.quiver, field, m.dims, maps)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(101)])
+def test_hom_basis_refuses_a_kernel_entry_off_by_one(field, monkeypatch):
+    """One integer kernel entry off by one, at a pivot column (whose column of
+    Phi is nonzero), makes ``hom_basis`` raise instead of returning a
+    non-morphism; unperturbed, the same basis passes."""
+    m, n = _huge_hom_pair(field)
+    assert len(hom_basis(m, n)) == 4
+    real = homext._row_kernel_forms
+    seen = []
+
+    def off_by_one(rows, ncols, f):
+        vecs, forms, free = real(rows, ncols, f)
+        seen.append(max(abs(x) for ints, _ in forms for x in ints))
+        ints, den = forms[-1]
+        pc = min(set(range(ncols)) - set(free))
+        bumped = list(ints)
+        p = f.characteristic
+        bumped[pc] = (bumped[pc] + 1) % p if p else bumped[pc] + 1
+        return vecs, forms[:-1] + [(bumped, den)], free
+
+    monkeypatch.setattr(homext, "_row_kernel_forms", off_by_one)
+    with pytest.raises(InvariantError, match="does not intertwine"):
+        hom_basis(m, n)
+    if field == QQ:
+        assert seen[0] >= 2**70
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_hom_basis_check_does_not_read_phi(field, monkeypatch):
+    """With one segment of Phi's rows negated, the kernel holds a vector that
+    is no morphism; the check, which reads the arrow maps and not Phi, makes
+    ``hom_basis`` raise."""
+    real = homext._intertwine_segments
+
+    def negate_first(m, n, blocks):
+        segments = real(m, n, blocks)
+        t_first, t_vals, s_first, s_vals, stride = next(segments)
+        yield t_first, [-x for x in t_vals], s_first, s_vals, stride
+        yield from segments
+
+    r0 = quasi_simple(field, field.of(0))
+    assert [h.blocks for h in hom_basis(r0, r0)] == [Morphism.identity(r0).blocks]
+    assert r0.arrow_maps["a1"].entries == [field.one]
+    monkeypatch.setattr(homext, "_intertwine_segments", negate_first)
+    with pytest.raises(InvariantError, match="does not intertwine"):
+        hom_basis(r0, r0)
+
+
+def test_packed_check_needs_base_two_bound_plus_one():
+    """On A2 over QQ with M = N = k, arrow map 1, a square's residual is
+    F_1 - F_2 and its bound 2K, K the largest |entry|.  (K, -K) has residual
+    2K and (0, 1) residual -1: packed in base 2K they would cancel, so the
+    check's base must exceed 2 * bound.  The two vectors are refused, a
+    genuine pair with entries 2^70 is accepted."""
+    big = 2**70
+    m = Rep(linear_quiver(2), QQ, {1: 1, 2: 1}, {"a1": Matrix.identity(QQ, 1)})
+    with pytest.raises(InvariantError, match="does not intertwine"):
+        _check_intertwines(m, m, [[big, -big], [0, 1]])
+    _check_intertwines(m, m, [[big, big], [1, 1]])

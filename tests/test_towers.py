@@ -28,10 +28,12 @@ from quiverfilt import (
     end_ring_tower,
     ext_basis,
     extension_middle,
+    filt_membership,
     hom_basis,
     image,
     is_isomorphic,
     is_universal,
+    kernel,
     kronecker,
     linear_quiver,
     quasi_simple,
@@ -392,6 +394,36 @@ def test_inclusions_carry_hom_bijectively_on_k3_and_a3(k3, a3, field):
     t = tower(s1, check_semibrick([s1, s2]), 3)
     assert [y.dim_vector() for y in t.levels] == [{1: 1, 2: 0, 3: 0}] + [{1: 1, 2: 1, 3: 0}] * 2
     assert _assert_inclusions_carry_hom_bijectively(t) == [1, 1, 0, 0]
+
+
+@cache
+def _r_tower(field, point):
+    """The K2 tower of R_point over X = {R_point} to height 5."""
+    r = quasi_simple(field, point)
+    return tower(r, check_semibrick([r]), 5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(101)]).flatmap(
+        lambda f: st.tuples(st.just(f), st.sampled_from(["inf", f.of(0), f.of(1), f.of(-2)]))
+    ),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.data(),
+)
+def test_filt_is_wide_on_tower_levels(case, i, j, data):
+    """Filt X is wide: for a random linear combination f of hom_basis(Y(i),
+    Y(j)) on the tower of R_lambda, the kernel, image and cokernel of f pass
+    ``filt_membership``.  dim Hom(Y(i), Y(j)) = min(i, j)."""
+    field, point = case
+    t = _r_tower(field, point)
+    basis = hom_basis(t.levels[i - 1], t.levels[j - 1])
+    assert len(basis) == min(i, j)
+    coeffs = data.draw(st.lists(field_scalar(field), min_size=len(basis), max_size=len(basis)))
+    f = linear_combination(basis, coeffs)
+    for piece in (kernel(f).sub, image(f).sub, cokernel(f)[0]):
+        assert filt_membership(piece, t.semibrick).ok
 
 
 def _ideal_checks_reference(alg, ideal):
