@@ -26,7 +26,11 @@ pairing product.  ``hom-a3-twisted`` here (dim Hom 10, denominators up to
 the R_0 tower to itself, dim Hom 12 on 288 unknowns, with it) were
 recorded before Hom kernels were solved at the free columns only, and
 ``hom-y12-gf101.json`` (the same report over GF(101), compared in CI)
-before ``hom_basis`` checked each basis once on integers.  A
+before ``hom_basis`` checked each basis once on integers.  The
+``tower-k3`` and ``endtower-k3`` reports here, over QQ and GF(101), and
+``endtower-k3-qq-6.json`` (CI compares the 6-level K3 QQ ``endtower``
+report with it; Phi of Y(6) is 11,907 x 7,938) were recorded before QQ
+forward elimination pivoted on the entry of least absolute value.  A
 refactor or speed-up must reproduce them exactly; a
 deliberate output change re-records them with
 
@@ -88,6 +92,10 @@ TWISTED_INPUT = os.path.join(GOLDEN, "inputs", "r0_rinf_rinf_twisted.json")
 A3_INPUT = os.path.join(GOLDEN, "inputs", "a3_original.json")
 A3_TWISTED_INPUT = os.path.join(GOLDEN, "inputs", "a3_twisted.json")
 
+# The K3 tower over X = x11:1,0,0 to 5 levels, dims (31, 31) at the top: its
+# End kernels solve Phi of up to 2,883 rows with dim End up to 31.
+K3_TOWER = ["--base", "x11:1,0,0", "--semibrick", "x11:1,0,0", "--levels", "5"]
+
 CLI_CASES = {
     "hom": ["hom", "--quiver", "k3", "--field", "f5", "--left", "p1", "--right", "p2"],
     "hom-a3-twisted": ["hom", "--left", A3_TWISTED_INPUT, "--right", A3_INPUT],
@@ -98,6 +106,10 @@ CLI_CASES = {
     "semibrick": ["semibrick", "--members", "r0", "r1", "rinf"],
     "tower": ["tower", "--base", "r1", "--semibrick", "r1", "--levels", "4"],
     "endtower": ["endtower", "--base", "r0", "--semibrick", "r0", "--levels", "4"],
+    "tower-k3": ["tower", "--quiver", "k3", *K3_TOWER],
+    "tower-k3-gf101": ["tower", "--quiver", "k3", "--field", "f101", *K3_TOWER],
+    "endtower-k3": ["endtower", "--quiver", "k3", *K3_TOWER],
+    "endtower-k3-gf101": ["endtower", "--quiver", "k3", "--field", "f101", *K3_TOWER],
     "uniserial": ["uniserial", "--base", "r2", "--semibrick", "r2", "--levels", "3"],
     "preproj": [
         "preproj", "--quiver", "k2", "--field", "f101", "--base", "p1",
