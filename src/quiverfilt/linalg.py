@@ -13,7 +13,10 @@ residues over GF(p), integers over the rationals, which ``_rows`` reads off a
 ``Matrix`` (its entries, or its ``_integer_form()``) and which callers such
 as ``homext`` may build directly.  Over the rationals it does no ``Fraction``
 arithmetic at all: it takes each row divided by its content (the gcd of its
-entries) and eliminates by cross-multiplication on rows kept primitive.
+entries) and eliminates by cross-multiplication on rows kept primitive.  It
+pivots on the remaining entry of least absolute value in each column, made
+positive; small pivots keep fraction-free elimination cheap (cf. Bareiss,
+Math. Comp. 22, 1968), and a unit pivot clears a row without scaling it.
 There is one elimination loop: ``_row_forward_echelon`` clears each pivot's
 column below it; ``rank`` counts its pivots, and ``RowSpace.from_echelon``
 spans its rows, building one ``Fraction`` per nonzero entry.
@@ -25,24 +28,24 @@ does no back-substitution and builds no reduced matrix: ``_solve_at_free``
 solves the rref rows at the free columns only, from the forward echelon
 rows, and each kernel entry is built once from them.  ``_row_kernel_forms``
 also reads each kernel vector's integer form off the same rows, for
-``homext.hom_basis`` to check its basis on.  The one sparse
-routine is ``sparse_rank``, over GF(p) only: it takes rows as their nonzero
-``(column, value)`` items and eliminates them one at a time in column order,
-pivoting on each row's leftmost nonzero column.  Over QQ every ``Matrix``
-keeps its integer form, its entries times the lcm ``den`` of their
-denominators, once a product or an elimination has read it; the transpose
-of a matrix whose form is cached is born with it.  ``Matrix.mul``
-multiplies the two integer forms and builds each nonzero entry of the
-result once, as ``Fraction(x, la*lb)``; ``combination`` sums multiples of
-matrices on their integer forms the same way, and its result is born with
-its own.  ``products_equal(a, b, c, d)`` decides ``a*b == c*d`` on
-integers and builds no field element: over QQ it compares the integer
-products of the four integer forms by cross-multiplying with the other
-side's denominators; over GF(p) it compares the unreduced products modulo
-p.  ``Matrix.mul`` and ``products_equal`` share one zero-skipping product
-loop.  The kernels skip zeros by truthiness, so they require canonical
-entries, the values ``Field.of`` returns: a ``Fraction`` over QQ, an
-``int`` in [0, p) over GF(p).
+``homext.hom_basis`` to check its basis on; ``_row_kernel`` builds none.
+The one sparse routine is ``sparse_rank``, over GF(p) only: it takes rows
+as their nonzero ``(column, value)`` items and eliminates them one at a
+time in column order, pivoting on each row's leftmost nonzero column.
+Over QQ every ``Matrix`` keeps its integer form, its entries times the lcm
+``den`` of their denominators, once a product or an elimination has read
+it; the transpose of a matrix whose form is cached is born with it.
+``Matrix.mul`` multiplies the two integer forms and builds each nonzero
+entry of the result once, as ``Fraction(x, la*lb)``; ``combination`` sums
+multiples of matrices on their integer forms the same way, and its result
+is born with its own.  ``products_equal(a, b, c, d)`` decides
+``a*b == c*d`` on integers and builds no field element: over QQ it compares
+the integer products of the four integer forms by cross-multiplying with
+the other side's denominators; over GF(p) it compares the unreduced products
+modulo p.  ``Matrix.mul`` and ``products_equal`` share one zero-skipping
+product loop.  The kernels skip zeros by truthiness, so they require
+canonical entries, the values ``Field.of`` returns: a ``Fraction`` over QQ,
+an ``int`` in [0, p) over GF(p).
 
 Matrices are immutable by convention: no public routine mutates its inputs,
 and ``Matrix`` instances may be shared freely.  The cached integer form
@@ -533,8 +536,13 @@ def combination(coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
 
 
 def _integer_multiple(values: list) -> tuple[list, int]:
-    """``values`` (Fractions) times the lcm ``den`` of their denominators, and ``den``."""
-    items = nonzero_items(values)
+    """``values`` (Fractions) times the lcm ``den`` of their denominators, and ``den``.
+
+    Most entries are the shared ``QQ.zero``, skipped by identity before any
+    ``Fraction`` truth test.
+    """
+    zero = QQ.zero
+    items = [(j, x) for j, x in enumerate(values) if x is not zero and x]
     den = lcm(*[x.denominator for _, x in items])
     out = [0] * len(values)
     for j, x in items:
@@ -727,7 +735,7 @@ def _row_echelon(rows: list[list], ncols: int, p: int) -> tuple[list[list], list
     last pivot row up, each pivot row clears its column in the rows above
     it.  Over GF(p) the pivots are units, so the rows are those of the rref.
     Over QQ they stay primitive integer rows, and row i of the rref is
-    ``rows[i]`` divided by its pivot entry, whose sign may be either.
+    ``rows[i]`` divided by its pivot entry, which is positive.
     """
     rows, pivots = _row_forward_echelon(rows, ncols, p)
     for k in range(len(pivots) - 1, 0, -1):
@@ -750,14 +758,19 @@ def _row_forward_echelon(rows: list[list], ncols: int, p: int) -> tuple[list[lis
     """Echelon rows by forward elimination only, and their pivot columns.
 
     ``rows`` are fresh lists of length ``ncols``, eliminated in place: over
-    GF(p) residues, each pivot row scaled to a unit; over QQ integers, each
-    row first divided by its content and kept primitive, with pivot entries
-    of either sign, and no ``Fraction`` is built.  A primitive row depends
-    only on the row's own entries up to a positive factor, so rows scaled by
-    any common positive ``den`` eliminate alike.  Each pivot row clears the
-    rows below it; nothing above a pivot is touched.  Row i is zero before
-    its pivot and at the pivots of the rows before it.  The pivots are those
-    of the rref, and the rows span the same row space.
+    GF(p) residues, the pivot row at a column being the first row nonzero
+    there, scaled to a unit; over QQ integers, each row first divided by its
+    content and kept primitive, and no ``Fraction`` is built.  Over QQ the
+    pivot row at a column is the remaining row whose entry there has the
+    least absolute value, the first +-1 ending the search, negated if that
+    entry is negative: every pivot entry is positive, and a pivot 1 clears a
+    row without scaling it, so fewer rows pick up a content to divide out.
+    A primitive row depends only on the row's own entries up to a positive
+    factor, so rows scaled by any common positive ``den`` eliminate alike.
+    The pivot rows depend on the pivot rule, the rref does not.  Each pivot
+    row clears the rows below it; nothing above a pivot is touched.  Row i
+    is zero before its pivot and at the pivots of the rows before it.  The
+    pivots are those of the rref, and the rows span the same row space.
     """
     rows = [row if p else _primitive(row) for row in rows if any(row)]
     pivots: list[int] = []
@@ -765,11 +778,24 @@ def _row_forward_echelon(rows: list[list], ncols: int, p: int) -> tuple[list[lis
     for c in range(ncols):
         if r == len(rows):
             break
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                break
+        if p:
+            for i in range(r, len(rows)):
+                if rows[i][c]:
+                    break
+            else:
+                continue
         else:
-            continue
+            i, least = r, 0
+            for k in range(r, len(rows)):
+                x = abs(rows[k][c])
+                if x and (x < least or not least):
+                    i, least = k, x
+                    if x == 1:
+                        break
+            if not least:
+                continue
+            if rows[i][c] < 0:
+                rows[i] = [-x for x in rows[i]]
         rows[r], rows[i] = rows[i], rows[r]
         items = scale_to_unit(rows[r], c, p) if p else nonzero_items(rows[r], c)
         pivots.append(c)
@@ -859,11 +885,24 @@ def _row_kernel(rows: list[list], ncols: int, f: Field) -> tuple[list[list], lis
     """The canonical kernel basis of ``rows`` as coordinate lists, and the free columns.
 
     ``rows`` are raw rows as ``_row_forward_echelon`` takes them.  One vector
-    per free column of the rref, in increasing order, with a 1 at its free
-    column fc and, at each pivot column pc, the entry of the rref at fc
-    negated: the vectors of ``_row_kernel_forms``.
+    per free column fc of the rref, in increasing order, with a 1 at fc and,
+    at each pivot column pc, the entry of the rref at fc negated, built once
+    from the rows ``_kernel_at_free`` solves: ``Fraction(-vals_k[i], den_k)``
+    over QQ, ``-vals_k[i] % p`` over GF(p).  No integer form is built; see
+    ``_row_kernel_forms``.
     """
-    vecs, _, free = _row_kernel_forms(rows, ncols, f)
+    p = f.characteristic
+    solved, free = _kernel_at_free(rows, ncols, p)
+    zero, one = f.zero, f.one
+    vecs = []
+    for i, fc in enumerate(free):
+        vec = [zero] * ncols
+        vec[fc] = one
+        for pc, (vals, den) in solved.items():
+            x = vals[i]
+            if x:
+                vec[pc] = -x % p if p else Fraction(-x, den)
+        vecs.append(vec)
     return vecs, free
 
 
@@ -871,37 +910,40 @@ def _row_kernel_forms(rows: list[list], ncols: int, f: Field) -> tuple[list, lis
     """``_row_kernel``'s vectors, their integer forms ``(ints, L)`` with vector =
     ints / L, and the free columns.
 
-    Both are built once from the rref rows solved at the free columns only
-    (``_solve_at_free``) after forward elimination; no reduced matrix is
-    built.  For the i-th free column fc, ``L`` is the lcm of ``den_k`` over
-    the solved rows with ``vals_k[i] != 0``, ``ints[fc] = L`` and ``ints[pc_k]
-    = -vals_k[i] * (L // den_k)``, and the vector's entry at pc_k is
-    ``Fraction(-vals_k[i], den_k)``.  Over GF(p) ``L`` is 1 and the vector
-    is its own integer form, the residues.
+    Over QQ both are built in one pass over the solved rows.  For the i-th
+    free column fc, ``L`` is the lcm of ``den_k`` over the solved rows with
+    ``vals_k[i] != 0``, ``ints[fc] = L`` and ``ints[pc_k] = -vals_k[i] * (L
+    // den_k)``.  Over GF(p) ``L`` is 1 and each vector is its own integer
+    form, the residues.
     """
-    p = f.characteristic
-    rows, pivots = _row_forward_echelon(rows, ncols, p)
-    if len(pivots) == ncols:
-        return [], [], []
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    solved = _solve_at_free(rows, pivots, free, p)
+    if f.characteristic:
+        vecs, free = _row_kernel(rows, ncols, f)
+        return vecs, [(vec, 1) for vec in vecs], free
+    solved, free = _kernel_at_free(rows, ncols, 0)
+    zero, one = f.zero, f.one
     vecs, forms = [], []
     for i, fc in enumerate(free):
-        lcd = 1 if p else lcm(*[den for vals, den in solved.values() if vals[i]])
-        ints = [0] * ncols
-        vec = ints if p else [f.zero] * ncols
-        ints[fc], vec[fc] = lcd, f.one
+        lcd = lcm(*[den for vals, den in solved.values() if vals[i]])
+        vec, ints = [zero] * ncols, [0] * ncols
+        vec[fc], ints[fc] = one, lcd
         for pc, (vals, den) in solved.items():
             x = vals[i]
             if x:
-                if p:
-                    ints[pc] = -x % p
-                else:
-                    vec[pc], ints[pc] = Fraction(-x, den), -x * (lcd // den)
+                vec[pc], ints[pc] = Fraction(-x, den), -x * (lcd // den)
         vecs.append(vec)
         forms.append((ints, lcd))
     return vecs, forms, free
+
+
+def _kernel_at_free(rows: list[list], ncols: int, p: int) -> tuple[dict, list[int]]:
+    """``_solve_at_free`` of the forward echelon rows of ``rows``, and the free
+    columns in increasing order; no reduced matrix is built."""
+    rows, pivots = _row_forward_echelon(rows, ncols, p)
+    if len(pivots) == ncols:
+        return {}, []
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    return _solve_at_free(rows, pivots, free, p), free
 
 
 def _solve_at_free(rows: list[list], pivots: list[int], free: list[int], p: int) -> dict:

@@ -388,6 +388,58 @@ def test_row_space_from_forward_echelon_reduces_like_rref_rows(m, data):
         assert space.reduce(vec) == reference.reduce(vec)
 
 
+@st.composite
+def _qq_raw_rows(draw):
+    """Integer rows for QQ forward elimination, of one of four kinds: entries
+    with no unit (so no pivot is 1 at first), rows each multiplied by a
+    content of 2..12 of either sign, a full-column-rank block among the rows,
+    or any entries up to 2^40; zero rows inserted at random."""
+    kind = draw(st.sampled_from(["no unit", "content", "full rank", "any"]))
+    nrows = draw(st.integers(min_value=0, max_value=6))
+    ncols = draw(st.integers(min_value=0, max_value=6))
+    if kind == "no unit":
+        entry = st.sampled_from([0, 0, 2, -2, 3, -3, 4, -6, 9, -10])
+    else:
+        entry = st.one_of(
+            st.integers(min_value=-3, max_value=3),
+            st.integers(min_value=-(2**40), max_value=2**40),
+        )
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "content":
+        scales = st.integers(min_value=2, max_value=12).flatmap(lambda k: st.sampled_from([k, -k]))
+        rows = [[k * x for x in row] for row, k in ((row, draw(scales)) for row in rows)]
+    if kind == "full rank":
+        lead = st.integers(min_value=-12, max_value=12).filter(bool)
+        rows += [
+            [draw(lead) if i == j else (draw(entry) if i < j else 0) for j in range(ncols)]
+            for i in range(ncols)
+        ]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), [0] * ncols)
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_qq_raw_rows())
+@example(([[-2, 4, 6], [-3, 0, 9], [0, -4, 2]], 3))  # negative leading entries, content 2 and 3
+@example(([[4, 6], [6, 9], [0, 0]], 2))  # no unit in column 0, a zero row, rank 1
+@example(([[-1, 2], [3, -5]], 2))  # a -1 pivot, full rank
+def test_qq_forward_echelon_against_rref(case):
+    """QQ ``_row_forward_echelon`` on integer rows: the pivots are rref's;
+    each row is primitive with a positive pivot entry, zero before its pivot
+    and at the pivots before it; and the rows span the input's row space."""
+    raw, ncols = case
+    m = Matrix(QQ, len(raw), ncols, [QQ.of(x) for row in raw for x in row])
+    rows, pivots = _row_forward_echelon([list(row) for row in raw], ncols, 0)
+    red, want = rref(m)
+    assert tuple(pivots) == want and len(rows) == len(pivots)
+    for i, (row, c) in enumerate(zip(rows, pivots)):
+        assert len(row) == ncols and row[c] > 0 and gcd(*row) == 1
+        assert not any(row[:c]) and not any(row[pc] for pc in pivots[:i])
+    span = Matrix(QQ, len(rows), ncols, [QQ.of(x) for row in rows for x in row])
+    assert rref(span)[0].entries == red.entries[: len(rows) * ncols]
+
+
 @pytest.mark.parametrize("field", [QQ, F2, GF(101)])
 def test_rank_of_empty_shapes(field):
     for shape in [(0, 0), (0, 5), (5, 0)]:

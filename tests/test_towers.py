@@ -426,6 +426,42 @@ def test_filt_is_wide_on_tower_levels(case, i, j, data):
         assert filt_membership(piece, t.semibrick).ok
 
 
+@cache
+def _k3_tower(field):
+    """The K3 tower of X = x11:1,0,0 over X = {X} to height 4, dims (15, 15) at the top."""
+    x = make_x11(kronecker(3), field, [1, 0, 0])
+    return tower(x, check_semibrick([x]), 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(101)]).flatmap(
+        lambda f: st.tuples(
+            st.just(f), st.sampled_from(["inf", f.of(0), f.of(1), f.of(-2), "k3"])
+        )
+    ),
+    st.data(),
+)
+def test_ext_classes_die_in_next_level_on_tower_levels(case, data):
+    """Universal sequences kill Ext: a random class of Ext(X, Y(i)), X the
+    member, pushed forward along the inclusion Y(i) -> Y(i+1) is zero in
+    Ext(X, Y(i+1)).  On the K2 towers of R_lambda dim Ext(X, Y(i)) = 1, on
+    the K3 tower of x11:1,0,0 it is 2^i.  Both classes are reduced on the
+    forward echelon rows of Phi^T (``ExtSpace.reduce``)."""
+    field, point = case
+    t = _k3_tower(field) if point == "k3" else _r_tower(field, point)
+    i = data.draw(st.integers(min_value=1, max_value=t.height - 1))
+    x = t.base
+    source = ExtSpace(x, t.levels[i - 1])
+    assert source.dim == (2**i if point == "k3" else 1)
+    coords = data.draw(st.lists(field_scalar(field), min_size=source.dim, max_size=source.dim))
+    c = source.from_coords(coords)
+    assert source.reduce(c) == coords
+    assert source.is_zero_class(c) == (not any(coords))
+    target = ExtSpace(x, t.levels[i])
+    assert target.is_zero_class(c.pushed_forward(t.inclusion(i, i + 1)))
+
+
 def _ideal_checks_reference(alg, ideal):
     """``_ideal_checks`` one ``AlgebraPresentation.multiply`` per product."""
     f, d = alg.field, alg.dimension
