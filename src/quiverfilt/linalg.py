@@ -19,15 +19,16 @@ positive; small pivots keep fraction-free elimination cheap (cf. Bareiss,
 Math. Comp. 22, 1968), and a unit pivot clears a row without scaling it.
 There is one elimination loop: ``_row_forward_echelon`` clears each pivot's
 column below it; ``rank`` counts its pivots, and ``RowSpace.from_echelon``
-spans its rows, building one ``Fraction`` per nonzero entry.
-``_row_echelon`` adds back-substitution, each pivot row from the last up
-clearing its column above it; ``rref`` builds each ``Fraction`` of its
-result once, from a pivot row and its pivot entry.  Both passes clear rows
-with ``_clear_column`` alone.  ``_row_kernel`` (behind ``nullspace_basis``)
-does no back-substitution and builds no reduced matrix: ``_solve_at_free``
-solves the rref rows at the free columns only, from the forward echelon
-rows, and each kernel entry is built once from them.  ``_row_kernel_forms``
-also reads each kernel vector's integer form off the same rows, for
+spans its rows, building one ``Fraction`` per nonzero entry.  It clears
+rows with ``_clear_column`` alone.  There is one back-solve:
+``_solve_at_free`` solves the rref rows at given non-pivot columns only,
+from the forward echelon rows, last row first, and nothing clears a
+column above a pivot.  ``rref`` assembles the reduced matrix from its
+rows at all free columns (``_kernel_at_free``), building each entry once;
+``solve`` reads the rows of ``[a | b]`` at b's columns only.
+``_row_kernel`` (behind ``nullspace_basis``) builds each kernel entry once
+from the same solved rows, and no reduced matrix.  ``_row_kernel_forms``
+also reads each kernel vector's integer form off them, for
 ``homext.hom_basis`` to check its basis on; ``_row_kernel`` builds none.
 The one sparse routine is ``sparse_rank``, over GF(p) only: it takes rows
 as their nonzero ``(column, value)`` items and eliminates them one at a
@@ -163,6 +164,11 @@ class _PrimeField(Field):
     one = 1
 
     def __init__(self, p: int):
+        # above the bound _is_prime would fall back to trial division up to sqrt(p)
+        if p >= _MR_LIMIT:
+            raise InvariantError(
+                f"characteristic {p} is not below {_MR_LIMIT}, the bound of the exact primality test"
+            )
         if not _is_prime(p):
             raise InvariantError(f"{p} is not prime")
         self.characteristic = p
@@ -248,7 +254,7 @@ _gf_cache: dict[int, Field] = {}
 
 
 def GF(p: int) -> Field:
-    """Return the field with p elements (p prime); instances are cached."""
+    """Return the field with p elements (p prime, below ``_MR_LIMIT``); instances are cached."""
     if p not in _gf_cache:
         _gf_cache[p] = _PrimeField(p)
     return _gf_cache[p]
@@ -699,19 +705,23 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with leftmost pivots and unit leading entries.
 
     Returns the reduced matrix and the tuple of pivot column indices.  The
-    output is canonical: equal row spaces give equal results.
+    output is canonical: equal row spaces give equal results.  Row k is
+    assembled from ``_kernel_at_free``: a 1 at its pivot pc_k, zero at the
+    other pivots, and ``vals[i] / den`` at the i-th free column, each entry
+    built once.
     """
-    rows, pivots = _row_echelon(_rows(m), m.cols, m.field.characteristic)
-    zero = m.field.zero
-    if m.field.characteristic:
-        flat = [x for row in rows for x in row]
-    else:
-        flat = []
-        for row, c in zip(rows, pivots):
-            a = row[c]
-            flat += [Fraction(x, a) if x else zero for x in row]
-    flat += [zero] * ((m.rows - len(pivots)) * m.cols)
-    return Matrix(m.field, m.rows, m.cols, flat), tuple(pivots)
+    f = m.field
+    p = f.characteristic
+    solved, pivots, free = _kernel_at_free(_rows(m), m.cols, p)
+    flat = [f.zero] * (m.rows * m.cols)
+    for k, pc in enumerate(pivots):
+        base = k * m.cols
+        flat[base + pc] = f.one
+        vals, den = solved.get(pc, ((), 1))
+        for c, x in zip(free, vals):
+            if x:
+                flat[base + c] = x if p else Fraction(x, den)
+    return Matrix(f, m.rows, m.cols, flat), tuple(pivots)
 
 
 def _rows(m: Matrix) -> list[list]:
@@ -726,27 +736,6 @@ def _primitive(row: list) -> list:
     """``row`` divided by the gcd of its entries (a zero row is returned as is)."""
     g = gcd(*row)
     return row if g < 2 else [x // g for x in row]
-
-
-def _row_echelon(rows: list[list], ncols: int, p: int) -> tuple[list[list], list[int]]:
-    """The nonzero rows of the rref of ``rows``, up to scaling, and their pivot columns.
-
-    The rows of ``_row_forward_echelon``, then back-substitution: from the
-    last pivot row up, each pivot row clears its column in the rows above
-    it.  Over GF(p) the pivots are units, so the rows are those of the rref.
-    Over QQ they stay primitive integer rows, and row i of the rref is
-    ``rows[i]`` divided by its pivot entry, which is positive.
-    """
-    rows, pivots = _row_forward_echelon(rows, ncols, p)
-    for k in range(len(pivots) - 1, 0, -1):
-        c = pivots[k]
-        # Most pivot columns of a sparse input are already clear above, so
-        # the pivot row's items are built only once a row needs them.
-        for row in rows[:k]:
-            if row[c]:
-                _clear_column(rows, 0, k, c, nonzero_items(rows[k], c), p)
-                break
-    return rows, pivots
 
 
 def forward_echelon(m: Matrix) -> tuple[list[list], list[int]]:
@@ -800,13 +789,13 @@ def _row_forward_echelon(rows: list[list], ncols: int, p: int) -> tuple[list[lis
         items = scale_to_unit(rows[r], c, p) if p else nonzero_items(rows[r], c)
         pivots.append(c)
         r += 1
-        _clear_column(rows, r, len(rows), c, items, p)
+        _clear_column(rows, r, c, items, p)
     return rows[:r], pivots
 
 
-def _clear_column(rows: list[list], lo: int, hi: int, c: int, items: list, p: int) -> None:
-    """Clear column c in ``rows[lo:hi]`` against a pivot row at c, given by its
-    nonzero ``items`` from c on.
+def _clear_column(rows: list[list], lo: int, c: int, items: list, p: int) -> None:
+    """Clear column c in ``rows[lo:]``, the rows below a pivot row at c given
+    by its nonzero ``items`` from c on.
 
     Over GF(p) the pivot is a unit and a row ``v`` becomes ``v - v[c]*pivot``.
     Over QQ an entry ``b`` is cleared against the pivot entry ``a`` by ``v =
@@ -815,12 +804,12 @@ def _clear_column(rows: list[list], lo: int, hi: int, c: int, items: list, p: in
     the integer form of the matrix eliminated.
     """
     if p:
-        for row in rows[lo:hi]:
+        for row in rows[lo:]:
             if row[c]:
                 subtract_multiple(row, row[c], items, p)
         return
     a = items[0][1]
-    for i in range(lo, hi):
+    for i in range(lo, len(rows)):
         row = rows[i]
         b = row[c]
         if b:
@@ -892,7 +881,7 @@ def _row_kernel(rows: list[list], ncols: int, f: Field) -> tuple[list[list], lis
     ``_row_kernel_forms``.
     """
     p = f.characteristic
-    solved, free = _kernel_at_free(rows, ncols, p)
+    solved, _, free = _kernel_at_free(rows, ncols, p)
     zero, one = f.zero, f.one
     vecs = []
     for i, fc in enumerate(free):
@@ -919,7 +908,7 @@ def _row_kernel_forms(rows: list[list], ncols: int, f: Field) -> tuple[list, lis
     if f.characteristic:
         vecs, free = _row_kernel(rows, ncols, f)
         return vecs, [(vec, 1) for vec in vecs], free
-    solved, free = _kernel_at_free(rows, ncols, 0)
+    solved, _, free = _kernel_at_free(rows, ncols, 0)
     zero, one = f.zero, f.one
     vecs, forms = [], []
     for i, fc in enumerate(free):
@@ -935,26 +924,30 @@ def _row_kernel_forms(rows: list[list], ncols: int, f: Field) -> tuple[list, lis
     return vecs, forms, free
 
 
-def _kernel_at_free(rows: list[list], ncols: int, p: int) -> tuple[dict, list[int]]:
-    """``_solve_at_free`` of the forward echelon rows of ``rows``, and the free
-    columns in increasing order; no reduced matrix is built."""
+def _kernel_at_free(rows: list[list], ncols: int, p: int) -> tuple[dict, list[int], list[int]]:
+    """The forward echelon rows of ``rows`` solved at all their free columns:
+    ``(_solve_at_free(...), pivots, free)``, the free columns in increasing
+    order.  ``rref`` and the row kernels read the rref through it."""
     rows, pivots = _row_forward_echelon(rows, ncols, p)
-    if len(pivots) == ncols:
-        return {}, []
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
-    return _solve_at_free(rows, pivots, free, p), free
+    return _solve_at_free(rows, pivots, free, p), pivots, free
 
 
 def _solve_at_free(rows: list[list], pivots: list[int], free: list[int], p: int) -> dict:
-    """The rref rows R_k at the free columns F, from the echelon rows E_k of
-    ``_row_forward_echelon``, last first: ``R_k = (E_k[F] - sum_{j>k}
-    E_k[pc_j] * R_j) / E_k[pc_k]``.  Returns ``{pc_k: (vals, den)}`` with
+    """The rref rows R_k at the non-pivot columns F, from the echelon rows E_k
+    of ``_row_forward_echelon``, last first: ``R_k = (E_k[F] - sum_{j>k}
+    E_k[pc_j] * R_j) / E_k[pc_k]``.  Each column of F is solved on its own,
+    so F may be any of the free columns: all of them for ``rref``, the
+    right-hand sides for ``solve``.  Returns ``{pc_k: (vals, den)}`` with
     ``R_k[free[i]] == vals[i] / den``, leaving out each R_k that is zero on
     F, so the sum runs over the rows kept.  Over GF(p) ``den`` is 1; over QQ
-    ``vals`` are integers, ``den > 0`` and ``gcd(den, *vals) == 1``.
+    ``vals`` are integers and ``gcd(den, *vals) == 1``, and ``den > 0``
+    because every pivot entry is.
     """
     solved: dict = {}
+    if not free:  # full column rank, or b without columns: nothing to solve at
+        return solved
     for k in range(len(pivots) - 1, -1, -1):
         row = rows[k]
         vals, den = [row[c] for c in free], 1
@@ -972,8 +965,6 @@ def _solve_at_free(rows: list[list], pivots: list[int], free: list[int], p: int)
             vals = [x % p for x in vals]
         else:
             den *= row[pivots[k]]
-            if den < 0:
-                vals, den = [-x for x in vals], -den
             g = gcd(den, *vals)
             if g > 1:
                 vals, den = [x // g for x in vals], den // g
@@ -992,22 +983,27 @@ def nullspace_basis(m: Matrix) -> list[Matrix]:
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
-    """One solution X of a*X = b with free variables set to zero, else None."""
+    """One solution X of a*X = b with free variables set to zero, else None.
+
+    ``[a | b]`` is eliminated forward; the system is inconsistent iff its
+    last pivot lies in b's block.  Otherwise the row of X at each pivot
+    column is that pivot's rref row at b's columns, which ``_solve_at_free``
+    solves at those columns only.
+    """
     if a.field != b.field:
         raise InvariantError("field mismatch")
     if a.rows != b.rows:
         raise InvariantError("row count mismatch in solve")
     f = a.field
-    red, pivots = rref(hstack([a, b]))
-    # inconsistent iff some pivot lands in the b block
-    for p in pivots:
-        if p >= a.cols:
-            return None
-    x = [f.zero] * (a.cols * b.cols)
-    for r_idx, pc in enumerate(pivots):
-        for j in range(b.cols):
-            x[pc * b.cols + j] = red.at(r_idx, a.cols + j)
-    return Matrix(f, a.cols, b.cols, x)
+    p = f.characteristic
+    n, k = a.cols, b.cols
+    rows, pivots = forward_echelon(hstack([a, b]))
+    if pivots and pivots[-1] >= n:
+        return None
+    x = [f.zero] * (n * k)
+    for pc, (vals, den) in _solve_at_free(rows, pivots, list(range(n, n + k)), p).items():
+        x[pc * k : (pc + 1) * k] = vals if p else [Fraction(v, den) if v else f.zero for v in vals]
+    return Matrix(f, n, k, x)
 
 
 def inverse(m: Matrix) -> Matrix | None:

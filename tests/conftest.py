@@ -25,7 +25,6 @@ from quiverfilt.linalg import (
     hstack,
     mat_from_cols,
     rank,
-    rref,
     unit_vectors,
 )
 
@@ -107,12 +106,35 @@ def draw_rep(data, quiver, field, max_dim=2, scalar=None):
     return Rep(quiver, field, dims, maps)
 
 
+def reference_rref(m):
+    """Reference: Gauss-Jordan elimination in ``Field`` arithmetic, one row at
+    a time, shared with no kernel under test.  Returns the reduced matrix and
+    its pivot columns."""
+    f = m.field
+    rows = [m.row(i) for i in range(m.rows)]
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        found = [i for i in range(r, m.rows) if rows[i][c] != f.zero]
+        if not found:
+            continue
+        rows[r], rows[found[0]] = rows[found[0]], rows[r]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(inv, x) for x in rows[r]]
+        for i in range(m.rows):
+            if i != r:
+                factor = f.neg(rows[i][c])
+                rows[i] = [f.add(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return Matrix(f, m.rows, m.cols, [x for row in rows for x in row]), tuple(pivots)
+
+
 def columns_contained(inner, outer):
     """Reference: whether every column of ``inner`` lies in the column space of
     ``outer``, read off the pivot counts of two full reductions."""
     if inner.cols == 0:
         return True
-    return len(rref(hstack([outer, inner]))[1]) == len(rref(outer)[1])
+    return len(reference_rref(hstack([outer, inner]))[1]) == len(reference_rref(outer)[1])
 
 
 def reference_nullspace(m):
@@ -120,7 +142,7 @@ def reference_nullspace(m):
     vector per free column of rref(m) with a 1 there and, at each pivot
     column, the negated entry of rref(m) in that free column."""
     f = m.field
-    red, pivots = rref(m)
+    red, pivots = reference_rref(m)
     basis = []
     for fc in (c for c in range(m.cols) if c not in pivots):
         vec = [f.zero] * m.cols
@@ -235,7 +257,7 @@ def reference_ext(m, n):
     coboundaries, read at the free coordinates.
     """
     f = m.field
-    reduced, pivots = rref(reference_intertwine_matrix(m, n).transpose())
+    reduced, pivots = reference_rref(reference_intertwine_matrix(m, n).transpose())
     space = RowSpace(f, (reduced.row(i) for i in range(len(pivots))))
     free = [c for c in range(reduced.cols) if c not in pivots]
     shapes = [(aid, n.dims[t], m.dims[s]) for aid, s, t in m.quiver.arrows]

@@ -402,6 +402,21 @@ def test_nonprime_field_is_exit_two(capsys):
     assert code == 2
 
 
+def test_field_beyond_the_exact_primality_bound_is_refused_at_once():
+    """``--field f<2^89 - 1>`` exits 2 naming the bound, without a trial
+    division up to sqrt(p) (about 2.5e13); in a subprocess with a timeout,
+    so that a hang fails the test."""
+    p = 2**89 - 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "quiverfilt", "hom", "--left", "r0", "--right", "r0", "--field", f"f{p}"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert f"invalid input: characteristic {p} is not below" in proc.stderr
+
+
 def test_budget_exhaustion_is_exit_three(capsys):
     code, _, err = run(
         capsys,

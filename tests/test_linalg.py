@@ -1,5 +1,8 @@
 """Exact linear algebra kernel: fields, matrices, canonical eliminations."""
 
+import subprocess
+import sys
+
 import pytest
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -9,6 +12,7 @@ from quiverfilt import GF, QQ, Matrix
 from quiverfilt.errors import FormatError, InvariantError
 from quiverfilt.linalg import (
     RowSpace,
+    _MR_LIMIT,
     _integer_multiple,
     _is_prime,
     _row_forward_echelon,
@@ -34,7 +38,7 @@ from quiverfilt.linalg import (
     vstack,
 )
 
-from conftest import columns_contained, field_scalar, reference_nullspace
+from conftest import columns_contained, field_scalar, reference_nullspace, reference_rref
 
 F2 = GF(2)
 F5 = GF(5)
@@ -44,10 +48,11 @@ def mq(rows):
     return Matrix.from_rows(QQ, [[QQ.of(x) for x in r] for r in rows])
 
 
-# Inputs whose back-substitution does work, each built fresh so that no test
+# Inputs whose back-solve does work, each built fresh so that no test
 # sees an integer form another one cached: negative QQ pivot entries; a
-# triangular QQ matrix whose last pivot clears all three rows above it; a
-# rank-3 GF(5) matrix whose last pivot column is nonzero in both rows above.
+# triangular QQ matrix whose last pivot column is nonzero in all three rows
+# above it; a rank-3 GF(5) matrix whose last pivot column is nonzero in both
+# rows above.
 def _negative_pivots():
     return mq([[-2, 3, 1, 0], [4, -1, 5, 2], [-6, 2, -3, 1]])
 
@@ -132,6 +137,39 @@ def test_is_prime_on_pseudoprimes_and_mersenne_primes(n, prime):
     else:
         with pytest.raises(InvariantError):
             GF(n)
+
+
+_REFUSE_BEYOND_THE_BOUND = """
+import json
+from quiverfilt import GF, formats, quasi_simple
+from quiverfilt.errors import FormatError, InvariantError
+p = 2**89 - 1
+try:
+    GF(p)
+except InvariantError as exc:
+    print("library:", exc)
+doc = json.loads(formats.serialize(quasi_simple(GF(5), 0)))
+doc["payload"]["field"]["characteristic"] = p
+try:
+    formats.parse(json.dumps(doc))
+except FormatError as exc:
+    print("formats:", exc)
+"""
+
+
+def test_gf_refuses_a_characteristic_beyond_the_exact_primality_bound():
+    """GF(2^89 - 1), a prime with sqrt(p) about 2.5e13, is refused at once
+    with the bound named, by ``GF`` and by ``formats.parse`` of a rep file;
+    run in a subprocess with a timeout, so that a trial division up to
+    sqrt(p) fails the test instead of hanging it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _REFUSE_BEYOND_THE_BOUND], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    refusal = f"characteristic {2**89 - 1} is not below {_MR_LIMIT}"
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["library", "formats"]
+    assert all(refusal in line for line in lines)
 
 
 def test_field_identity():
@@ -274,26 +312,6 @@ def test_solve_consistent_systems(m, coeffs):
 # differential: the field-specialised kernels against plain Field arithmetic
 
 
-def _reference_rref(m):
-    f = m.field
-    rows = [m.row(i) for i in range(m.rows)]
-    pivots = []
-    for c in range(m.cols):
-        r = len(pivots)
-        found = [i for i in range(r, m.rows) if rows[i][c] != f.zero]
-        if not found:
-            continue
-        rows[r], rows[found[0]] = rows[found[0]], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(m.rows):
-            if i != r:
-                factor = f.neg(rows[i][c])
-                rows[i] = [f.add(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return Matrix(f, m.rows, m.cols, [x for row in rows for x in row]), tuple(pivots)
-
-
 def _reference_mul(a, b):
     f = a.field
     out = []
@@ -328,7 +346,7 @@ def _sparse_matrix(field, rows, cols):
 def test_rref_matches_reference_and_keeps_input(m):
     before = list(m.entries)
     out = rref(m)
-    assert out == _reference_rref(m)
+    assert out == reference_rref(m)
     assert _canonical(out[0])
     assert m.entries == before
 
@@ -514,7 +532,7 @@ def test_rref_rational_big_entries_rank_deficient(case, data):
     m, base = case
     before = list(m.entries)
     red, pivots = rref(m)
-    assert (red, pivots) == _reference_rref(m)
+    assert (red, pivots) == reference_rref(m)
     assert len(pivots) <= base
     assert rank(m) == len(pivots)
     assert m.entries == before
@@ -713,12 +731,13 @@ def _raw_kernel_input(draw):
 @example(Matrix.zeros(GF(101), 3, 4))  # all-zero rows
 def test_row_kernel_on_raw_rows_matches_the_rref_reference(m):
     """``_row_kernel`` on the raw rows of m, solved at the free columns only,
-    against the kernel read off the reduced matrix; the solved rows are the
-    rref rows at the free columns, over QQ as canonical integer pairs."""
+    against the kernel read off the ``Field``-arithmetic reduced matrix; the
+    solved rows are its rows at the free columns, over QQ as canonical
+    integer pairs."""
     vecs, free = _row_kernel(_rows(m), m.cols, m.field)
     assert [Matrix(m.field, m.cols, 1, v) for v in vecs] == reference_nullspace(m)
     assert all(_canonical(Matrix(m.field, m.cols, 1, v)) for v in vecs)
-    red, pivots = rref(m)
+    red, pivots = reference_rref(m)
     assert free == [c for c in range(m.cols) if c not in pivots]
     if not free:
         return
@@ -736,6 +755,78 @@ def test_row_kernel_on_raw_rows_matches_the_rref_reference(m):
         else:
             assert den > 0 and gcd(den, *vals) == 1
             assert [Fraction(x, den) for x in vals] == want
+
+
+@st.composite
+def _solve_case(draw):
+    """(a, b) over QQ (entries up to 2^70), GF(2) or GF(101).  a is 0..6 x
+    0..6, zero rows or columns included, of one of four kinds: any entries,
+    a product through an inner dimension 0..3, or square and invertible or
+    singular.  b has 0..3 columns and is a*x for a random x or drawn at
+    random, which makes many systems inconsistent."""
+    field = draw(st.sampled_from([QQ, F2, GF(101)]))
+    entry = _big_rational if field == QQ else field_scalar(field)
+    dim = st.integers(min_value=0, max_value=6)
+
+    def matrix(rows, cols):
+        n = rows * cols
+        return Matrix(field, rows, cols, draw(st.lists(entry, min_size=n, max_size=n)))
+
+    kind = draw(st.sampled_from(["any", "low rank", "invertible", "singular"]))
+    rows, cols = draw(dim), draw(dim)
+    if kind == "any":
+        a = matrix(rows, cols)
+    elif kind == "low rank":
+        inner = draw(st.integers(min_value=0, max_value=3))
+        a = matrix(rows, inner).mul(matrix(inner, cols))
+    elif kind == "invertible":
+        a = _invertible(draw, field, rows)
+    else:
+        inner = draw(st.integers(min_value=0, max_value=max(rows - 1, 0)))
+        a = matrix(rows, inner).mul(matrix(inner, rows))
+    k = draw(st.integers(min_value=0, max_value=3))
+    b = a.mul(matrix(a.cols, k)) if draw(st.booleans()) else matrix(a.rows, k)
+    return a, b
+
+
+def _solution_from_rref(a, b):
+    """Reference: X of a*X = b with free variables zero, read off the
+    ``Field``-arithmetic rref of ``[a | b]``, or None if it has a pivot in
+    b's block."""
+    f, n, k = a.field, a.cols, b.cols
+    red, pivots = reference_rref(hstack([a, b]))
+    if any(pc >= n for pc in pivots):
+        return None
+    x = [f.zero] * (n * k)
+    for r, pc in enumerate(pivots):
+        x[pc * k : (pc + 1) * k] = [red.at(r, n + j) for j in range(k)]
+    return Matrix(f, n, k, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_solve_case())
+@example((mq([[1, 0], [0, 0]]), mq([[0], [1]])))  # the pivot lands in b's block
+@example((mq([[1, 2], [2, 4]]), mq([[1, 0], [2, 0]])))  # singular, consistent
+@example((Matrix.zeros(QQ, 0, 3), Matrix.zeros(QQ, 0, 2)))  # no equations
+@example((Matrix.zeros(F2, 2, 0), Matrix.from_rows(F2, [[0], [1]])))  # no unknowns
+def test_solve_matches_the_reference_rref_of_the_augmented_matrix(case):
+    """``solve`` is None exactly when the reference rref of ``[a | b]`` has a
+    pivot in b's block, and otherwise the reference solution, in canonical
+    entries; on a square a, ``inverse`` is the reference ``solve(a, I)``."""
+    a, b = case
+    before = (list(a.entries), list(b.entries))
+    want = _solution_from_rref(a, b)
+    got = solve(a, b)
+    if want is None:
+        assert got is None
+    else:
+        assert got == want and _canonical(got) and a.mul(got) == b
+    assert (a.entries, b.entries) == before
+    if a.is_square():
+        inv = inverse(a)
+        assert inv == _solution_from_rref(a, Matrix.identity(a.field, a.rows))
+        assert (inv is None) == (rank(a) < a.rows)
+        assert inv is None or _canonical(inv)
 
 
 # ---------------------------------------------------------------------------
