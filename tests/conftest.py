@@ -20,7 +20,6 @@ from quiverfilt import (
 )
 from quiverfilt.homext import ExtCocycle, _phi_rows, _unflatten
 from quiverfilt.linalg import (
-    RowSpace,
     _row_kernel,
     hstack,
     mat_from_cols,
@@ -127,6 +126,15 @@ def reference_rref(m):
                 rows[i] = [f.add(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
     return Matrix(f, m.rows, m.cols, [x for row in rows for x in row]), tuple(pivots)
+
+
+def reference_rank(f, vectors, width):
+    """Reference: the dimension of the span of ``vectors``, canonical scalars
+    of ``f`` in lists of length ``width``: the pivot count of
+    ``reference_rref`` of their stack."""
+    vectors = list(vectors)
+    flat = [x for vec in vectors for x in vec]
+    return len(reference_rref(Matrix(f, len(vectors), width, flat))[1])
 
 
 def columns_contained(inner, outer):
@@ -248,17 +256,16 @@ def reference_hom_basis(m, n):
 
 def reference_ext(m, n):
     """Reference: Ext^1(m, n) built from the full rref of Phi^T, Phi from
-    ``reference_intertwine_matrix``, its reduced rows re-added one by one to
-    a ``RowSpace``.
+    ``reference_intertwine_matrix``.
 
     Returns ``dim``, ``coboundary_rank``, the ``basis`` cocycles (a 1 at one
     free coordinate of the rref, zero elsewhere) and ``reduce``, the class
-    coordinates of a cocycle: its flattened components reduced against the
-    coboundaries, read at the free coordinates.
+    coordinates of a cocycle: its flattened components less, for each pivot,
+    their entry there times that pivot's rref row, in ``Field`` arithmetic,
+    read at the free coordinates.
     """
     f = m.field
     reduced, pivots = reference_rref(reference_intertwine_matrix(m, n).transpose())
-    space = RowSpace(f, (reduced.row(i) for i in range(len(pivots))))
     free = [c for c in range(reduced.cols) if c not in pivots]
     shapes = [(aid, n.dims[t], m.dims[s]) for aid, s, t in m.quiver.arrows]
 
@@ -275,7 +282,10 @@ def reference_ext(m, n):
         return cocycle(vec)
 
     def reduce(c):
-        vec = space.reduce([x for aid, _, _ in shapes for x in c.components[aid].entries])
+        vec = [x for aid, _, _ in shapes for x in c.components[aid].entries]
+        for k, pc in enumerate(pivots):
+            factor = vec[pc]
+            vec = [f.sub(x, f.mul(factor, y)) for x, y in zip(vec, reduced.row(k))]
         assert not any(vec[pc] for pc in pivots)
         return [vec[fc] for fc in free]
 

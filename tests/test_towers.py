@@ -46,7 +46,6 @@ from quiverfilt.bricks import end_coordinates
 from quiverfilt.errors import BudgetError, InapplicableError, InvariantError
 from quiverfilt.homext import ShortExactSequence
 from quiverfilt.linalg import (
-    RowSpace,
     _integer_multiple,
     solve,
     unit_vectors,
@@ -59,7 +58,14 @@ from quiverfilt.towers import (
     _universal_data,
 )
 
-from conftest import field_scalar, make_x11, reference_uniserial
+from conftest import (
+    field_scalar,
+    make_x11,
+    reference_ext,
+    reference_hom_basis,
+    reference_rank,
+    reference_uniserial,
+)
 
 
 @pytest.fixture
@@ -83,6 +89,43 @@ def test_end_basis_requires_certified_brick(r0):
     with pytest.raises(InvariantError):
         end_basis_of_ext(mm, r0)
     assert end_basis_of_ext(mm, r0, allow_uncertified=True) is not None
+
+
+def _reference_orbit_basis(x, y):
+    """Reference: the End(X)-orbit greedy of ``end_basis_of_ext`` on
+    ``reference_ext`` and ``reference_hom_basis``, each span test a
+    ``reference_rank``: a basis cocycle is kept when its class lies outside
+    the span of the pullbacks of the cocycles kept before it."""
+    space = reference_ext(x, y)
+    endos = reference_hom_basis(x, x)
+    orbit, selected = [], []
+    for cand in space.basis:
+        coords = space.reduce(cand)
+        if reference_rank(x.field, orbit + [coords], space.dim) == reference_rank(
+            x.field, orbit, space.dim
+        ):
+            continue
+        selected.append(cand)
+        orbit += [space.reduce(cand.pulled_back(phi)) for phi in endos]
+    return selected
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)])
+def test_end_orbit_basis_on_sums_of_quasi_simples(field):
+    """On X = R0+R0, R0+R1 (End(X) = M_2(k), resp. k x k) the End(X)-orbit
+    greedy keeps one cocycle per orbit: Ext(R0+R0, R0) = k^2 is one orbit,
+    and Ext(R0+R1, R0) = k is one; with Y = X the orbits double.  The kept
+    cocycles are those of a greedy on reference ranks."""
+    r0, r1 = quasi_simple(field, field.zero), quasi_simple(field, field.one)
+    r00, r01 = direct_sum([r0, r0])[0], direct_sum([r0, r1])[0]
+    pairs = [(r00, r0), (r01, r0), (r01, r01), (r00, r00)]
+    sizes = []
+    for x, y in pairs:
+        chosen = end_basis_of_ext(x, y, allow_uncertified=True)
+        expected = _reference_orbit_basis(x, y)
+        assert [c.components for c in chosen] == [c.components for c in expected]
+        sizes.append(len(chosen))
+    assert sizes == [1, 1, 2, 2]
 
 
 def test_tower_reads_brick_status_from_the_semibrick(r0, sb0, monkeypatch):
@@ -368,7 +411,8 @@ def _assert_inclusions_carry_hom_bijectively(t):
             above = hom_basis(x, t.levels[i + 1])
             images = [compose(h, seq.incl) for h in below]
             flat = [[e for v in x.quiver.vertices for e in h.blocks[v].entries] for h in images]
-            assert len(below) == len(above) == RowSpace(x.field, flat).dim
+            width = sum(t.levels[i + 1].dims[v] * x.dims[v] for v in x.quiver.vertices)
+            assert len(below) == len(above) == reference_rank(x.field, flat, width)
             dims.append(len(above))
     return dims
 
@@ -463,11 +507,12 @@ def test_ext_classes_die_in_next_level_on_tower_levels(case, data):
 
 
 def _ideal_checks_reference(alg, ideal):
-    """``_ideal_checks`` one ``AlgebraPresentation.multiply`` per product."""
+    """``_ideal_checks`` one ``AlgebraPresentation.multiply`` per product,
+    each span test a ``reference_rank``."""
     f, d = alg.field, alg.dimension
-    span = RowSpace(f, ideal)
+    dim = reference_rank(f, ideal, d)
     two_sided = all(
-        span.contains(prod)
+        reference_rank(f, ideal + [prod], d) == dim
         for vec in ideal
         for e in unit_vectors(f, d)
         for prod in (alg.multiply(e, vec), alg.multiply(vec, e))
@@ -475,16 +520,15 @@ def _ideal_checks_reference(alg, ideal):
     current = [list(v) for v in ideal]
     for power in range(1, d + 2):
         if not current or all(all(x == f.zero for x in vec) for vec in current):
-            return span.dim, two_sided, power
-        nxt_span = RowSpace(f)
+            return dim, two_sided, power
         nxt = []
         for a in current:
             for b in ideal:
                 prod = alg.multiply(a, b)
-                if nxt_span.add(prod):
+                if reference_rank(f, nxt + [prod], d) > len(nxt):
                     nxt.append(prod)
         current = nxt
-    return span.dim, two_sided, None
+    return dim, two_sided, None
 
 
 @cache
