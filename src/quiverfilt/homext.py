@@ -29,11 +29,11 @@ from math import lcm
 from .errors import InvariantError, UndecidedError
 from .linalg import (
     Matrix,
-    RowSpace,
     _kernel_vectors,
     _product,
     _row_forward_echelon,
     _row_kernel_forms,
+    _solve_at_free,
     combination,
     hstack,
     mat_from_cols,
@@ -299,9 +299,11 @@ class ExtSpace:
     canonical cokernel basis (free coordinates of the column space of Phi in
     echelon form).  Two cocycles represent the same class iff their reduced
     coordinates agree.  One forward elimination of Phi^T gives the pivots of
-    its rref, hence ``dim``, ``coboundary_rank`` and the free coordinates;
-    the coboundary space is built from its echelon rows on the first
-    ``reduce``, which clears every pivot whichever echelon rows span it.
+    its rref, hence ``dim``, ``coboundary_rank`` and the free coordinates.
+    The first ``reduce`` solves the rref rows R_k of Phi^T at the free
+    coordinates (``_solve_at_free``); a cocycle c has class coordinates the
+    free entries of ``c - sum_k c[pc_k] * R_k``, the unique vector of
+    c + coboundaries that is zero at every pivot.
     """
 
     def __init__(self, from_rep: Rep, to_rep: Rep):
@@ -325,17 +327,27 @@ class ExtSpace:
         self.coboundary_rank = len(self._pivots)
 
     @cached_property
-    def _coboundaries(self) -> RowSpace:
-        return RowSpace.from_echelon(self.from_rep.field, self._echelon, self._pivots)
+    def _solved(self) -> dict:
+        """The rref rows of Phi^T at the free coordinates, ``{pc_k: (vals, den)}``."""
+        p = self.from_rep.field.characteristic
+        return _solve_at_free(self._echelon, self._pivots, self._free, p)
 
     def reduce(self, c: ExtCocycle) -> list:
         """Coordinates of the class of c in the canonical cokernel basis."""
         if c.from_rep != self.from_rep or c.to_rep != self.to_rep:
             raise InvariantError("cocycle belongs to a different ext space")
-        vec = self._coboundaries.reduce(_flatten(c.components, [k for k, _, _ in self._shapes]))
-        if any(vec[pivot] for pivot in self._pivots):
-            raise InvariantError("cocycle reduction failed to clear pivots")
-        return [vec[c_idx] for c_idx in self._free]
+        vec = _flatten(c.components, [k for k, _, _ in self._shapes])
+        p = self.from_rep.field.characteristic
+        coords = [vec[fc] for fc in self._free]
+        for pc, (vals, den) in self._solved.items():
+            x = vec[pc]
+            if x:
+                if p:
+                    coords = [(y - x * v) % p for y, v in zip(coords, vals)]
+                else:
+                    x /= den
+                    coords = [y - x * v if v else y for y, v in zip(coords, vals)]
+        return coords
 
     def is_zero_class(self, c: ExtCocycle) -> bool:
         z = self.from_rep.field.zero

@@ -17,15 +17,16 @@ entries) and eliminates by cross-multiplication on rows kept primitive.  It
 pivots on the remaining entry of least absolute value in each column, made
 positive; small pivots keep fraction-free elimination cheap (cf. Bareiss,
 Math. Comp. 22, 1968), and a unit pivot clears a row without scaling it.
-There is one elimination loop: ``_row_forward_echelon`` clears each pivot's
-column below it; ``rank`` counts its pivots, and ``RowSpace.from_echelon``
-spans its rows, building one ``Fraction`` per nonzero entry.  It clears
-rows with ``_clear_column`` alone.  There is one back-solve:
-``_solve_at_free`` solves the rref rows at given non-pivot columns only,
-from the forward echelon rows, last row first, and nothing clears a
-column above a pivot.  ``rref`` assembles the reduced matrix from its
-rows at all free columns (``_kernel_at_free``), building each entry once;
-``solve`` reads the rows of ``[a | b]`` at b's columns only.
+There is one dense elimination loop: ``_row_forward_echelon`` clears each
+pivot's column below it, with ``_clear_column`` alone; ``rank`` counts its
+pivots.  There is one back-solve: ``_solve_at_free`` solves the rref rows
+at given non-pivot columns only, from the forward echelon rows, last row
+first, and nothing clears a column above a pivot.  ``rref`` assembles the
+reduced matrix from its rows at all free columns (``_kernel_at_free``),
+building each entry once; ``solve`` reads the rows of ``[a | b]`` at b's
+columns only, and ``homext.ExtSpace.reduce`` the rref rows of Phi^T at its
+free coordinates.  A span test is a ``rank``, a canonical span basis the
+nonzero rows of an ``rref``.
 ``_row_kernel`` (behind ``nullspace_basis``) builds each kernel entry once
 from the same solved rows, and no reduced matrix.  ``_row_kernel_forms``
 also reads each kernel vector's integer form off them, for
@@ -56,7 +57,7 @@ relies on this.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import FormatError, InvariantError
@@ -164,7 +165,7 @@ class _PrimeField(Field):
     one = 1
 
     def __init__(self, p: int):
-        # above the bound _is_prime would fall back to trial division up to sqrt(p)
+        # at or above the bound _is_prime is not exact
         if p >= _MR_LIMIT:
             raise InvariantError(
                 f"characteristic {p} is not below {_MR_LIMIT}, the bound of the exact primality test"
@@ -219,21 +220,20 @@ class _PrimeField(Field):
 
 QQ: Field = _Rationals()
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Miller-Rabin with the bases above is deterministic below this bound
-# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the bases above is deterministic below this bound, psi_13
+# (Sorenson and Webster, 2015); without 41 it is so only below psi_12 =
+# 318665857834031151167461, a strong pseudoprime to the bases up to 37.
 _MR_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Primality: deterministic Miller-Rabin below ``_MR_LIMIT``, trial division above."""
+    """Primality by Miller-Rabin on ``_MR_BASES``: exact below ``_MR_LIMIT``."""
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    if n >= _MR_LIMIT:
-        return all(n % d for d in range(41, isqrt(n) + 1, 2))
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -598,102 +598,19 @@ def nonzero_items(row: list, start: int = 0) -> list:
 
 
 def scale_to_unit(row: list, start: int, p: int) -> list:
-    """Scale ``row`` in place so its entry at ``start`` is 1.
+    """Scale the GF(p) ``row`` in place so its entry at ``start`` is 1.
 
     Every entry before ``start`` must be zero.  Returns the nonzero pairs of
-    the scaled row; ``p`` is the field characteristic, 0 for the rationals.
+    the scaled row.
     """
     lead = row[start]
     if lead == 1:
         return nonzero_items(row, start)
-    if p:
-        inv = pow(lead, -1, p)
-        items = [(j, x * inv % p) for j, x in enumerate(row[start:], start) if x]
-    else:
-        inv = 1 / lead
-        items = [(j, x * inv) for j, x in enumerate(row[start:], start) if x]
+    inv = pow(lead, -1, p)
+    items = [(j, x * inv % p) for j, x in enumerate(row[start:], start) if x]
     for j, x in items:
         row[j] = x
     return items
-
-
-def subtract_multiple(row: list, factor, items: list, p: int) -> None:
-    """In place, ``row -= factor * v`` for the row ``v`` given by its nonzero ``items``.
-
-    ``p`` is the field characteristic, 0 for the rationals.
-    """
-    if p:
-        for j, v in items:
-            row[j] = (row[j] - factor * v) % p
-    else:
-        for j, v in items:
-            row[j] -= factor * v
-
-
-def reduce_against(vec: list, echelon: list, p: int) -> list:
-    """Reduce ``vec`` in place by echelon rows, returning it.
-
-    ``echelon`` lists ``(pivot, items)`` pairs in insertion order; each row
-    has a 1 at its pivot and a 0 at the pivots of the rows before it.
-    """
-    for pivot, items in echelon:
-        factor = vec[pivot]
-        if factor:
-            subtract_multiple(vec, factor, items, p)
-    return vec
-
-
-class RowSpace:
-    """A growing subspace of k^n, kept as echelon rows, with membership tests.
-
-    ``echelon`` lists ``(pivot, items)`` pairs in the form ``reduce_against``
-    takes; ``reduce`` returns a copy of a vector with every pivot cleared,
-    the unique vector of ``vec`` + the space that is zero at every pivot, so
-    it does not depend on which echelon rows span the space.
-    """
-
-    def __init__(self, field: Field, vectors: Iterable[Sequence] = ()):
-        self.field = field
-        self.echelon: list = []
-        for vec in vectors:
-            self.add(vec)
-
-    @classmethod
-    def from_echelon(cls, field: Field, rows: list[list], pivots: list[int]) -> "RowSpace":
-        """The span of the rows and pivots of ``forward_echelon``, in place of re-adding them.
-
-        Each row is scaled to a unit pivot: over GF(p) the rows already have
-        one, over QQ an integer row is divided by its pivot entry.
-        """
-        space = cls(field)
-        p = field.characteristic
-        for row, c in zip(rows, pivots):
-            if p:
-                items = scale_to_unit(row, c, p)
-            else:
-                a = row[c]
-                items = [(j, Fraction(x, a)) for j, x in nonzero_items(row, c)]
-            space.echelon.append((c, items))
-        return space
-
-    @property
-    def dim(self) -> int:
-        return len(self.echelon)
-
-    def reduce(self, vec: Sequence) -> list:
-        return reduce_against(list(vec), self.echelon, self.field.characteristic)
-
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self.reduce(vec))
-
-    def add(self, vec: Sequence) -> bool:
-        """Add ``vec`` to the space; False if it already lay in it."""
-        red = self.reduce(vec)
-        for i, x in enumerate(red):
-            if x:
-                self.echelon.append((i, scale_to_unit(red, i, self.field.characteristic)))
-                return True
-        return False
 
 
 def unit_vectors(field: Field, d: int) -> list[list]:
@@ -805,8 +722,10 @@ def _clear_column(rows: list[list], lo: int, c: int, items: list, p: int) -> Non
     """
     if p:
         for row in rows[lo:]:
-            if row[c]:
-                subtract_multiple(row, row[c], items, p)
+            b = row[c]
+            if b:
+                for j, v in items:
+                    row[j] = (row[j] - b * v) % p
         return
     a = items[0][1]
     for i in range(lo, len(rows)):

@@ -27,14 +27,13 @@ from .homext import (
 )
 from .linalg import (
     Matrix,
-    RowSpace,
     hstack,
     is_invertible,
     mat_from_cols,
     nullspace_basis,
     rank,
+    rref,
     solve,
-    unit_vectors,
 )
 from .reps import Morphism, Rep, cokernel, compose, direct_sum, image
 
@@ -73,18 +72,26 @@ def end_basis_of_ext(
 
 
 def _end_orbit_basis(x: Rep, y: Rep) -> list[ExtCocycle]:
+    """The basis cocycles whose classes raise the rank of the End(X)-orbit
+    of those kept before them; the orbit is kept as the nonzero rref rows
+    of the classes pulled back along End(X)."""
     space = ExtSpace(x, y)
     endos = hom_basis(x, x)
-    span = RowSpace(x.field)
-    selected = []
+    f, d = x.field, space.dim
+    orbit, selected = [], []
     for cand in space.basis():
-        coords = space.reduce(cand)
-        if span.contains(coords):
+        if rank(_stack(f, d, orbit + [space.reduce(cand)])) == len(orbit):
             continue
         selected.append(cand)
-        for phi in endos:
-            span.add(space.reduce(cand.pulled_back(phi)))
+        pulled = [space.reduce(cand.pulled_back(phi)) for phi in endos]
+        red, pivots = rref(_stack(f, d, orbit + pulled))
+        orbit = red.to_rows()[: len(pivots)]
     return selected
+
+
+def _stack(f, d: int, vectors: list) -> Matrix:
+    """The vectors, lists of d scalars, as the rows of a matrix."""
+    return Matrix(f, len(vectors), d, [x for vec in vectors for x in vec])
 
 
 def _universal_data(y: Rep, sb: SemiBrickCert):
@@ -297,10 +304,7 @@ def _ideal_basis(alg: AlgebraPresentation, incl_from_base: Morphism) -> list:
         height = comp_blocks[0].rows * comp_blocks[0].cols if comp_blocks else 0
         for idx in range(height):
             rows.append([cb.entries[idx] for cb in comp_blocks])
-    if not rows:
-        return unit_vectors(f, d)
-    mat = Matrix(f, len(rows), d, [x for row in rows for x in row])
-    return [vec.col(0) for vec in nullspace_basis(mat)]
+    return [vec.col(0) for vec in nullspace_basis(_stack(f, d, rows))]
 
 
 def _ideal_checks(alg: AlgebraPresentation, ideal: list) -> tuple[int, bool, int | None]:
@@ -313,40 +317,35 @@ def _ideal_checks(alg: AlgebraPresentation, ideal: list) -> tuple[int, bool, int
     vectors as rows, row b of ``I * [T[i][j][l]]_(j, (i, l))`` is the d x d
     matrix ``M_b`` whose row i is ``e_i * b``, and row b of
     ``I * [T[i][j][l]]_(i, (j, l))`` holds ``b * e_j`` for every j.  The
-    products of the rows of a matrix A with b are then ``A * M_b``.
+    products of the rows of a matrix A with every ideal vector are the rows
+    of ``A * [M_1 | ... | M_n]`` cut into d-vectors.  The ideal is
+    two-sided iff stacking every product under I keeps its rank; each
+    power is spanned by the nonzero rows of the rref of its products.
     """
     f = alg.field
     d = alg.dimension
+    n = len(ideal)
     table = alg.multiplication_table
-    stacked = Matrix(f, len(ideal), d, [x for vec in ideal for x in vec])
+    stacked = _stack(f, d, ideal)
     times_left = stacked.mul(
         Matrix(f, d, d * d, [table[i][j][l] for j in range(d) for i in range(d) for l in range(d)])
     )
     times_right = stacked.mul(
         Matrix(f, d, d * d, [x for plane in table for c in plane for x in c])
     )
-    ideal_span = RowSpace(f, ideal)
-    two_sided = all(
-        ideal_span.contains(m.entries[k : k + d])
-        for m in (times_left, times_right)
-        for k in range(0, len(m.entries), d)
-    )
-    ops = [Matrix(f, d, d, times_left.row(b)) for b in range(len(ideal))]
-    current = ideal
+    dim = rank(stacked)
+    everything = stacked.entries + times_left.entries + times_right.entries
+    two_sided = rank(Matrix(f, n + 2 * n * d, d, everything)) == dim
+    # [M_1 | ... | M_n]: entry (i, (b, l)) is entry (b, (i, l)) of times_left
+    e = times_left.entries
+    ops = Matrix(f, d, n * d, [e[(b * d + i) * d + l] for i in range(d) for b in range(n) for l in range(d)])
+    current = stacked
     for power in range(1, d + 2):
-        if not any(any(vec) for vec in current):
-            return ideal_span.dim, two_sided, power
-        a = Matrix(f, len(current), d, [x for vec in current for x in vec])
-        prods = [a.mul(m) for m in ops]
-        nxt_span = RowSpace(f)
-        nxt = []
-        for r in range(len(current)):
-            for prod in prods:
-                vec = prod.row(r)
-                if nxt_span.add(vec):
-                    nxt.append(vec)
-        current = nxt
-    return ideal_span.dim, two_sided, None
+        if current.is_zero():
+            return dim, two_sided, power
+        red, pivots = rref(Matrix(f, current.rows * n, d, current.mul(ops).entries))
+        current = red.rows_at(range(len(pivots)))
+    return dim, two_sided, None
 
 
 def end_ring_tower(t: Tower) -> EndTower:
@@ -416,9 +415,9 @@ def end_ring_tower(t: Tower) -> EndTower:
         composite = psi_maps[0]
         for psi in psi_maps[1:]:
             composite = composite.mul(psi)
-        kernel = RowSpace(f, (v.col(0) for v in nullspace_basis(composite)))
-        top_ideal = RowSpace(f, ideal_bases[-1])
-        same = kernel.dim == top_ideal.dim and all(map(kernel.contains, ideal_bases[-1]))
+        kernel = [v.col(0) for v in nullspace_basis(composite)]
+        top_ideal, d = ideal_bases[-1], composite.cols
+        same = len(kernel) == rank(_stack(f, d, top_ideal)) == rank(_stack(f, d, kernel + top_ideal))
         level_reports[-1]["composite_kernel_matches_ideal"] = same
         ok = ok and same
     return EndTower(t, algebras, psi_maps, ideal_bases, level_reports, ok)

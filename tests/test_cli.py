@@ -400,6 +400,12 @@ def test_rep_file_on_wrong_quiver_is_exit_two(tmp_path, capsys):
 def test_nonprime_field_is_exit_two(capsys):
     code, _, err = run(capsys, "hom", "--left", "r0", "--right", "r0", "--field", "f6")
     assert code == 2
+    # a strong pseudoprime to the Miller-Rabin bases 2..37
+    code, _, err = run(
+        capsys, "hom", "--left", "r0", "--right", "r0", "--field", "f318665857834031151167461"
+    )
+    assert code == 2
+    assert "318665857834031151167461 is not prime" in err
 
 
 def test_field_beyond_the_exact_primality_bound_is_refused_at_once():

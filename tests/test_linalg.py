@@ -1,5 +1,6 @@
 """Exact linear algebra kernel: fields, matrices, canonical eliminations."""
 
+import json
 import subprocess
 import sys
 
@@ -8,10 +9,9 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from hypothesis import example, given, settings, strategies as st
 
-from quiverfilt import GF, QQ, Matrix
+from quiverfilt import GF, QQ, Matrix, formats, quasi_simple
 from quiverfilt.errors import FormatError, InvariantError
 from quiverfilt.linalg import (
-    RowSpace,
     _MR_LIMIT,
     _integer_multiple,
     _is_prime,
@@ -133,7 +133,9 @@ def test_is_prime_agrees_with_trial_division_below_10_5():
         (1105, False),
         (2**31 - 1, True),
         (2**61 - 1, True),
-        (41**16, False),  # beyond the Miller-Rabin bound: trial division
+        # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to the
+        # bases 2..37: refused only with base 41
+        (318665857834031151167461, False),
     ],
 )
 def test_is_prime_on_pseudoprimes_and_mersenne_primes(n, prime):
@@ -176,6 +178,15 @@ def test_gf_refuses_a_characteristic_beyond_the_exact_primality_bound():
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == ["library", "formats"]
     assert all(refusal in line for line in lines)
+
+
+def test_rep_file_over_a_strong_pseudoprime_is_refused():
+    """A rep file whose characteristic is psi_12 = 399165290221 *
+    798330580441 is refused by ``formats.parse``, as ``GF`` refuses it."""
+    doc = json.loads(formats.serialize(quasi_simple(GF(5), 0)))
+    doc["payload"]["field"]["characteristic"] = 318665857834031151167461
+    with pytest.raises(FormatError, match="318665857834031151167461 is not prime"):
+        formats.parse(json.dumps(doc))
 
 
 def test_field_identity():
@@ -904,58 +915,7 @@ def test_products_equal_reads_cached_forms_in_any_order(case, data):
 
 
 # ---------------------------------------------------------------------------
-# RowSpace against rank(hstack(...))
-
-
-def _rank_of(field, width, vectors):
-    cols = [Matrix(field, width, 1, list(v)) for v in vectors]
-    return rank(hstack([Matrix.zeros(field, width, 1)] + cols))
-
-
-@st.composite
-def _vector_stream(draw):
-    """A field, a width, and vectors of which some combine earlier ones."""
-    field = draw(st.sampled_from([QQ, F2, GF(101)]))
-    width = draw(st.integers(min_value=0, max_value=6))
-    scalar = field_scalar(field)
-    vectors = []
-    for _ in range(draw(st.integers(min_value=0, max_value=8))):
-        if vectors and draw(st.booleans()):
-            coeffs = draw(st.lists(scalar, min_size=len(vectors), max_size=len(vectors)))
-            vec = [field.zero] * width
-            for c, v in zip(coeffs, vectors):
-                vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, v)]
-        else:
-            vec = draw(st.lists(scalar, min_size=width, max_size=width))
-        vectors.append(vec)
-    return field, width, vectors
-
-
-@settings(max_examples=150, deadline=None)
-@given(_vector_stream())
-def test_row_space_matches_rank_of_hstack(case):
-    field, width, vectors = case
-    space = RowSpace(field)
-    kept = []
-    for i, vec in enumerate(vectors):
-        before = list(vec)
-        inside = _rank_of(field, width, kept + [vec]) == _rank_of(field, width, kept)
-        assert space.contains(vec) == inside
-        red = space.reduce(vec)
-        assert all(red[pivot] == field.zero for pivot, _ in space.echelon)
-        # vec - reduce(vec) lies in the space, so reduce keeps the coset
-        assert space.contains([field.sub(x, y) for x, y in zip(vec, red)])
-        assert space.add(vec) == (not inside)
-        assert vec == before
-        if not inside:
-            kept.append(vec)
-        assert space.dim == len(kept) == _rank_of(field, width, vectors[: i + 1])
-    # after every insertion, reduce clears all pivots, also the later ones
-    for vec in vectors:
-        red = space.reduce(vec)
-        assert all(red[pivot] == field.zero for pivot, _ in space.echelon)
-        assert not any(red)
-    assert RowSpace(field, vectors).echelon == space.echelon
+# unit vectors
 
 
 def test_unit_vectors_are_canonical_standard_basis():

@@ -335,6 +335,35 @@ def test_end_ring_tower_refuses_a_top_ideal_short_of_the_composite_kernel(
     assert et.ok is False
 
 
+def test_end_ring_tower_refuses_a_top_ideal_of_the_right_dimension_off_the_kernel(
+    r0, sb0, monkeypatch
+):
+    """With the last vector of the top ideal's basis replaced by the unit of
+    End(Y(4)), which restricts to the unit of End(Y(1)), the top ideal keeps
+    the composite kernel's dimension: only the rank of the two stacked
+    together can tell the two spaces apart."""
+    from quiverfilt import towers
+
+    t = tower(r0, sb0, 4)
+    full = towers._ideal_basis
+    calls = []
+
+    def unit_at_top(alg, incl_from_base):
+        basis = full(alg, incl_from_base)
+        calls.append(len(basis))
+        if len(calls) == t.height:
+            basis[-1] = list(alg.unit_coordinates)
+        return basis
+
+    monkeypatch.setattr(towers, "_ideal_basis", unit_at_top)
+    et = end_ring_tower(t)
+    assert calls == [0, 1, 2, 3]
+    assert len(et.ideal_bases[-1]) == 3
+    assert et.level_reports[-1]["ideal_dim"] == 3
+    assert et.level_reports[-1]["composite_kernel_matches_ideal"] is False
+    assert et.ok is False
+
+
 _PSI_FLAGS = ("psi_surjective", "psi_unital", "psi_multiplicative")
 
 
