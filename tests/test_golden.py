@@ -108,6 +108,10 @@ CLI_CASES = {
     "endtower": ["endtower", "--base", "r0", "--semibrick", "r0", "--levels", "4"],
     "tower-k3": ["tower", "--quiver", "k3", *K3_TOWER],
     "tower-k3-gf101": ["tower", "--quiver", "k3", "--field", "f101", *K3_TOWER],
+    "tower-k3-p2-gf5": [
+        "tower", "--quiver", "k3", "--field", "f5", "--base", "x11:1,0,0",
+        "--semibrick", "x11:1,0,0", "x11:0,1,0", "x11:0,0,1", "--levels", "4",
+    ],
     "endtower-k3": ["endtower", "--quiver", "k3", *K3_TOWER],
     "endtower-k3-gf101": ["endtower", "--quiver", "k3", "--field", "f101", *K3_TOWER],
     "uniserial": ["uniserial", "--base", "r2", "--semibrick", "r2", "--levels", "3"],
