@@ -29,11 +29,15 @@ from math import lcm
 from .errors import InvariantError, UndecidedError
 from .linalg import (
     Matrix,
+    _blocks_of_form,
+    _kernel_at_free,
     _kernel_vectors,
+    _pattern_of,
     _product,
     _row_forward_echelon,
     _row_kernel_forms,
     _solve_at_free,
+    _sparse_kernel_at_free,
     combination,
     hstack,
     mat_from_cols,
@@ -131,8 +135,9 @@ def _phi_rows(m: Rep, n: Rep) -> list[list]:
 
 
 def _intertwine_rows(m: Rep, n: Rep) -> list[list]:
-    """Phi's rows over GF(p) as their nonzero ``(column, value)`` items, for
-    ``sparse_rank``, read off the segments ``_phi_rows`` is written from.
+    """Phi's rows as their nonzero ``(column, value)`` items, for
+    ``_sparse_echelon``, read off the segments ``_phi_rows`` is written from:
+    residues over GF(p), over QQ the integers of ``_phi_blocks``.
 
     The dense rows are not filled from these items: over the 668 fills of one
     ``sweep-qq`` benchmark pass, building and writing them took 0.025-0.036 s
@@ -164,18 +169,36 @@ def _unflatten(field, vec: list, shapes) -> dict:
     return blocks
 
 
+# hom_basis eliminates Phi as sparse rows when its columns number at least this
+# many times its longest possible row; below that, dense rows are faster.
+_SPARSE_RATIO = 8
+
+
 def hom_basis(m: Rep, n: Rep) -> list[Morphism]:
     """Canonical basis of the space of morphisms M -> N: the kernel of Phi.
 
-    The kernel comes with each vector's integer form (``_row_kernel_forms``);
-    the whole basis is checked once on these by ``_check_intertwines``, and
-    each element is then built through ``Morphism._trusted``.
+    Phi is eliminated from its nonzero items (``_sparse_kernel_at_free``)
+    when its shape says it is sparse, ``ncols >= _SPARSE_RATIO * w`` with w
+    = max over arrows a: s -> t of m_t + n_s, its longest possible row; else
+    as dense rows (``_kernel_at_free``).  Both give the rref rows at the free
+    columns, so the basis is the same.  ``_row_kernel_forms`` reads each
+    vector's integer form off them; the whole basis is checked once on these
+    by ``_check_intertwines``, and each element is built from its form
+    through ``Morphism._trusted``, its blocks born with their own
+    (``_blocks_of_form``).
     """
-    rows = _phi_rows(m, n)
+    width = max([ma.rows + na.cols for ma, na in _arrow_pairs(m, n)], default=0)
     shapes = [(v, n.dims[v], m.dims[v]) for v in m.quiver.vertices]
-    vecs, forms, _ = _row_kernel_forms(rows, sum(r * c for _, r, c in shapes), m.field)
+    ncols = sum(r * c for _, r, c in shapes)
+    p = m.field.characteristic
+    if ncols >= _SPARSE_RATIO * width:
+        solved, _, free = _sparse_kernel_at_free(_intertwine_rows(m, n), ncols, p)
+    else:
+        solved, _, free = _kernel_at_free(_phi_rows(m, n), ncols, p)
+    forms = _row_kernel_forms(solved, free, ncols, p)
     _check_intertwines(m, n, [ints for ints, _ in forms])
-    return [Morphism._trusted(m, n, _unflatten(m.field, vec, shapes)) for vec in vecs]
+    return [Morphism._trusted(m, n, _blocks_of_form(m.field, ints, den, shapes))
+            for ints, den in forms]
 
 
 def _check_intertwines(m: Rep, n: Rep, vecs: list[list]) -> None:
@@ -214,11 +237,11 @@ def _check_intertwines(m: Rep, n: Rep, vecs: list[list]) -> None:
             packed = [x * base + y for x, y in zip(packed, v)]
         vecs = [packed]
     for v in vecs:
-        for aid, s, t, mi, dm, ni, dn in squares:
+        for aid, s, t, _, dm, ni, dn in squares:
             ft = v[col_off[t] : col_off[t] + n.dims[t] * m.dims[t]]
-            fs = v[col_off[s] : col_off[s] + n.dims[s] * m.dims[s]]
-            left = _product(ft, mi, n.dims[t], m.dims[t], m.dims[s], 0)
-            right = _product(ni, fs, n.dims[t], n.dims[s], m.dims[s], 0)
+            fs = _pattern_of(v[col_off[s] : col_off[s] + n.dims[s] * m.dims[s]], n.dims[s], m.dims[s])
+            left = _product(ft, m.arrow_maps[aid]._pattern(), n.dims[t], m.dims[s], 0)
+            right = _product(ni, fs, n.dims[t], m.dims[s], 0)
             if p:
                 ok = not any((x - y) % p for x, y in zip(left, right))
             else:

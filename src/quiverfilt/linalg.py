@@ -281,7 +281,7 @@ class Matrix:
     this module sets ``_ints``.
     """
 
-    __slots__ = ("field", "rows", "cols", "entries", "_ints")
+    __slots__ = ("field", "rows", "cols", "entries", "_ints", "_pat")
 
     def __init__(self, field: Field, rows: int, cols: int, entries: list):
         if rows < 0 or cols < 0:
@@ -295,6 +295,7 @@ class Matrix:
         self.cols = cols
         self.entries = entries
         self._ints = None
+        self._pat = None
 
     # -- constructors ------------------------------------------------------
 
@@ -359,6 +360,15 @@ class Matrix:
             self._ints = _integer_multiple(self.entries)
         return self._ints
 
+    def _pattern(self) -> list[list]:
+        """The nonzero ``(column, value)`` items of each row of the raw form
+        (the entries over GF(p), ``_integer_form()`` over QQ), as ``_product``
+        reads a right factor.  Computed on the first call and kept."""
+        if self._pat is None:
+            flat = self.entries if self.field.characteristic else self._integer_form()[0]
+            self._pat = _pattern_of(flat, self.rows, self.cols)
+        return self._pat
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -407,18 +417,18 @@ class Matrix:
         f = self.field
         p = f.characteristic
         if p:
-            out = _product(self.entries, other.entries, self.rows, self.cols, other.cols, f.zero)
-            out = [x % p for x in out]
-        else:
-            ai, la = self._integer_form()
-            bi, lb = other._integer_form()
-            den = la * lb
-            zero = f.zero
-            out = [
-                Fraction(x, den) if x else zero
-                for x in _product(ai, bi, self.rows, self.cols, other.cols, 0)
-            ]
-        return Matrix(f, self.rows, other.cols, out)
+            out = _product(self.entries, other._pattern(), self.rows, other.cols, 0)
+            return Matrix(f, self.rows, other.cols, [x % p for x in out])
+        ai, la = self._integer_form()
+        acc = _product(ai, other._pattern(), self.rows, other.cols, 0)
+        den = la * other._integer_form()[1]
+        g = gcd(den, *acc)
+        if g > 1:
+            acc, den = [x // g for x in acc], den // g
+        zero = f.zero
+        out = Matrix(f, self.rows, other.cols, [Fraction(x, den) if x else zero for x in acc])
+        out._ints = (acc, den)
+        return out
 
     def transpose(self) -> "Matrix":
         """The transpose; a cached integer form is carried over, permuted."""
@@ -488,14 +498,20 @@ def mat_from_cols(field: Field, nrows: int, cols: Iterable[Sequence]) -> Matrix:
 # -- products --------------------------------------------------------------
 
 
-def _product(ae: list, be: list, n: int, m: int, k: int, zero) -> list:
-    """Flat entries of the n x m by m x k product of the flat lists ``ae``, ``be``.
+def _pattern_of(flat: list, m: int, k: int) -> list[list]:
+    """The nonzero ``(column, value)`` items of each row of the flat m x k ``flat``."""
+    # nonzero_items of each row, inlined: most factors are tiny
+    return [[(j, x) for j, x in enumerate(flat[l * k : (l + 1) * k]) if x] for l in range(m)]
+
+
+def _product(ae: list, pattern: list, n: int, k: int, zero) -> list:
+    """Flat entries of the n x m by m x k product of the flat list ``ae`` and
+    the right factor given by the ``_pattern_of`` its m rows.
 
     Zero entries of either factor are skipped.  Nothing is reduced: over
     GF(p) the caller takes residues.
     """
-    # nonzero_items of each row of be, inlined: most products are tiny
-    pattern = [[(j, x) for j, x in enumerate(be[l * k : (l + 1) * k]) if x] for l in range(m)]
+    m = len(pattern)
     out = []
     for i in range(n):
         acc = [zero] * k
@@ -576,16 +592,14 @@ def products_equal(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:
         return False
     p = f.characteristic
     if p:
-        left = _product(a.entries, b.entries, a.rows, a.cols, b.cols, 0)
-        right = _product(c.entries, d.entries, c.rows, c.cols, d.cols, 0)
+        left = _product(a.entries, b._pattern(), a.rows, b.cols, 0)
+        right = _product(c.entries, d._pattern(), c.rows, d.cols, 0)
         return not any((x - y) % p for x, y in zip(left, right))
     ai, la = a._integer_form()
-    bi, lb = b._integer_form()
     ci, lc = c._integer_form()
-    di, ld = d._integer_form()
-    left = _product(ai, bi, a.rows, a.cols, b.cols, 0)
-    right = _product(ci, di, c.rows, c.cols, d.cols, 0)
-    s, t = lc * ld, la * lb
+    left = _product(ai, b._pattern(), a.rows, b.cols, 0)
+    right = _product(ci, d._pattern(), c.rows, d.cols, 0)
+    s, t = lc * d._integer_form()[1], la * b._integer_form()[1]
     return all(x * s == y * t for x, y in zip(left, right))
 
 
@@ -748,40 +762,128 @@ def rank(m: Matrix) -> int:
 
 
 def sparse_rank(rows: Iterable[list], p: int) -> int:
-    """The rank over GF(p) of the rows given by their nonzero ``(column,
-    value)`` items: the pivot count of ``_sparse_echelon``."""
+    """The rank of the rows given by their nonzero ``(column, value)`` items,
+    raw as ``_sparse_echelon`` takes them: the pivot count of its echelon."""
     return len(_sparse_echelon(rows, p))
 
 
 def _sparse_echelon(rows: Iterable[list], p: int) -> dict:
-    """Sparse forward elimination over GF(p), one incoming row at a time.
+    """Sparse forward elimination, one incoming row at a time, of rows given
+    by their nonzero ``(column, value)`` items: residues over GF(p), integers
+    over QQ (any common positive factor of the rows is harmless).
 
     Each row is reduced against the pivot rows found so far: while a pivot
     row sits at the row's leftmost nonzero column, the row subtracts its
     multiple of that pivot row.  A row that does not vanish becomes the pivot
-    row at that column, scaled to 1 there.  Only nonzero entries are stored
-    or touched.  A pivot row is zero before its pivot, so fill-in lands only
-    to the right of the column being cleared, and the pivots are those of
-    rref.  Returns ``{pivot column: the nonzero items after it}``.
+    row at that column: over GF(p) scaled to 1 there, over QQ negated if its
+    entry there is negative.  Over QQ a row is cleared as ``_clear_column``
+    clears one, by gcd cross-multiplication, and is kept primitive.  Only
+    nonzero entries are stored or touched.  A pivot row is zero before its
+    pivot, so fill-in lands only to the right of the column being cleared,
+    and the pivots are those of rref.  Returns ``{pivot column: (pivot
+    entry, the nonzero items after it)}``, the entry 1 over GF(p).
     """
     pivots: dict = {}
     for items in rows:
         row = dict(items)
+        if not p and row:
+            row = _primitive_items(row)
         while row:
             c = min(row)
             x = row.pop(c)
             pivot = pivots.get(c)
             if pivot is None:
-                inv = pow(x, -1, p)
-                pivots[c] = [(j, v * inv % p) for j, v in row.items()]
+                if p:
+                    inv = pow(x, -1, p)
+                    pivots[c] = (1, [(j, v * inv % p) for j, v in row.items()])
+                elif x < 0:
+                    pivots[c] = (-x, [(j, -v) for j, v in row.items()])
+                else:
+                    pivots[c] = (x, list(row.items()))
                 break
-            for j, v in pivot:
-                y = (row.get(j, 0) - x * v) % p
+            a, after = pivot
+            if p:
+                for j, v in after:
+                    y = (row.get(j, 0) - x * v) % p
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                continue
+            g = gcd(a, x)
+            s, t = a // g, x // g
+            if s != 1:
+                row = {j: s * v for j, v in row.items()}
+            for j, v in after:
+                y = row.get(j, 0) - t * v
                 if y:
                     row[j] = y
                 else:
                     del row[j]
+            if row:
+                row = _primitive_items(row)
     return pivots
+
+
+def _primitive_items(row: dict) -> dict:
+    """The integer dict ``row`` divided by the gcd of its values."""
+    g = gcd(*row.values())
+    return row if g < 2 else {j: v // g for j, v in row.items()}
+
+
+def _sparse_kernel_at_free(rows: Iterable[list], ncols: int, p: int) -> tuple[dict, list[int], list[int]]:
+    """``_kernel_at_free`` of rows given by their nonzero items, by
+    ``_sparse_echelon`` and ``_sparse_solve_at_free``: the same triple, since
+    the rref is unique."""
+    echelon = _sparse_echelon(rows, p)
+    free = [c for c in range(ncols) if c not in echelon]
+    return _sparse_solve_at_free(echelon, free, p), sorted(echelon), free
+
+
+def _sparse_solve_at_free(echelon: dict, free: list[int], p: int) -> dict:
+    """``_solve_at_free`` on the pivot rows of ``_sparse_echelon``: the same
+    ``{pc_k: (vals, den)}``, the rref rows R_k at the non-pivot columns F.
+
+    Pivot columns are taken last first.  ``vals`` starts as the row's entries
+    at F, before any rescaling; then for each item at a column pc_j solved
+    already, ``vals`` subtracts its multiple of R_j, as in ``_solve_at_free``.
+    Over GF(p) only a row that subtracted something is reduced.
+    """
+    solved: dict = {}
+    if not free:
+        return solved
+    index = {c: i for i, c in enumerate(free)}
+    for pc in sorted(echelon, reverse=True):
+        a, after = echelon[pc]
+        vals, den, touched = [0] * len(free), 1, False
+        for j, x in after:
+            i = index.get(j)
+            if i is not None:
+                vals[i] = x
+        for j, e in after:
+            sol = solved.get(j)
+            if sol is None:
+                continue
+            touched = True
+            vj, dj = sol
+            if p:
+                vals = [x - e * y for x, y in zip(vals, vj)]
+            else:
+                g = gcd(den, dj)
+                s, t = dj // g, e * (den // g)
+                vals = [s * x - t * y for x, y in zip(vals, vj)]
+                den *= s
+        if p:
+            if touched:
+                vals = [x % p for x in vals]
+        else:
+            den *= a
+            g = gcd(den, *vals)
+            if g > 1:
+                vals, den = [x // g for x in vals], den // g
+        if any(vals):
+            solved[pc] = (vals, den)
+    return solved
 
 
 def _kernel_vectors(m: Matrix) -> tuple[list[list], list[int]]:
@@ -814,33 +916,57 @@ def _row_kernel(rows: list[list], ncols: int, f: Field) -> tuple[list[list], lis
     return vecs, free
 
 
-def _row_kernel_forms(rows: list[list], ncols: int, f: Field) -> tuple[list, list, list[int]]:
-    """``_row_kernel``'s vectors, their integer forms ``(ints, L)`` with vector =
-    ints / L, and the free columns.
+def _row_kernel_forms(solved: dict, free: list[int], ncols: int, p: int) -> list[tuple[list, int]]:
+    """The integer forms ``(ints, L)`` of ``_row_kernel``'s vectors, vector =
+    ints / L, from the solved rows ``{pc_k: (vals_k, den_k)}`` of either
+    ``_kernel_at_free`` or ``_sparse_kernel_at_free``.
 
-    Over QQ both are built in one pass over the solved rows.  For the i-th
-    free column fc, ``L`` is the lcm of ``den_k`` over the solved rows with
-    ``vals_k[i] != 0``, ``ints[fc] = L`` and ``ints[pc_k] = -vals_k[i] * (L
-    // den_k)``.  Over GF(p) ``L`` is 1 and each vector is its own integer
-    form, the residues.
+    For the i-th free column fc, ``L`` is the lcm of ``den_k`` over the
+    solved rows with ``vals_k[i] != 0``, ``ints[fc] = L`` and ``ints[pc_k] =
+    -vals_k[i] * (L // den_k)``.  Over GF(p) ``L`` is 1 and ``ints`` are the
+    residues of the vector.  The solved rows are read once, by row.
     """
-    if f.characteristic:
-        vecs, free = _row_kernel(rows, ncols, f)
-        return vecs, [(vec, 1) for vec in vecs], free
-    solved, _, free = _kernel_at_free(rows, ncols, 0)
-    zero, one = f.zero, f.one
-    vecs, forms = [], []
-    for i, fc in enumerate(free):
-        lcd = lcm(*[den for vals, den in solved.values() if vals[i]])
-        vec, ints = [zero] * ncols, [0] * ncols
-        vec[fc], ints[fc] = one, lcd
-        for pc, (vals, den) in solved.items():
-            x = vals[i]
+    at_free = [[] for _ in free]
+    for pc, (vals, den) in solved.items():
+        for i, x in enumerate(vals):
             if x:
-                vec[pc], ints[pc] = Fraction(-x, den), -x * (lcd // den)
-        vecs.append(vec)
+                at_free[i].append((pc, x, den))
+    forms = []
+    for fc, entries in zip(free, at_free):
+        lcd = lcm(*[den for _, _, den in entries])
+        ints = [0] * ncols
+        ints[fc] = lcd
+        for pc, x, den in entries:
+            ints[pc] = -x % p if p else -x * (lcd // den)
         forms.append((ints, lcd))
-    return vecs, forms, free
+    return forms
+
+
+def _blocks_of_form(field: Field, ints: list, den: int, shapes) -> dict:
+    """``{key: Matrix}`` cut in turn from the vector ``ints / den``, for each
+    ``(key, rows, cols)`` of ``shapes``.
+
+    Over GF(p) ``ints`` are residues and ``den`` is 1.  Over QQ each block is
+    born with its integer form ``(part/g, den/g)``, ``g = gcd(den, *part)``,
+    which is ``_integer_multiple`` of its entries.
+    """
+    p = field.characteristic
+    zero = field.zero
+    blocks, off = {}, 0
+    for key, r, c in shapes:
+        part = ints[off : off + r * c]
+        off += r * c
+        if p:
+            blocks[key] = Matrix(field, r, c, part)
+            continue
+        g = gcd(den, *part)
+        d = den // g
+        if g > 1:
+            part = [x // g for x in part]
+        block = Matrix(field, r, c, [Fraction(x, d) if x else zero for x in part])
+        block._ints = (part, d)
+        blocks[key] = block
+    return blocks
 
 
 def _kernel_at_free(rows: list[list], ncols: int, p: int) -> tuple[dict, list[int], list[int]]:
@@ -869,10 +995,11 @@ def _solve_at_free(rows: list[list], pivots: list[int], free: list[int], p: int)
         return solved
     for k in range(len(pivots) - 1, -1, -1):
         row = rows[k]
-        vals, den = [row[c] for c in free], 1
+        vals, den, touched = [row[c] for c in free], 1, False
         for pc, (vj, dj) in solved.items():
             e = row[pc]
             if e:
+                touched = True
                 if p:
                     vals = [x - e * y for x, y in zip(vals, vj)]
                 else:
@@ -881,7 +1008,8 @@ def _solve_at_free(rows: list[list], pivots: list[int], free: list[int], p: int)
                     vals = [s * x - t * y for x, y in zip(vals, vj)]
                     den *= s
         if p:
-            vals = [x % p for x in vals]
+            if touched:
+                vals = [x % p for x in vals]
         else:
             den *= row[pivots[k]]
             g = gcd(den, *vals)

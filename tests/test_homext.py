@@ -725,50 +725,83 @@ def test_hom_basis_matches_the_per_element_validated_reference(quiver, field, da
         Morphism(m, n, h.blocks)
 
 
-def _huge_hom_pair(field):
-    """R_0 + R_0 on K2 and a change of basis of it by entries 2^70, so that
-    over QQ its Hom basis (dim 4) has entries of 2^70 and more."""
-    r0 = quasi_simple(field, field.of(0))
-    m = direct_sum([r0, r0])[0]
+def _r0_sum(field, copies):
+    """R_0 summed ``copies`` times on K2: dims (copies, copies) and arrow maps
+    (I, 0), so Phi has 2 copies^2 columns and rows of at most 2 copies
+    entries.  One copy puts Phi on the dense side of ``_SPARSE_RATIO``, 8 on
+    the sparse side."""
+    return direct_sum([quasi_simple(field, field.of(0))] * copies)[0]
+
+
+def _huge_hom_pair(field, copies):
+    """``_r0_sum`` with 2 or 8 copies and a change of basis of it by entries
+    2^70, so that over QQ its Hom basis (dim copies^2) has entries of 2^70
+    and more."""
+    m = _r0_sum(field, copies)
     big = field.of(2**70)
-    g = {1: Matrix.from_rows(field, [[1, big], [0, 1]]),
-         2: Matrix.from_rows(field, [[1, 0], [big, 1]])}
+    g = {v: Matrix.identity(field, copies).to_rows() for v in (1, 2)}
+    g[1][0][1] = g[2][1][0] = big
+    g = {v: Matrix.from_rows(field, rows) for v, rows in g.items()}
     maps = {aid: g[t].mul(m.arrow_maps[aid]).mul(inverse(g[s])) for aid, s, t in m.quiver.arrows}
     return m, Rep(m.quiver, field, m.dims, maps)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(5), GF(101)])
-def test_hom_basis_refuses_a_kernel_entry_off_by_one(field, monkeypatch):
+def _dense_and_sparse(fields, dense, sparse):
+    """``(field, copies)`` parameters: each field with ``dense`` copies of R_0,
+    id ``field<i>``, then with ``sparse`` copies, id ``field<i>-sparse``."""
+    return [pytest.param(f, c, id=f"field{i}{suffix}")
+            for c, suffix in ((dense, ""), (sparse, "-sparse")) for i, f in enumerate(fields)]
+
+
+def _spy_on_sparse_path(monkeypatch) -> list:
+    """Record each call of ``hom_basis``'s sparse kernel in the list returned."""
+    real, calls = homext._sparse_kernel_at_free, []
+
+    def spy(rows, ncols, p):
+        calls.append(ncols)
+        return real(rows, ncols, p)
+
+    monkeypatch.setattr(homext, "_sparse_kernel_at_free", spy)
+    return calls
+
+
+@pytest.mark.parametrize("field, copies", _dense_and_sparse([QQ, GF(5), GF(101)], 2, 8))
+def test_hom_basis_refuses_a_kernel_entry_off_by_one(field, copies, monkeypatch):
     """One integer kernel entry off by one, at a pivot column (whose column of
     Phi is nonzero), makes ``hom_basis`` raise instead of returning a
-    non-morphism; unperturbed, the same basis passes."""
-    m, n = _huge_hom_pair(field)
-    assert len(hom_basis(m, n)) == 4
+    non-morphism; unperturbed, the same basis passes.  Phi is eliminated
+    densely with 2 copies of R_0 and sparsely with 8."""
+    sparse_calls = _spy_on_sparse_path(monkeypatch)
+    m, n = _huge_hom_pair(field, copies)
+    assert len(hom_basis(m, n)) == copies**2
+    assert bool(sparse_calls) == (copies == 8)
     real = homext._row_kernel_forms
     seen = []
 
-    def off_by_one(rows, ncols, f):
-        vecs, forms, free = real(rows, ncols, f)
+    def off_by_one(solved, free, ncols, p):
+        forms = real(solved, free, ncols, p)
         seen.append(max(abs(x) for ints, _ in forms for x in ints))
         ints, den = forms[-1]
         pc = min(set(range(ncols)) - set(free))
         bumped = list(ints)
-        p = f.characteristic
         bumped[pc] = (bumped[pc] + 1) % p if p else bumped[pc] + 1
-        return vecs, forms[:-1] + [(bumped, den)], free
+        return forms[:-1] + [(bumped, den)]
 
     monkeypatch.setattr(homext, "_row_kernel_forms", off_by_one)
     with pytest.raises(InvariantError, match="does not intertwine"):
         hom_basis(m, n)
+    assert len(seen) == 1
     if field == QQ:
         assert seen[0] >= 2**70
 
 
-@pytest.mark.parametrize("field", [QQ, GF(101)])
-def test_hom_basis_check_does_not_read_phi(field, monkeypatch):
+@pytest.mark.parametrize("field, copies", _dense_and_sparse([QQ, GF(101)], 1, 8))
+def test_hom_basis_check_does_not_read_phi(field, copies, monkeypatch):
     """With one segment of Phi's rows negated, the kernel holds a vector that
     is no morphism; the check, which reads the arrow maps and not Phi, makes
-    ``hom_basis`` raise."""
+    ``hom_basis`` raise.  Phi is eliminated densely for R_0 and sparsely for
+    8 copies of it."""
+    sparse_calls = _spy_on_sparse_path(monkeypatch)
     real = homext._intertwine_segments
 
     def negate_first(m, n, blocks):
@@ -777,12 +810,16 @@ def test_hom_basis_check_does_not_read_phi(field, monkeypatch):
         yield t_first, [-x for x in t_vals], s_first, s_vals, stride
         yield from segments
 
-    r0 = quasi_simple(field, field.of(0))
-    assert [h.blocks for h in hom_basis(r0, r0)] == [Morphism.identity(r0).blocks]
-    assert r0.arrow_maps["a1"].entries == [field.one]
+    m = _r0_sum(field, copies)
+    assert m.arrow_maps["a1"] == Matrix.identity(field, copies)
+    basis = hom_basis(m, m)
+    assert bool(sparse_calls) == (copies == 8)
+    assert len(basis) == copies**2
+    if copies == 1:
+        assert [h.blocks for h in basis] == [Morphism.identity(m).blocks]
     monkeypatch.setattr(homext, "_intertwine_segments", negate_first)
     with pytest.raises(InvariantError, match="does not intertwine"):
-        hom_basis(r0, r0)
+        hom_basis(m, m)
 
 
 def test_packed_check_needs_base_two_bound_plus_one():

@@ -1,6 +1,7 @@
 """Exact linear algebra kernel: fields, matrices, canonical eliminations."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -15,10 +16,13 @@ from quiverfilt.linalg import (
     _MR_LIMIT,
     _integer_multiple,
     _is_prime,
+    _kernel_at_free,
     _row_forward_echelon,
     _row_kernel,
+    _row_kernel_forms,
     _rows,
     _solve_at_free,
+    _sparse_kernel_at_free,
     column_space_basis,
     column_space_pivots,
     forward_echelon,
@@ -26,6 +30,7 @@ from quiverfilt.linalg import (
     inverse,
     is_invertible,
     mat_from_cols,
+    nonzero_items,
     nullspace_basis,
     preimage_basis,
     products_equal,
@@ -34,6 +39,7 @@ from quiverfilt.linalg import (
     rank,
     rref,
     solve,
+    sparse_rank,
     unit_vectors,
     vstack,
 )
@@ -696,8 +702,13 @@ def _kernel_input(draw):
 def test_nullspace_basis_matches_the_rref_reference(m, cached):
     """The kernel read off the echelon rows equals the one read off the
     reduced matrix, with the input's integer form cached beforehand or not;
-    ``quotient_map_free`` of the transpose has the same vectors as its rows."""
+    ``quotient_map_free`` of the transpose has the same vectors as its rows.
+    A product input over QQ is born with its integer form, which must be
+    ``_integer_multiple`` of its entries; the input is rebuilt without it."""
     qq = not m.field.characteristic
+    if m._ints is not None:
+        assert qq and m._ints == _integer_multiple(m.entries)
+    m = Matrix(m.field, m.rows, m.cols, m.entries)
     if cached and qq:
         m._integer_form()
     assert (m._ints is not None) == (cached and qq)
@@ -773,6 +784,82 @@ def test_row_kernel_on_raw_rows_matches_the_rref_reference(m):
         else:
             assert den > 0 and gcd(den, *vals) == 1
             assert [Fraction(x, den) for x in vals] == want
+
+
+@st.composite
+def _sparse_kernel_input(draw):
+    """A 0..9 x 0..9 matrix over QQ (entries up to 2^70, wide denominators),
+    GF(2) or GF(101), of one of five kinds: sparse (about two entries in
+    three zero, zero rows common), one nonzero entry per row, zero (every
+    column free), full column rank (no free column), or a product through
+    an inner dimension 0..3."""
+    field = draw(st.sampled_from([QQ, F2, GF(101)]))
+    entry = _big_rational if field == QQ else field_scalar(field)
+    nonzero = entry.filter(bool)
+    kind = draw(st.sampled_from(["sparse", "one entry", "zero", "full column rank", "product"]))
+    dim = st.integers(min_value=0, max_value=9)
+    rows, cols = draw(dim), draw(dim)
+
+    def matrix(r, c, scalar):
+        return Matrix(field, r, c, draw(st.lists(scalar, min_size=r * c, max_size=r * c)))
+
+    if kind == "zero":
+        return Matrix.zeros(field, rows, cols)
+    if kind == "sparse":
+        return matrix(rows, cols, st.one_of(st.just(field.zero), st.just(field.zero), nonzero))
+    if kind == "product":
+        inner = draw(st.integers(min_value=0, max_value=3))
+        return matrix(rows, inner, entry).mul(matrix(inner, cols, entry))
+    if kind == "one entry":
+        cols = max(cols, 1)
+        flat = [field.zero] * (rows * cols)
+        for i in range(rows):
+            flat[i * cols + draw(st.integers(min_value=0, max_value=cols - 1))] = draw(nonzero)
+        return Matrix(field, rows, cols, flat)
+    # an upper triangular block with a nonzero diagonal, among random rows
+    top = [draw(nonzero) if i == j else (draw(entry) if i < j else field.zero)
+           for i in range(cols) for j in range(cols)]
+    lines = [top[i * cols : (i + 1) * cols] for i in range(cols)]
+    lines += matrix(rows, cols, entry).to_rows()
+    order = draw(st.permutations(range(len(lines))))
+    return Matrix(field, len(lines), cols, [x for i in order for x in lines[i]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sparse_kernel_input(), st.randoms(use_true_random=False), st.integers(1, 2**70))
+@example(mq([[0, -3, 1], [0, 6, -2], [-2, 0, 5]]), random.Random(0), 1)  # negative leads
+@example(mq([[-4, 6], [0, 0], [2, -3]]), random.Random(0), 3)  # one pivot, a zero row
+@example(Matrix.from_rows(F2, [[1, 1, 0, 0], [0, 1, 0, 0]]), random.Random(0), 1)
+@example(Matrix.zeros(GF(101), 3, 4), random.Random(0), 1)  # every column free
+def test_sparse_kernel_matches_the_dense_one_and_the_rref_reference(m, rng, scale):
+    """``_sparse_kernel_at_free`` on the nonzero items of m's raw rows (rows
+    and items in a random order, over QQ every row times a common ``scale``)
+    gives what ``_kernel_at_free`` gives on the dense rows: the same rref rows
+    at the free columns, as canonical ``(vals, den)`` pairs, the same pivots
+    and free columns.  ``sparse_rank`` counts those pivots, and the kernel
+    forms read off the solved rows are the reference kernel."""
+    f, p = m.field, m.field.characteristic
+    items = [[(j, x * (1 if p else scale)) for j, x in nonzero_items(row)] for row in _rows(m)]
+    for row in items:
+        rng.shuffle(row)
+    rng.shuffle(items)
+    got = _sparse_kernel_at_free(items, m.cols, p)
+    assert got == _kernel_at_free(_rows(m), m.cols, p)
+    solved, pivots, free = got
+    red, ref_pivots = reference_rref(m)
+    assert tuple(pivots) == ref_pivots and sparse_rank(items, p) == len(pivots)
+    assert free == [c for c in range(m.cols) if c not in ref_pivots]
+    for k, pc in enumerate(pivots):
+        want = [red.at(k, c) for c in free]
+        if pc not in solved:
+            assert not any(want)
+            continue
+        vals, den = solved[pc]
+        assert den > 0 and gcd(den, *vals) == 1 and (den == 1 or not p)
+        assert [f.of(Fraction(x, den)) for x in vals] == want
+    forms = _row_kernel_forms(solved, free, m.cols, p)
+    vecs = [Matrix(f, m.cols, 1, [f.of(Fraction(x, den)) for x in ints]) for ints, den in forms]
+    assert vecs == reference_nullspace(m)
 
 
 @st.composite
@@ -884,6 +971,10 @@ def test_qq_mul_on_integer_forms_matches_fraction_reference(pair):
     assert all(type(x) is Fraction for x in got.entries)
     assert all(x is QQ.zero for x in got.entries if not x)
     assert (a.entries, b.entries) == before
+    # the product is born with its integer form, the right factor's pattern kept
+    assert got._ints == _integer_multiple(got.entries)
+    _assert_fresh_integer_form(got)
+    assert b._pat == [nonzero_items(b._ints[0][l * b.cols : (l + 1) * b.cols]) for l in range(b.rows)]
     forms = (a._ints, b._ints)
     assert None not in forms
     for x, form in zip((a, b), forms):
