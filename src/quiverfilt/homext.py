@@ -30,6 +30,7 @@ from .errors import InvariantError, UndecidedError
 from .linalg import (
     Matrix,
     _blocks_of_form,
+    _integer_multiple,
     _kernel_at_free,
     _kernel_vectors,
     _pattern_of,
@@ -155,18 +156,9 @@ def _intertwine_rows(m: Rep, n: Rep) -> list[list]:
 def _flatten(blocks: dict, keys) -> list:
     """The entries of ``blocks[k]`` for each key in turn.  Hom blocks in
     vertex order are coordinates on Phi's columns, cocycle components in
-    arrow order coordinates on its rows."""
+    arrow order coordinates on its rows.  ``linalg._blocks_of_form`` cuts
+    blocks back out of a vector."""
     return [x for k in keys for x in blocks[k].entries]
-
-
-def _unflatten(field, vec: list, shapes) -> dict:
-    """The inverse of ``_flatten``: ``{key: Matrix}`` cut from ``vec`` in turn,
-    for each ``(key, rows, cols)`` of ``shapes``."""
-    blocks, off = {}, 0
-    for key, r, c in shapes:
-        blocks[key] = Matrix(field, r, c, vec[off : off + r * c])
-        off += r * c
-    return blocks
 
 
 # hom_basis eliminates Phi as sparse rows when its columns number at least this
@@ -391,7 +383,8 @@ class ExtSpace:
         vec = [f.zero] * self._nrows
         for fc, c in zip(self._free, coords):
             vec[fc] = f.of(c)
-        return ExtCocycle(self.from_rep, self.to_rep, _unflatten(f, vec, self._shapes))
+        ints, den = (vec, 1) if f.characteristic else _integer_multiple(vec)
+        return ExtCocycle(self.from_rep, self.to_rep, _blocks_of_form(f, ints, den, self._shapes))
 
 
 def ext_basis(m: Rep, n: Rep) -> tuple[list[ExtCocycle], int]:

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals and prime fields, and one sparse rank.
+"""Exact dense linear algebra over the rationals and prime fields, and one sparse elimination.
 
 Scalars are plain Python values: ``fractions.Fraction`` over the rationals,
 ``int`` in the range [0, p) over GF(p).  A ``Field`` object owns the scalar
@@ -31,16 +31,24 @@ nonzero rows of an ``rref``.
 from the same solved rows, and no reduced matrix.  ``_row_kernel_forms``
 also reads each kernel vector's integer form off them, for
 ``homext.hom_basis`` to check its basis on; ``_row_kernel`` builds none.
-The one sparse routine is ``sparse_rank``, over GF(p) only: it takes rows
-as their nonzero ``(column, value)`` items and eliminates them one at a
-time in column order, pivoting on each row's leftmost nonzero column.
+The one sparse elimination is ``_sparse_echelon``, over GF(p) and over QQ:
+it takes rows as their nonzero ``(column, value)`` items and eliminates
+them one at a time in column order, pivoting on each row's leftmost
+nonzero column, over QQ on integer rows kept primitive with positive
+pivots.  ``_sparse_kernel_at_free`` solves its rows at the free columns as
+``_solve_at_free`` solves dense ones and returns what ``_kernel_at_free``
+returns, so ``_row_kernel_forms`` reads a kernel off either elimination,
+and ``homext.hom_basis`` picks one from the shape of its system.
 Over QQ every ``Matrix`` keeps its integer form, its entries times the lcm
 ``den`` of their denominators, once a product or an elimination has read
 it; the transpose of a matrix whose form is cached is born with it.
 ``Matrix.mul`` multiplies the two integer forms and builds each nonzero
-entry of the result once, as ``Fraction(x, la*lb)``; ``combination`` sums
-multiples of matrices on their integer forms the same way, and its result
-is born with its own.  ``products_equal(a, b, c, d)`` decides
+entry of the result once; ``combination`` sums multiples of matrices on
+their integer forms the same way.  Both results are born with their own
+integer form, ``(acc/g, den/g)`` with ``g = gcd(den, *acc)``, as are the
+blocks ``_blocks_of_form`` cuts from a kernel vector's form.  A matrix read
+as a right factor keeps the nonzero items of its rows (``_pattern``), so a
+factor used again is not scanned again.  ``products_equal(a, b, c, d)`` decides
 ``a*b == c*d`` on integers and builds no field element: over QQ it compares
 the integer products of the four integer forms by cross-multiplying with
 the other side's denominators; over GF(p) it compares the unreduced products
@@ -275,10 +283,12 @@ class Matrix:
 
     Over QQ a matrix keeps its integer form once a product or an elimination
     has read it (see ``_integer_form``); QQ elimination reads nothing else.
-    The transpose of a matrix whose form is cached is built with it.  The
-    cache is sound only because ``entries`` never changes: no routine writes
-    to ``entries``, or to a list after passing it to ``Matrix(...)``.  Only
-    this module sets ``_ints``.
+    Products, ``combination`` and ``_blocks_of_form`` build their results
+    with it, and the transpose of a matrix whose form is cached is built with
+    it.  A matrix read as the right factor of a product keeps the nonzero
+    items of its raw rows (``_pattern``).  The caches are sound only because
+    ``entries`` never changes: no routine writes to ``entries``, or to a list
+    after passing it to ``Matrix(...)``.  Only this module sets ``_ints``.
     """
 
     __slots__ = ("field", "rows", "cols", "entries", "_ints", "_pat")
@@ -410,6 +420,12 @@ class Matrix:
         return Matrix(f, self.rows, self.cols, [f.mul(c, a) for a in self.entries])
 
     def mul(self, other: "Matrix") -> "Matrix":
+        """The product, on residues over GF(p) and on integer forms over QQ,
+        reading ``other`` through its kept ``_pattern``.  Over QQ each nonzero
+        entry is built once and the result is born with its integer form
+        ``(acc/g, den/g)``, ``acc`` the integer product, ``den = la*lb`` and
+        ``g = gcd(den, *acc)``: that is ``_integer_multiple`` of its entries,
+        since the lcm of their reduced denominators is ``den/g``."""
         if self.field != other.field:
             raise InvariantError("field mismatch")
         if self.cols != other.rows:
@@ -832,26 +848,21 @@ def _primitive_items(row: dict) -> dict:
 
 
 def _sparse_kernel_at_free(rows: Iterable[list], ncols: int, p: int) -> tuple[dict, list[int], list[int]]:
-    """``_kernel_at_free`` of rows given by their nonzero items, by
-    ``_sparse_echelon`` and ``_sparse_solve_at_free``: the same triple, since
-    the rref is unique."""
+    """``_kernel_at_free`` of rows given by their nonzero items: the same
+    ``(solved, pivots, free)``, since the rref is unique.
+
+    The pivot rows of ``_sparse_echelon`` are solved at the free columns F
+    as ``_solve_at_free`` solves dense ones, last pivot column first:
+    ``vals`` starts as the row's entries at F, before any rescaling; then
+    for each item at a column pc_j solved already, ``vals`` subtracts its
+    multiple of R_j.  Over GF(p) only a row that subtracted something is
+    reduced.
+    """
     echelon = _sparse_echelon(rows, p)
     free = [c for c in range(ncols) if c not in echelon]
-    return _sparse_solve_at_free(echelon, free, p), sorted(echelon), free
-
-
-def _sparse_solve_at_free(echelon: dict, free: list[int], p: int) -> dict:
-    """``_solve_at_free`` on the pivot rows of ``_sparse_echelon``: the same
-    ``{pc_k: (vals, den)}``, the rref rows R_k at the non-pivot columns F.
-
-    Pivot columns are taken last first.  ``vals`` starts as the row's entries
-    at F, before any rescaling; then for each item at a column pc_j solved
-    already, ``vals`` subtracts its multiple of R_j, as in ``_solve_at_free``.
-    Over GF(p) only a row that subtracted something is reduced.
-    """
     solved: dict = {}
-    if not free:
-        return solved
+    if not free:  # full column rank: nothing to solve at
+        return solved, sorted(echelon), free
     index = {c: i for i, c in enumerate(free)}
     for pc in sorted(echelon, reverse=True):
         a, after = echelon[pc]
@@ -883,7 +894,7 @@ def _sparse_solve_at_free(echelon: dict, free: list[int], p: int) -> dict:
                 vals, den = [x // g for x in vals], den // g
         if any(vals):
             solved[pc] = (vals, den)
-    return solved
+    return solved, sorted(echelon), free
 
 
 def _kernel_vectors(m: Matrix) -> tuple[list[list], list[int]]:

@@ -18,7 +18,7 @@ from quiverfilt import (
     linear_quiver,
     quasi_simple,
 )
-from quiverfilt.homext import ExtCocycle, _phi_rows, _unflatten
+from quiverfilt.homext import ExtCocycle, _phi_rows
 from quiverfilt.linalg import (
     _row_kernel,
     hstack,
@@ -245,13 +245,22 @@ def reference_intertwine_matrix(m, n):
     return Matrix(f, nrows, ncols, flat)
 
 
+def _cut_blocks(f, vec, shapes):
+    """``{key: Matrix}`` cut from ``vec`` in turn, for each ``(key, rows, cols)``."""
+    blocks, off = {}, 0
+    for key, r, c in shapes:
+        blocks[key] = Matrix(f, r, c, vec[off : off + r * c])
+        off += r * c
+    return blocks
+
+
 def reference_hom_basis(m, n):
     """Reference: the canonical Hom basis with each element validated on its
     own, ``Morphism(...)`` checking every commuting square of every element."""
     rows = _phi_rows(m, n)
     shapes = [(v, n.dims[v], m.dims[v]) for v in m.quiver.vertices]
     vecs = _row_kernel(rows, sum(r * c for _, r, c in shapes), m.field)[0]
-    return [Morphism(m, n, _unflatten(m.field, vec, shapes)) for vec in vecs]
+    return [Morphism(m, n, _cut_blocks(m.field, vec, shapes)) for vec in vecs]
 
 
 def reference_ext(m, n):
@@ -270,11 +279,7 @@ def reference_ext(m, n):
     shapes = [(aid, n.dims[t], m.dims[s]) for aid, s, t in m.quiver.arrows]
 
     def cocycle(vec):
-        comps, off = {}, 0
-        for aid, r, c in shapes:
-            comps[aid] = Matrix(f, r, c, vec[off : off + r * c])
-            off += r * c
-        return ExtCocycle(m, n, comps)
+        return ExtCocycle(m, n, _cut_blocks(f, vec, shapes))
 
     def unit(i):
         vec = [f.zero] * reduced.cols
