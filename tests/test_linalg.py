@@ -974,7 +974,8 @@ def test_qq_mul_on_integer_forms_matches_fraction_reference(pair):
     # the product is born with its integer form, the right factor's pattern kept
     assert got._ints == _integer_multiple(got.entries)
     _assert_fresh_integer_form(got)
-    assert b._pat == [nonzero_items(b._ints[0][l * b.cols : (l + 1) * b.cols]) for l in range(b.rows)]
+    b_ints = b._ints[0]
+    assert b._pat == [nonzero_items(b_ints[l * b.cols : (l + 1) * b.cols]) for l in range(b.rows)]
     forms = (a._ints, b._ints)
     assert None not in forms
     for x, form in zip((a, b), forms):
