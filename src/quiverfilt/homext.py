@@ -38,7 +38,7 @@ from .linalg import (
     _row_forward_echelon,
     _row_kernel_forms,
     _solve_at_free,
-    _sparse_kernel_at_free,
+    _sparse_echelon,
     combination,
     hstack,
     mat_from_cols,
@@ -169,12 +169,13 @@ _SPARSE_RATIO = 8
 def hom_basis(m: Rep, n: Rep) -> list[Morphism]:
     """Canonical basis of the space of morphisms M -> N: the kernel of Phi.
 
-    Phi is eliminated from its nonzero items (``_sparse_kernel_at_free``)
-    when its shape says it is sparse, ``ncols >= _SPARSE_RATIO * w`` with w
-    = max over arrows a: s -> t of m_t + n_s, its longest possible row; else
-    as dense rows (``_kernel_at_free``).  Both give the rref rows at the free
-    columns, so the basis is the same.  ``_row_kernel_forms`` reads each
-    vector's integer form off them; the whole basis is checked once on these
+    Phi is eliminated from its nonzero items (``_sparse_echelon``) when its
+    shape says it is sparse, ``ncols >= _SPARSE_RATIO * w`` with w = max
+    over arrows a: s -> t of m_t + n_s, its longest possible row; else as
+    dense rows (``_row_forward_echelon``).  Both return the one echelon
+    format, which ``_kernel_at_free`` solves at the free columns, so the
+    basis is the same.  ``_row_kernel_forms`` reads each vector's integer
+    form off the solved rows; the whole basis is checked once on these
     by ``_check_intertwines``, and each element is built from its form
     through ``Morphism._trusted``, its blocks born with their own
     (``_blocks_of_form``).
@@ -184,9 +185,10 @@ def hom_basis(m: Rep, n: Rep) -> list[Morphism]:
     ncols = sum(r * c for _, r, c in shapes)
     p = m.field.characteristic
     if ncols >= _SPARSE_RATIO * width:
-        solved, _, free = _sparse_kernel_at_free(_intertwine_rows(m, n), ncols, p)
+        echelon = _sparse_echelon(_intertwine_rows(m, n), p)
     else:
-        solved, _, free = _kernel_at_free(_phi_rows(m, n), ncols, p)
+        echelon = _row_forward_echelon(_phi_rows(m, n), ncols, p)
+    solved, _, free = _kernel_at_free(echelon, ncols, p)
     forms = _row_kernel_forms(solved, free, ncols, p)
     _check_intertwines(m, n, [ints for ints, _ in forms])
     return [Morphism._trusted(m, n, _blocks_of_form(m.field, ints, den, shapes))
@@ -313,7 +315,8 @@ class ExtSpace:
     Class arithmetic goes through ``reduce``: a cocycle's coordinates in the
     canonical cokernel basis (free coordinates of the column space of Phi in
     echelon form).  Two cocycles represent the same class iff their reduced
-    coordinates agree.  One forward elimination of Phi^T gives the pivots of
+    coordinates agree.  One forward elimination of Phi^T
+    (``_row_forward_echelon``) gives its pivot rows, keyed by the pivots of
     its rref, hence ``dim``, ``coboundary_rank`` and the free coordinates.
     The first ``reduce`` solves the rref rows R_k of Phi^T at the free
     coordinates (``_solve_at_free``); a cocycle c has class coordinates the
@@ -333,19 +336,18 @@ class ExtSpace:
         # its tuple per column stays on the interpreter's free lists, which
         # raises the tracemalloc peak of a preproj-gf101 pass by 0.045 MiB.
         flat, ncols = list(chain.from_iterable(rows)), _hom_layout(from_rep, to_rep)[1]
-        self._echelon, self._pivots = _row_forward_echelon(
+        self._echelon = _row_forward_echelon(
             [flat[j::ncols] for j in range(ncols)], self._nrows, from_rep.field.characteristic
         )
-        pivot_set = set(self._pivots)
-        self._free = [c for c in range(self._nrows) if c not in pivot_set]
+        self._free = [c for c in range(self._nrows) if c not in self._echelon]
         self.dim = len(self._free)
-        self.coboundary_rank = len(self._pivots)
+        self.coboundary_rank = len(self._echelon)
 
     @cached_property
     def _solved(self) -> dict:
         """The rref rows of Phi^T at the free coordinates, ``{pc_k: (vals, den)}``."""
         p = self.from_rep.field.characteristic
-        return _solve_at_free(self._echelon, self._pivots, self._free, p)
+        return _solve_at_free(self._echelon, self._free, p)
 
     def reduce(self, c: ExtCocycle) -> list:
         """Coordinates of the class of c in the canonical cokernel basis."""

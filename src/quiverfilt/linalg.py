@@ -17,28 +17,27 @@ entries) and eliminates by cross-multiplication on rows kept primitive.  It
 pivots on the remaining entry of least absolute value in each column, made
 positive; small pivots keep fraction-free elimination cheap (cf. Bareiss,
 Math. Comp. 22, 1968), and a unit pivot clears a row without scaling it.
-There is one dense elimination loop: ``_row_forward_echelon`` clears each
-pivot's column below it, with ``_clear_column`` alone; ``rank`` counts its
-pivots.  There is one back-solve: ``_solve_at_free`` solves the rref rows
-at given non-pivot columns only, from the forward echelon rows, last row
-first, and nothing clears a column above a pivot.  ``rref`` assembles the
-reduced matrix from its rows at all free columns (``_kernel_at_free``),
-building each entry once; ``solve`` reads the rows of ``[a | b]`` at b's
-columns only, and ``homext.ExtSpace.reduce`` the rref rows of Phi^T at its
-free coordinates.  A span test is a ``rank``, a canonical span basis the
+There are two eliminations and one echelon format.  The dense loop,
+``_row_forward_echelon``, clears each pivot's column below it, with
+``_clear_column`` alone.  The sparse one, ``_sparse_echelon``, takes rows
+as their nonzero ``(column, value)`` items and eliminates them one at a
+time in column order, pivoting on each row's leftmost nonzero column.
+Both return ``{pivot column: (pivot entry, the nonzero items after it)}``,
+the entry 1 over GF(p) and positive over QQ; ``rank`` and ``sparse_rank``
+count the pivots.  There is one back-solve: ``_solve_at_free`` solves the
+rref rows at given non-pivot columns only, from the pivot rows of either
+elimination, last pivot first, and nothing clears a column above a pivot.
+``_kernel_at_free`` solves them at all free columns, for ``rref``, which
+assembles the reduced matrix building each entry once, and for the row
+kernels; ``solve`` reads the rows of ``[a | b]`` at b's columns only, and
+``homext.ExtSpace.reduce`` the rref rows of Phi^T at its free
+coordinates.  A span test is a ``rank``, a canonical span basis the
 nonzero rows of an ``rref``.
 ``_row_kernel`` (behind ``nullspace_basis``) builds each kernel entry once
-from the same solved rows, and no reduced matrix.  ``_row_kernel_forms``
-also reads each kernel vector's integer form off them, for
-``homext.hom_basis`` to check its basis on; ``_row_kernel`` builds none.
-The one sparse elimination is ``_sparse_echelon``, over GF(p) and over QQ:
-it takes rows as their nonzero ``(column, value)`` items and eliminates
-them one at a time in column order, pivoting on each row's leftmost
-nonzero column, over QQ on integer rows kept primitive with positive
-pivots.  ``_sparse_kernel_at_free`` solves its rows at the free columns as
-``_solve_at_free`` solves dense ones and returns what ``_kernel_at_free``
-returns, so ``_row_kernel_forms`` reads a kernel off either elimination,
-and ``homext.hom_basis`` picks one from the shape of its system.
+from the solved rows, and no reduced matrix.  ``_row_kernel_forms`` reads
+each kernel vector's integer form off them, for ``homext.hom_basis`` to
+check its basis on; ``_row_kernel`` builds none.  ``hom_basis`` picks the
+elimination from the shape of its system.
 Over QQ every ``Matrix`` keeps its integer form, its entries times the lcm
 ``den`` of their denominators, once a product or an elimination has read
 it; the transpose of a matrix whose form is cached is born with it.
@@ -627,22 +626,6 @@ def nonzero_items(row: list, start: int = 0) -> list:
     return [(j, x) for j, x in enumerate(row[start:], start) if x]
 
 
-def scale_to_unit(row: list, start: int, p: int) -> list:
-    """Scale the GF(p) ``row`` in place so its entry at ``start`` is 1.
-
-    Every entry before ``start`` must be zero.  Returns the nonzero pairs of
-    the scaled row.
-    """
-    lead = row[start]
-    if lead == 1:
-        return nonzero_items(row, start)
-    inv = pow(lead, -1, p)
-    items = [(j, x * inv % p) for j, x in enumerate(row[start:], start) if x]
-    for j, x in items:
-        row[j] = x
-    return items
-
-
 def unit_vectors(field: Field, d: int) -> list[list]:
     """The standard basis of k^d, as coordinate lists."""
     return [[field.one if i == j else field.zero for j in range(d)] for i in range(d)]
@@ -659,7 +642,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """
     f = m.field
     p = f.characteristic
-    solved, pivots, free = _kernel_at_free(_rows(m), m.cols, p)
+    solved, pivots, free = _kernel_at_free(forward_echelon(m), m.cols, p)
     flat = [f.zero] * (m.rows * m.cols)
     for k, pc in enumerate(pivots):
         base = k * m.cols
@@ -685,13 +668,14 @@ def _primitive(row: list) -> list:
     return row if g < 2 else [x // g for x in row]
 
 
-def forward_echelon(m: Matrix) -> tuple[list[list], list[int]]:
-    """``_row_forward_echelon`` of the rows of m."""
+def forward_echelon(m: Matrix) -> dict:
+    """``_row_forward_echelon`` of the rows of m: its pivot rows, ``{pivot
+    column: (pivot entry, nonzero items after it)}``."""
     return _row_forward_echelon(_rows(m), m.cols, m.field.characteristic)
 
 
-def _row_forward_echelon(rows: list[list], ncols: int, p: int) -> tuple[list[list], list[int]]:
-    """Echelon rows by forward elimination only, and their pivot columns.
+def _row_forward_echelon(rows: list[list], ncols: int, p: int) -> dict:
+    """Forward elimination of dense rows, in ``_sparse_echelon``'s format.
 
     ``rows`` are fresh lists of length ``ncols``, eliminated in place: over
     GF(p) residues, the pivot row at a column being the first row nonzero
@@ -704,12 +688,13 @@ def _row_forward_echelon(rows: list[list], ncols: int, p: int) -> tuple[list[lis
     A primitive row depends only on the row's own entries up to a positive
     factor, so rows scaled by any common positive ``den`` eliminate alike.
     The pivot rows depend on the pivot rule, the rref does not.  Each pivot
-    row clears the rows below it; nothing above a pivot is touched.  Row i
-    is zero before its pivot and at the pivots of the rows before it.  The
-    pivots are those of the rref, and the rows span the same row space.
+    row clears the rows below it and is not touched again.  Returns
+    ``{pivot column: (pivot entry, the nonzero items after it)}`` in
+    increasing pivot order, the entry 1 over GF(p): the pivots are those of
+    the rref, and the pivot rows span the same row space.
     """
     rows = [row if p else _primitive(row) for row in rows if any(row)]
-    pivots: list[int] = []
+    echelon: dict = {}
     r = 0
     for c in range(ncols):
         if r == len(rows):
@@ -730,34 +715,39 @@ def _row_forward_echelon(rows: list[list], ncols: int, p: int) -> tuple[list[lis
                         break
             if not least:
                 continue
-            if rows[i][c] < 0:
-                rows[i] = [-x for x in rows[i]]
         rows[r], rows[i] = rows[i], rows[r]
-        items = scale_to_unit(rows[r], c, p) if p else nonzero_items(rows[r], c)
-        pivots.append(c)
-        r += 1
-        _clear_column(rows, r, c, items, p)
-    return rows[:r], pivots
+        row, r = rows[r], r + 1
+        a = row[c]
+        if p and a != 1:
+            inv = pow(a, -1, p)
+            a, after = 1, [(j, x * inv % p) for j, x in enumerate(row[c + 1 :], c + 1) if x]
+        else:
+            after = nonzero_items(row, c + 1)
+            if a < 0:
+                a, after = -a, [(j, -x) for j, x in after]
+        echelon[c] = (a, after)
+        _clear_column(rows, r, c, a, after, p)
+    return echelon
 
 
-def _clear_column(rows: list[list], lo: int, c: int, items: list, p: int) -> None:
-    """Clear column c in ``rows[lo:]``, the rows below a pivot row at c given
-    by its nonzero ``items`` from c on.
+def _clear_column(rows: list[list], lo: int, c: int, a: int, after: list, p: int) -> None:
+    """Clear column c in ``rows[lo:]``, the rows below the pivot row at c
+    with pivot entry ``a`` and nonzero items ``after`` it.
 
-    Over GF(p) the pivot is a unit and a row ``v`` becomes ``v - v[c]*pivot``.
-    Over QQ an entry ``b`` is cleared against the pivot entry ``a`` by ``v =
-    (a/g)*v - (b/g)*pivot`` with ``g = gcd(a, b)``, and a changed row is
-    divided by its content, which keeps the entries bounded by the minors of
-    the integer form of the matrix eliminated.
+    Over GF(p) the pivot is 1 and a row ``v`` becomes ``v - v[c]*pivot``.
+    Over QQ an entry ``b`` is cleared against ``a`` by ``v = (a/g)*v -
+    (b/g)*pivot`` with ``g = gcd(a, b)``, and a changed row is divided by its
+    content, which keeps the entries bounded by the minors of the integer
+    form of the matrix eliminated.
     """
     if p:
         for row in rows[lo:]:
             b = row[c]
             if b:
-                for j, v in items:
+                row[c] = 0
+                for j, v in after:
                     row[j] = (row[j] - b * v) % p
         return
-    a = items[0][1]
     for i in range(lo, len(rows)):
         row = rows[i]
         b = row[c]
@@ -766,15 +756,16 @@ def _clear_column(rows: list[list], lo: int, c: int, items: list, p: int) -> Non
             s, t = a // g, b // g
             if s != 1:
                 row = [s * x for x in row]
-            for j, x in items:
+            row[c] = 0
+            for j, x in after:
                 row[j] -= t * x
             rows[i] = _primitive(row)
 
 
 def rank(m: Matrix) -> int:
-    """The rank of m: the pivot count of ``forward_echelon``, so no reduced
-    matrix is built."""
-    return len(forward_echelon(m)[1])
+    """The rank of m: the number of pivot rows ``forward_echelon`` keys by
+    their pivots, so no reduced matrix is built."""
+    return len(forward_echelon(m))
 
 
 def sparse_rank(rows: Iterable[list], p: int) -> int:
@@ -796,8 +787,10 @@ def _sparse_echelon(rows: Iterable[list], p: int) -> dict:
     clears one, by gcd cross-multiplication, and is kept primitive.  Only
     nonzero entries are stored or touched.  A pivot row is zero before its
     pivot, so fill-in lands only to the right of the column being cleared,
-    and the pivots are those of rref.  Returns ``{pivot column: (pivot
-    entry, the nonzero items after it)}``, the entry 1 over GF(p).
+    and the pivots are those of rref.  Returns ``_row_forward_echelon``'s
+    format, ``{pivot column: (pivot entry, the nonzero items after it)}``,
+    the entry 1 over GF(p) and positive over QQ, in the order the pivots
+    were found.
     """
     pivots: dict = {}
     for items in rows:
@@ -847,56 +840,6 @@ def _primitive_items(row: dict) -> dict:
     return row if g < 2 else {j: v // g for j, v in row.items()}
 
 
-def _sparse_kernel_at_free(rows: Iterable[list], ncols: int, p: int) -> tuple[dict, list[int], list[int]]:
-    """``_kernel_at_free`` of rows given by their nonzero items: the same
-    ``(solved, pivots, free)``, since the rref is unique.
-
-    The pivot rows of ``_sparse_echelon`` are solved at the free columns F
-    as ``_solve_at_free`` solves dense ones, last pivot column first:
-    ``vals`` starts as the row's entries at F, before any rescaling; then
-    for each item at a column pc_j solved already, ``vals`` subtracts its
-    multiple of R_j.  Over GF(p) only a row that subtracted something is
-    reduced.
-    """
-    echelon = _sparse_echelon(rows, p)
-    free = [c for c in range(ncols) if c not in echelon]
-    solved: dict = {}
-    if not free:  # full column rank: nothing to solve at
-        return solved, sorted(echelon), free
-    index = {c: i for i, c in enumerate(free)}
-    for pc in sorted(echelon, reverse=True):
-        a, after = echelon[pc]
-        vals, den, touched = [0] * len(free), 1, False
-        for j, x in after:
-            i = index.get(j)
-            if i is not None:
-                vals[i] = x
-        for j, e in after:
-            sol = solved.get(j)
-            if sol is None:
-                continue
-            touched = True
-            vj, dj = sol
-            if p:
-                vals = [x - e * y for x, y in zip(vals, vj)]
-            else:
-                g = gcd(den, dj)
-                s, t = dj // g, e * (den // g)
-                vals = [s * x - t * y for x, y in zip(vals, vj)]
-                den *= s
-        if p:
-            if touched:
-                vals = [x % p for x in vals]
-        else:
-            den *= a
-            g = gcd(den, *vals)
-            if g > 1:
-                vals, den = [x // g for x in vals], den // g
-        if any(vals):
-            solved[pc] = (vals, den)
-    return solved, sorted(echelon), free
-
-
 def _kernel_vectors(m: Matrix) -> tuple[list[list], list[int]]:
     """``_row_kernel`` of the rows of m."""
     return _row_kernel(_rows(m), m.cols, m.field)
@@ -913,7 +856,7 @@ def _row_kernel(rows: list[list], ncols: int, f: Field) -> tuple[list[list], lis
     ``_row_kernel_forms``.
     """
     p = f.characteristic
-    solved, _, free = _kernel_at_free(rows, ncols, p)
+    solved, _, free = _kernel_at_free(_row_forward_echelon(rows, ncols, p), ncols, p)
     zero, one = f.zero, f.one
     vecs = []
     for i, fc in enumerate(free):
@@ -929,8 +872,8 @@ def _row_kernel(rows: list[list], ncols: int, f: Field) -> tuple[list[list], lis
 
 def _row_kernel_forms(solved: dict, free: list[int], ncols: int, p: int) -> list[tuple[list, int]]:
     """The integer forms ``(ints, L)`` of ``_row_kernel``'s vectors, vector =
-    ints / L, from the solved rows ``{pc_k: (vals_k, den_k)}`` of either
-    ``_kernel_at_free`` or ``_sparse_kernel_at_free``.
+    ints / L, from the solved rows ``{pc_k: (vals_k, den_k)}`` of
+    ``_kernel_at_free``.
 
     For the i-th free column fc, ``L`` is the lcm of ``den_k`` over the
     solved rows with ``vals_k[i] != 0``, ``ints[fc] = L`` and ``ints[pc_k] =
@@ -980,54 +923,61 @@ def _blocks_of_form(field: Field, ints: list, den: int, shapes) -> dict:
     return blocks
 
 
-def _kernel_at_free(rows: list[list], ncols: int, p: int) -> tuple[dict, list[int], list[int]]:
-    """The forward echelon rows of ``rows`` solved at all their free columns:
-    ``(_solve_at_free(...), pivots, free)``, the free columns in increasing
-    order.  ``rref`` and the row kernels read the rref through it."""
-    rows, pivots = _row_forward_echelon(rows, ncols, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    return _solve_at_free(rows, pivots, free, p), pivots, free
+def _kernel_at_free(echelon: dict, ncols: int, p: int) -> tuple[dict, list[int], list[int]]:
+    """The pivot rows of ``echelon`` solved at all their free columns:
+    ``(_solve_at_free(...), pivots, free)``, both in increasing order.
+    ``echelon`` comes from either elimination, ``_row_forward_echelon`` or
+    ``_sparse_echelon``; the result is the same, since the rref is unique.
+    ``rref`` and the row kernels read the rref through it."""
+    free = [c for c in range(ncols) if c not in echelon]
+    return _solve_at_free(echelon, free, p), sorted(echelon), free
 
 
-def _solve_at_free(rows: list[list], pivots: list[int], free: list[int], p: int) -> dict:
-    """The rref rows R_k at the non-pivot columns F, from the echelon rows E_k
-    of ``_row_forward_echelon``, last first: ``R_k = (E_k[F] - sum_{j>k}
-    E_k[pc_j] * R_j) / E_k[pc_k]``.  Each column of F is solved on its own,
-    so F may be any of the free columns: all of them for ``rref``, the
-    right-hand sides for ``solve``.  Returns ``{pc_k: (vals, den)}`` with
-    ``R_k[free[i]] == vals[i] / den``, leaving out each R_k that is zero on
-    F, so the sum runs over the rows kept.  Over GF(p) ``den`` is 1; over QQ
-    ``vals`` are integers and ``gcd(den, *vals) == 1``, and ``den > 0``
-    because every pivot entry is.
+def _solve_at_free(echelon: dict, free: list[int], p: int) -> dict:
+    """The rref rows R_k at the non-pivot columns F, from the pivot rows E_k
+    ``{pc_k: (a_k, items)}`` of either elimination, last pivot first:
+    ``R_k = (E_k[F] - sum_{j>k} E_k[pc_j] * R_j) / a_k``.  Each column of F
+    is solved on its own, so F may be any of the free columns: all of them
+    for ``rref``, the right-hand sides for ``solve``.  One pass over a pivot
+    row's items writes its entries at F into ``vals`` and collects the
+    solved rows R_j it meets; ``vals`` then subtracts each multiple.
+    Returns ``{pc_k: (vals, den)}`` with ``R_k[free[i]] == vals[i] / den``,
+    leaving out each R_k that is zero on F, so the sum runs over the rows
+    kept.  Over GF(p) ``den`` is 1, and only a row that subtracted something
+    is reduced; over QQ ``vals`` are integers and ``gcd(den, *vals) == 1``,
+    and ``den > 0`` because every pivot entry is.
     """
     solved: dict = {}
     if not free:  # full column rank, or b without columns: nothing to solve at
         return solved
-    for k in range(len(pivots) - 1, -1, -1):
-        row = rows[k]
-        vals, den, touched = [row[c] for c in free], 1, False
-        for pc, (vj, dj) in solved.items():
-            e = row[pc]
-            if e:
-                touched = True
-                if p:
-                    vals = [x - e * y for x, y in zip(vals, vj)]
-                else:
-                    g = gcd(den, dj)
-                    s, t = dj // g, e * (den // g)
-                    vals = [s * x - t * y for x, y in zip(vals, vj)]
-                    den *= s
+    index = {c: i for i, c in enumerate(free)}
+    for pc in sorted(echelon, reverse=True):
+        a, after = echelon[pc]
+        vals, hits, den = [0] * len(free), [], 1
+        for j, x in after:
+            i = index.get(j)
+            if i is not None:
+                vals[i] = x
+            elif j in solved:
+                hits.append((x, solved[j]))
+        for e, (vj, dj) in hits:
+            if p:
+                vals = [x - e * y for x, y in zip(vals, vj)]
+            else:
+                g = gcd(den, dj)
+                s, t = dj // g, e * (den // g)
+                vals = [s * x - t * y for x, y in zip(vals, vj)]
+                den *= s
         if p:
-            if touched:
+            if hits:
                 vals = [x % p for x in vals]
         else:
-            den *= row[pivots[k]]
+            den *= a
             g = gcd(den, *vals)
             if g > 1:
                 vals, den = [x // g for x in vals], den // g
         if any(vals):
-            solved[pivots[k]] = (vals, den)
+            solved[pc] = (vals, den)
     return solved
 
 
@@ -1043,10 +993,11 @@ def nullspace_basis(m: Matrix) -> list[Matrix]:
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
     """One solution X of a*X = b with free variables set to zero, else None.
 
-    ``[a | b]`` is eliminated forward; the system is inconsistent iff its
-    last pivot lies in b's block.  Otherwise the row of X at each pivot
-    column is that pivot's rref row at b's columns, which ``_solve_at_free``
-    solves at those columns only.
+    ``[a | b]`` is eliminated forward; the system is inconsistent iff it
+    has a pivot in b's block, that is iff its last pivot is at a column
+    ``>= a.cols``.  Otherwise the row of X at each pivot column is that
+    pivot's rref row at b's columns, which ``_solve_at_free`` solves at
+    those columns only.
     """
     if a.field != b.field:
         raise InvariantError("field mismatch")
@@ -1055,11 +1006,11 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     f = a.field
     p = f.characteristic
     n, k = a.cols, b.cols
-    rows, pivots = forward_echelon(hstack([a, b]))
-    if pivots and pivots[-1] >= n:
+    echelon = forward_echelon(hstack([a, b]))
+    if echelon and max(echelon) >= n:
         return None
     x = [f.zero] * (n * k)
-    for pc, (vals, den) in _solve_at_free(rows, pivots, list(range(n, n + k)), p).items():
+    for pc, (vals, den) in _solve_at_free(echelon, list(range(n, n + k)), p).items():
         x[pc * k : (pc + 1) * k] = vals if p else [Fraction(v, den) if v else f.zero for v in vals]
     return Matrix(f, n, k, x)
 

@@ -456,10 +456,14 @@ def uniserial_check(t: Tower) -> bool:
             raise InapplicableError(
                 "uniseriality needs Ext(member, base) = 0 for other members"
             )
+    # the inclusions Y(j+1) -> Y(h), from the top down, one compose each
+    uppers = [Morphism.identity(t.levels[-1])]
+    for seq in reversed(t.sequences):
+        uppers.append(compose(seq.incl, uppers[-1]))
+    uppers.reverse()
     lower = None
-    for j in range(t.height):
+    for j, upper in enumerate(uppers):
         # Q_j = Y(h)/Y(j), and Y(j+1)/Y(j) inside it; j = 0 means Y(h) itself
-        upper = t.inclusion(j + 1, t.height)
         if j == 0:
             quot, bottom = t.levels[-1], image(upper)
         else:

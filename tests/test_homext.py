@@ -630,7 +630,7 @@ def test_sparse_rank_of_phi_rows_matches_dense_rank(field, quiver, data):
         assert written == phi.row(i)
     got = sparse_rank(rows, p)
     assert got == rank(phi)
-    assert sorted(_sparse_echelon(rows, p)) == forward_echelon(phi)[1]
+    assert sorted(_sparse_echelon(rows, p)) == list(forward_echelon(phi))
     assert got == phi.cols - len(hom_basis(m, n))
     if field == QQ:
         assert got <= qq_rank
@@ -754,14 +754,14 @@ def _dense_and_sparse(fields, dense, sparse):
 
 
 def _spy_on_sparse_path(monkeypatch) -> list:
-    """Record each call of ``hom_basis``'s sparse kernel in the list returned."""
-    real, calls = homext._sparse_kernel_at_free, []
+    """Record each call of ``hom_basis``'s sparse elimination in the list returned."""
+    real, calls = homext._sparse_echelon, []
 
-    def spy(rows, ncols, p):
-        calls.append(ncols)
-        return real(rows, ncols, p)
+    def spy(rows, p):
+        calls.append(p)
+        return real(rows, p)
 
-    monkeypatch.setattr(homext, "_sparse_kernel_at_free", spy)
+    monkeypatch.setattr(homext, "_sparse_echelon", spy)
     return calls
 
 

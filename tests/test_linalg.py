@@ -22,7 +22,7 @@ from quiverfilt.linalg import (
     _row_kernel_forms,
     _rows,
     _solve_at_free,
-    _sparse_kernel_at_free,
+    _sparse_echelon,
     column_space_basis,
     column_space_pivots,
     forward_echelon,
@@ -395,10 +395,37 @@ def _low_rank(draw):
 )
 def test_rank_is_the_pivot_count_of_rref(m):
     before = list(m.entries)
-    rows, pivots = forward_echelon(m)
-    assert tuple(pivots) == rref(m)[1]
-    assert rank(m) == len(pivots) == len(rows)
+    echelon = forward_echelon(m)
+    assert tuple(echelon) == rref(m)[1]
+    assert rank(m) == len(echelon)
     assert m.entries == before
+
+
+def _dense_rows(echelon, ncols):
+    """The pivot rows of an echelon ``{pc: (a, items)}`` written out as
+    dense rows, in increasing pivot order."""
+    rows = []
+    for pc in sorted(echelon):
+        a, items = echelon[pc]
+        row = [0] * ncols
+        row[pc] = a
+        for j, x in items:
+            row[j] = x
+        rows.append(row)
+    return rows
+
+
+def _assert_echelon_format(echelon, ncols, p):
+    """``{pc: (a, items)}`` as the ``linalg`` docstrings state it: a is 1
+    over GF(p) and positive over QQ, and the items are nonzero, at distinct
+    columns after pc and before ``ncols``."""
+    for pc, (a, items) in echelon.items():
+        assert 0 <= pc < ncols
+        assert a == 1 if p else a > 0
+        assert all(x and pc < j < ncols for j, x in items)
+        assert len({j for j, _ in items}) == len(items)
+        if p:
+            assert all(0 < x < p for _, x in items)
 
 
 @settings(max_examples=200, deadline=None)
@@ -411,14 +438,15 @@ def test_rank_is_the_pivot_count_of_rref(m):
     )
 )
 def test_forward_echelon_rows_are_echelon_and_span_the_row_space(m):
-    """Each row of ``forward_echelon`` is zero before its pivot and at the
-    pivots of the rows before it, and nonzero at its own; the rows span the
-    row space of m, by ``reference_rank``."""
+    """The pivot rows of ``forward_echelon`` come in increasing pivot order,
+    each with a pivot entry 1 over GF(p) and positive over QQ and nonzero
+    items after its pivot only; written out, they span the row space of m,
+    by ``reference_rank``."""
     f = m.field
-    rows, pivots = forward_echelon(m)
-    for i, (row, c) in enumerate(zip(rows, pivots)):
-        assert not any(row[:c]) and not any(row[pc] for pc in pivots[:i])
-        assert row[c]
+    pivot_rows = forward_echelon(m)
+    assert list(pivot_rows) == sorted(pivot_rows)
+    _assert_echelon_format(pivot_rows, m.cols, f.characteristic)
+    rows = _dense_rows(pivot_rows, m.cols)
     # integer rows over QQ, residues over GF(p): read as scalars of f
     echelon = [[f.of(x) for x in row] for row in rows]
     own = m.to_rows()
@@ -468,16 +496,16 @@ def _qq_raw_rows(draw):
 @example(([[-1, 2], [3, -5]], 2))  # a -1 pivot, full rank
 def test_qq_forward_echelon_against_rref(case):
     """QQ ``_row_forward_echelon`` on integer rows: the pivots are rref's;
-    each row is primitive with a positive pivot entry, zero before its pivot
-    and at the pivots before it; and the rows span the input's row space."""
+    each pivot row is primitive with a positive pivot entry and nonzero
+    items after its pivot only; and the rows span the input's row space."""
     raw, ncols = case
     m = Matrix(QQ, len(raw), ncols, [QQ.of(x) for row in raw for x in row])
-    rows, pivots = _row_forward_echelon([list(row) for row in raw], ncols, 0)
+    echelon = _row_forward_echelon([list(row) for row in raw], ncols, 0)
     red, want = rref(m)
-    assert tuple(pivots) == want and len(rows) == len(pivots)
-    for i, (row, c) in enumerate(zip(rows, pivots)):
-        assert len(row) == ncols and row[c] > 0 and gcd(*row) == 1
-        assert not any(row[:c]) and not any(row[pc] for pc in pivots[:i])
+    assert tuple(echelon) == want
+    _assert_echelon_format(echelon, ncols, 0)
+    rows = _dense_rows(echelon, ncols)
+    assert all(gcd(*row) == 1 for row in rows)
     span = Matrix(QQ, len(rows), ncols, [QQ.of(x) for row in rows for x in row])
     assert rref(span)[0].entries == red.entries[: len(rows) * ncols]
 
@@ -770,8 +798,9 @@ def test_row_kernel_on_raw_rows_matches_the_rref_reference(m):
     assert free == [c for c in range(m.cols) if c not in pivots]
     if not free:
         return
-    rows, pivots = _row_forward_echelon(_rows(m), m.cols, m.field.characteristic)
-    solved = _solve_at_free(rows, pivots, free, m.field.characteristic)
+    echelon = _row_forward_echelon(_rows(m), m.cols, m.field.characteristic)
+    solved = _solve_at_free(echelon, free, m.field.characteristic)
+    assert tuple(echelon) == pivots
     for k, pc in enumerate(pivots):
         want = [red.at(k, c) for c in free]
         sol = solved.get(pc)
@@ -825,6 +854,39 @@ def _sparse_kernel_input(draw):
     return Matrix(field, len(lines), cols, [x for i in order for x in lines[i]])
 
 
+def _shuffled_items(m, rng, scale):
+    """The nonzero items of m's raw rows, rows and items in a random order,
+    over QQ every row times ``scale``."""
+    p = m.field.characteristic
+    items = [[(j, x * (1 if p else scale)) for j, x in nonzero_items(row)] for row in _rows(m)]
+    for row in items:
+        rng.shuffle(row)
+    rng.shuffle(items)
+    return items
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_kernel_input(), st.randoms(use_true_random=False), st.integers(1, 2**70))
+@example(mq([[0, -3, 1], [0, 6, -2], [-2, 0, 5]]), random.Random(0), 1)  # negative leads
+@example(mq([[-4, 6], [0, 0], [2, -3]]), random.Random(0), 3)  # one pivot, a zero row
+@example(Matrix.zeros(GF(101), 3, 4), random.Random(0), 1)  # no pivot at all
+def test_both_eliminations_return_the_one_echelon_format(m, rng, scale):
+    """``_row_forward_echelon`` on m's dense raw rows and ``_sparse_echelon``
+    on their shuffled items return the same pivot set, rref's, each pivot
+    entry 1 over GF(p) and positive over QQ, every item nonzero and after
+    its pivot; and each pivot-row set, written out, spans m's row space."""
+    f, p = m.field, m.field.characteristic
+    dense = _row_forward_echelon(_rows(m), m.cols, p)
+    sparse = _sparse_echelon(_shuffled_items(m, rng, scale), p)
+    red, pivots = rref(m)
+    assert set(dense) == set(sparse) and tuple(dense) == pivots
+    for echelon in (dense, sparse):
+        _assert_echelon_format(echelon, m.cols, p)
+        rows = _dense_rows(echelon, m.cols)
+        span = Matrix(f, len(rows), m.cols, [f.of(x) for row in rows for x in row])
+        assert rref(span)[0].entries == red.entries[: len(rows) * m.cols]
+
+
 @settings(max_examples=400, deadline=None)
 @given(_sparse_kernel_input(), st.randoms(use_true_random=False), st.integers(1, 2**70))
 @example(mq([[0, -3, 1], [0, 6, -2], [-2, 0, 5]]), random.Random(0), 1)  # negative leads
@@ -832,19 +894,17 @@ def _sparse_kernel_input(draw):
 @example(Matrix.from_rows(F2, [[1, 1, 0, 0], [0, 1, 0, 0]]), random.Random(0), 1)
 @example(Matrix.zeros(GF(101), 3, 4), random.Random(0), 1)  # every column free
 def test_sparse_kernel_matches_the_dense_one_and_the_rref_reference(m, rng, scale):
-    """``_sparse_kernel_at_free`` on the nonzero items of m's raw rows (rows
-    and items in a random order, over QQ every row times a common ``scale``)
-    gives what ``_kernel_at_free`` gives on the dense rows: the same rref rows
-    at the free columns, as canonical ``(vals, den)`` pairs, the same pivots
-    and free columns.  ``sparse_rank`` counts those pivots, and the kernel
-    forms read off the solved rows are the reference kernel."""
+    """``_kernel_at_free`` of ``_sparse_echelon`` on the nonzero items of m's
+    raw rows (rows and items in a random order, over QQ every row times a
+    common ``scale``) equals ``_kernel_at_free`` of ``_row_forward_echelon``
+    on the dense rows: the same rref rows at the free columns, as canonical
+    ``(vals, den)`` pairs, the same pivots and free columns.  ``sparse_rank``
+    counts those pivots, and the kernel forms read off the solved rows are
+    the reference kernel."""
     f, p = m.field, m.field.characteristic
-    items = [[(j, x * (1 if p else scale)) for j, x in nonzero_items(row)] for row in _rows(m)]
-    for row in items:
-        rng.shuffle(row)
-    rng.shuffle(items)
-    got = _sparse_kernel_at_free(items, m.cols, p)
-    assert got == _kernel_at_free(_rows(m), m.cols, p)
+    items = _shuffled_items(m, rng, scale)
+    got = _kernel_at_free(_sparse_echelon(items, p), m.cols, p)
+    assert got == _kernel_at_free(_row_forward_echelon(_rows(m), m.cols, p), m.cols, p)
     solved, pivots, free = got
     red, ref_pivots = reference_rref(m)
     assert tuple(pivots) == ref_pivots and sparse_rank(items, p) == len(pivots)
