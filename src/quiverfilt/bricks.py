@@ -1,14 +1,14 @@
 """Endomorphism algebras, brick certification, and semi-brick certificates.
 
 Certification policy: a representation earns ``certified_brick`` only when
-its endomorphism algebra is one-dimensional.  That is first tested by one
-rank of the intertwining system, taken modulo 2^31 - 1 over QQ, before any
-End basis is built; a failed test falls back to ``end_algebra``.  Larger
-endomorphism algebras are either refuted by an explicit witness (a
-nontrivial idempotent or a non-invertible non-nilpotent element, both
-re-checkable) or reported as ``local_not_certified`` together with
-trace-form radical evidence in characteristic 0, the radical of tr(y o x) on
-M, J(End M).  Deciding "division ring" beyond dimension 1 is out of scope.
+its endomorphism algebra is one-dimensional.  That is decided by one exact
+rank of the intertwining system before any End basis is built; only
+dim End > 1 goes on to ``end_algebra``.  Larger endomorphism algebras are
+either refuted by an explicit witness (a nontrivial idempotent or a
+non-invertible non-nilpotent element, both re-checkable) or reported as
+``local_not_certified`` together with trace-form radical evidence in
+characteristic 0, the radical of tr(y o x) on M, J(End M).  Deciding
+"division ring" beyond dimension 1 is out of scope.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantError
 from .homext import ExtSpace, _hom_layout, _intertwine_rows, hom_basis
-from .linalg import GF, Matrix, sparse_rank, unit_vectors, vstack
+from .linalg import Matrix, sparse_rank, unit_vectors, vstack
 from .reps import Morphism, Rep, is_isomorphic, linear_combination, trace_pairing_rank
 
 
@@ -180,44 +180,21 @@ def _witness_candidates(alg: AlgebraPresentation):
         yield [f.sub(a, b) for a, b in zip(alg.unit_coordinates, units[i])]
 
 
-# The prime of the modular certificate in ``is_brick`` over QQ: 2^31 - 1.
-_MODULAR_PRIME = 2**31 - 1
-
 _SCALARS_ONLY = BrickReport(
     "certified_brick", 1, None, None, 0, 1, "endomorphisms are scalars"
 )
 
 
 def _end_is_scalars_by_rank(m: Rep) -> bool:
-    """True only if dim End(m) = 1, read off one rank of the intertwining system.
+    """True exactly when dim End(m) = 1, read off one rank of the intertwining system.
 
     End(m) is the kernel of Phi, the intertwining system of (m, m), and the
-    identity lies in it, so rank Phi <= cols - 1 and dim End = 1 exactly
-    when rank Phi = cols - 1.  Over GF(p) that rank is taken of Phi itself.
-    Over QQ it is taken of Phi_p, the intertwining matrix of m's arrow maps
-    reduced modulo ``_MODULAR_PRIME`` = p.  Reduction Z_(p) -> GF(p) is a
-    ring map, so every minor of Phi_p is the reduction of the same minor of
-    Phi and rank_p(Phi_p) <= rank_QQ(Phi) <= cols - 1; if rank_p reaches
-    cols - 1, so does rank_QQ.  If p divides some denominator there is no
-    reduction and the answer is False, as it is for an unlucky prime or a
-    genuine dim End > 1: False certifies nothing.
-
-    Phi is never built densely here: its rows come as their nonzero items
+    identity lies in it, so dim End = 1 exactly when rank Phi = cols - 1.
+    Phi is never built densely: its rows come as their nonzero items
     straight from the arrow maps (``_intertwine_rows``, a few per row) and
-    ``sparse_rank`` eliminates them in column order.
+    ``sparse_rank`` eliminates them exactly, over QQ as over GF(p).
     """
-    p = m.field.characteristic
-    if not p:
-        p = _MODULAR_PRIME
-        if any(x.denominator % p == 0 for a in m.arrow_maps.values() for x in a.entries):
-            return False
-        f = GF(p)
-        maps = {
-            aid: Matrix(f, a.rows, a.cols, [f.of(x) for x in a.entries])
-            for aid, a in m.arrow_maps.items()
-        }
-        m = Rep(m.quiver, f, m.dims, maps)
-    return sparse_rank(_intertwine_rows(m, m), p) == _hom_layout(m, m)[1] - 1
+    return sparse_rank(_intertwine_rows(m, m), m.field.characteristic) == _hom_layout(m, m)[1] - 1
 
 
 def is_brick(m: Rep) -> BrickReport:

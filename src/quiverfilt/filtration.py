@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .bricks import SemiBrickCert
 from .errors import InvariantError
 from .homext import hom_basis
-from .linalg import Matrix, hstack, preimage_basis, rank
+from .linalg import Matrix, hstack, rank
 from .reps import (
     Morphism,
     Rep,
@@ -25,6 +25,7 @@ from .reps import (
     direct_sum,
     factor_through_inclusion,
     image,
+    kernel,
     subrep_from_spans,
 )
 
@@ -168,12 +169,7 @@ def x_socle_filtration(m: Rep, sb: SemiBrickCert) -> FiltrationResult:
                     "layer_diagnostics": dec.diagnostics,
                 },
             )
-        spans = {
-            v: preimage_basis(proj.blocks[v], soc.inclusion.blocks[v])
-            for v in m.quiver.vertices
-        }
-        nxt = subrep_from_spans(m, spans)
-        chain.append(nxt)
+        chain.append(kernel(compose(proj, cokernel(soc.inclusion)[1])))
         layers.append(dec)
         layer_reps.append(soc.sub)
     raise InvariantError("socle filtration failed to terminate")

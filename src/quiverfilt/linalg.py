@@ -1023,52 +1023,28 @@ def is_invertible(m: Matrix) -> bool:
     return m.is_square() and rank(m) == m.rows
 
 
-def column_space_basis(m: Matrix) -> Matrix:
-    """Canonical basis of the column space, returned as the columns of a matrix.
-
-    Computed as the nonzero rows of rref(m^T), so the basis depends only on
-    the column space itself, not on the generating order.
-    """
-    return column_space_pivots(m)[0]
-
-
 def column_space_pivots(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """``column_space_basis(m)`` and its pivot rows, where it carries an identity.
+    """Canonical basis of the column space, as the columns of a matrix, and
+    its pivot rows, where that basis carries an identity.
 
-    So a vector of the column space has its entries at the pivot rows as coordinates.
+    The basis is the nonzero rows of rref(m^T), so it depends only on the
+    column space itself, not on the generating order, and a vector of the
+    column space has its entries at the pivot rows as coordinates.
     """
     red, pivots = rref(m.transpose())
     cols = [red.row(i) for i in range(len(pivots))]
     return mat_from_cols(m.field, m.rows, cols), pivots
 
 
-def quotient_map(span: Matrix) -> Matrix:
-    """Projection q onto complementary coordinates of a subspace.
+def quotient_map_free(span: Matrix) -> tuple[Matrix, list[int]]:
+    """Projection q onto complementary coordinates of a subspace, and the
+    free columns, where q carries an identity.
 
     ``span`` holds spanning columns of a subspace U of k^n, any spanning
-    set: a basis or not, in any order.  Returns a (n - dim U) x n matrix q
-    with ker q = U, built from rref data: eliminate each echelon row at its
-    pivot coordinate, then keep the non-pivot coordinate rows.  Canonical
-    for a given U.
-    """
-    return quotient_map_free(span)[0]
-
-
-def quotient_map_free(span: Matrix) -> tuple[Matrix, list[int]]:
-    """``quotient_map(span)`` and its free columns, where q carries an identity.
-
-    So an X with ``X * q == B``, if one exists, is ``B`` at the free columns.
+    set: a basis or not, in any order.  q is the (n - dim U) x n matrix of
+    the canonical kernel vectors of span^T, so ker q = U and q depends only
+    on U.  An X with ``X * q == B``, if one exists, is ``B`` at the free
+    columns.
     """
     vecs, free = _kernel_vectors(span.transpose())
     return Matrix(span.field, len(free), span.rows, [x for vec in vecs for x in vec]), free
-
-
-def preimage_basis(a: Matrix, target: Matrix) -> Matrix:
-    """Canonical basis (as columns) of {x : a*x lies in the column space of target}."""
-    q = quotient_map(target)
-    comp = q.mul(a)
-    vecs = nullspace_basis(comp)
-    if not vecs:
-        return Matrix(a.field, a.cols, 0, [])
-    return column_space_basis(hstack(vecs))
-

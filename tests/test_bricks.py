@@ -3,6 +3,7 @@
 import functools
 import itertools
 import os
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -421,11 +422,7 @@ def test_is_brick_agrees_with_the_end_algebra_path(field, quiver, data):
     report = is_brick(m)
     assert report == _brick_report_of_end(m)
     d = end_algebra(m).dimension
-    by_rank = bricks._end_is_scalars_by_rank(m)
-    if by_rank:
-        assert d == 1
-    if field.characteristic:
-        assert by_rank == (d == 1)
+    assert bricks._end_is_scalars_by_rank(m) == (d == 1)
 
 
 def _count_end_algebra_calls(monkeypatch):
@@ -449,41 +446,43 @@ def test_rank_certificate_skips_end_algebra_on_bricks_only(field, monkeypatch):
     assert len(calls) == 1
 
 
-def test_denominator_divisible_by_the_prime_takes_the_fallback(monkeypatch):
+_SCALARS_REPORT = ("certified_brick", 1, None, None, 0, 1, "endomorphisms are scalars")
+
+
+def test_rank_certifies_rationals_with_any_denominator(k2, monkeypatch):
+    # Denominators 2, 3 and 2^31 - 1: the rank over QQ is exact, so no prime
+    # has to avoid them.
     calls = _count_end_algebra_calls(monkeypatch)
-    monkeypatch.setattr(bricks, "_MODULAR_PRIME", 2)
-    third, half = quasi_simple(QQ, Fraction(1, 3)), quasi_simple(QQ, Fraction(1, 2))
-    assert is_brick(third).status == "certified_brick"
+    mods = [
+        quasi_simple(QQ, Fraction(1, 2)),
+        quasi_simple(QQ, Fraction(1, 3)),
+        make_x11(k2, QQ, [1, Fraction(1, 2**31 - 1)]),
+    ]
+    for m in mods:
+        assert bricks._end_is_scalars_by_rank(m)
+        assert astuple(is_brick(m)) == _SCALARS_REPORT
     assert calls == []
-    assert not bricks._end_is_scalars_by_rank(half)
-    report = is_brick(half)
-    assert calls == [half]
-    assert report.status == "certified_brick"
-    assert report.end_dim == 1
 
 
-def test_unlucky_prime_falls_back_to_the_rational_end_algebra(k2, monkeypatch):
+def test_rank_certifies_a_brick_whose_reduction_is_not_one(k2, monkeypatch):
     # (1,1) with arrow scalars 3 and 0 is a brick over QQ; modulo 3 both
-    # arrows vanish and End of the reduction is k x k.
+    # arrows vanish and End of the reduction is k x k.  The exact rank over
+    # QQ certifies it without end_algebra.
     x = make_x11(k2, QQ, [3, 0])
     reduced = make_x11(k2, GF(3), [3, 0])
     assert len(hom_basis(reduced, reduced)) == 2
-    assert bricks._end_is_scalars_by_rank(x)
+    assert not bricks._end_is_scalars_by_rank(reduced)
     calls = _count_end_algebra_calls(monkeypatch)
-    monkeypatch.setattr(bricks, "_MODULAR_PRIME", 3)
-    assert not bricks._end_is_scalars_by_rank(x)
+    assert bricks._end_is_scalars_by_rank(x)
     report = is_brick(x)
-    assert calls == [x]
+    assert calls == []
     assert report == is_brick(quasi_simple(QQ, QQ.of(0)))
-    assert (report.status, report.end_dim, report.notes) == (
-        "certified_brick",
-        1,
-        "endomorphisms are scalars",
-    )
+    assert astuple(report) == _SCALARS_REPORT
 
 
 def test_modular_certificate_on_a_preprojective_level_matches_the_rational_rank():
-    # dims (4, 3): End is one-dimensional over QQ and modulo 2^31 - 1 alike.
+    # dims (4, 3): the rank certifies that End is one-dimensional, as
+    # hom_basis finds.
     members = [quasi_simple(QQ, QQ.of(3)), quasi_simple(QQ, QQ.of(5)), quasi_simple(QQ, "inf")]
     sb = check_semibrick(members)
     level = tower(standard_module(kronecker(2), QQ, "projective", 1), sb, 2).levels[-1]

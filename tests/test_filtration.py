@@ -1,9 +1,12 @@
 """Relative socles, semisimple decomposition, socle filtrations, membership."""
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from quiverfilt import (
+    GF,
     QQ,
+    Matrix,
     Rep,
     check_semibrick,
     decompose_semisimple,
@@ -12,6 +15,7 @@ from quiverfilt import (
     extension_middle,
     filt_membership,
     kronecker,
+    linear_quiver,
     quasi_simple,
     standard_module,
     tower,
@@ -22,9 +26,10 @@ from quiverfilt import (
 )
 from quiverfilt.errors import InvariantError
 from quiverfilt.filtration import Filtration, SemisimpleDecomposition, _zero_inclusion
-from quiverfilt.reps import Morphism, SubrepInclusion
+from quiverfilt.linalg import hstack, mat_from_cols
+from quiverfilt.reps import Morphism, SubrepInclusion, cokernel, subrep_from_spans
 
-from conftest import make_x11
+from conftest import columns_contained, field_scalar, make_x11, reference_nullspace, reference_rref
 
 
 @pytest.fixture
@@ -169,3 +174,85 @@ def test_wild_singleton_filtration(k3):
         {1: 3, 2: 3},
     ]
     assert list(res.filtration.layers[1].multiplicities) == [2]
+
+
+def _preimage_reference(a, target):
+    """Reference: a basis (as columns) of {x : a*x lies in the column space of
+    target}, the kernel of q*a for q whose rows span the annihilator of
+    target's columns, each kernel read off ``reference_rref``."""
+    f = a.field
+    q = [vec.entries for vec in reference_nullspace(target.transpose())]
+    comp = Matrix(f, len(q), a.rows, [x for row in q for x in row]).mul(a)
+    vecs = reference_nullspace(comp)
+    return hstack(vecs) if vecs else Matrix.zeros(f, a.cols, 0)
+
+
+def _canonical_columns(span):
+    """Reference: the nonzero rows of rref(span^T), as columns."""
+    red, pivots = reference_rref(span.transpose())
+    return mat_from_cols(span.field, span.rows, [red.row(i) for i in range(len(pivots))])
+
+
+def _filt_members(quiver, field):
+    """A semi-brick on each quiver: quasi-simples on K2, three (1,1)-dimensional
+    reps at distinct points on K3, the simples on A3."""
+    if quiver == kronecker(2):
+        return [quasi_simple(field, point) for point in (0, 1, "inf")]
+    if quiver == kronecker(3):
+        return [make_x11(quiver, field, e) for e in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+    return [standard_module(quiver, field, "simple", v) for v in quiver.vertices]
+
+
+def _draw_filt_member(data, quiver, field, sb, members):
+    """A tower level, a direct sum of members, or the middle of an extension
+    of a tower level by a member, by a drawn combination of the Ext basis."""
+    kind = data.draw(st.sampled_from(["tower", "sum", "extension"]))
+    pick = st.sampled_from(members)
+    if kind == "sum":
+        return direct_sum(data.draw(st.lists(pick, min_size=1, max_size=3)))[0]
+    top = 2 if quiver == kronecker(3) else 4
+    level = tower(data.draw(pick), sb, data.draw(st.integers(1, top))).levels[-1]
+    if kind == "tower":
+        return level
+    sub = data.draw(pick)
+    basis = ext_basis(level, sub)[0]
+    if not basis:
+        return direct_sum([sub, level])[0]
+    cocycle = basis[0].scale(data.draw(field_scalar(field)))
+    for b in basis[1:]:
+        cocycle = cocycle.add(b.scale(data.draw(field_scalar(field))))
+    return extension_middle(level, sub, cocycle).middle
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(2), GF(101)]),
+    st.sampled_from([kronecker(2), kronecker(3), linear_quiver(3)]),
+    st.data(),
+)
+def test_socle_step_matches_the_preimage_reference(field, quiver, data):
+    """Each step Y_k -> Y_{k+1} of ``x_socle_filtration`` is the preimage in m
+    of the socle of m/Y_k: the same sub and the same inclusion blocks as the
+    canonical basis of ``_preimage_reference`` at each vertex."""
+    # preimage of a line under a rank-1 map: 2-dimensional
+    a, line = Matrix.from_rows(QQ, [[1, 0], [0, 0]]), Matrix.from_rows(QQ, [[1], [0]])
+    pre = _preimage_reference(a, line)
+    assert pre.cols == 2 and columns_contained(a.mul(pre), line)
+
+    members = _filt_members(quiver, field)
+    sb = check_semibrick(members)
+    m = _draw_filt_member(data, quiver, field, sb, members)
+    res = x_socle_filtration(m, sb)
+    assert res.ok
+    chain = res.filtration.chain
+    event(f"{len(chain) - 1} steps")
+    for current, nxt in zip(chain, chain[1:]):
+        quot, proj = cokernel(current.inclusion)
+        soc = x_socle(quot, sb)
+        spans = {
+            v: _preimage_reference(proj.blocks[v], soc.inclusion.blocks[v])
+            for v in m.quiver.vertices
+        }
+        assert nxt.sub == subrep_from_spans(m, spans).sub
+        for v in m.quiver.vertices:
+            assert nxt.inclusion.blocks[v] == _canonical_columns(spans[v])

@@ -103,6 +103,8 @@ CLI_CASES = {
     "brick": ["brick", "--module", BRICK_INPUT],
     "brick-y3": ["brick", "--module", Y3_INPUT],
     "brick-twisted": ["brick", "--module", TWISTED_INPUT],
+    # 2^31 - 1 divides a denominator: dim End = 1 from the exact rank over QQ
+    "brick-x11-denominator": ["brick", "--quiver", "k2", "--module", "x11:1,1/2147483647"],
     "semibrick": ["semibrick", "--members", "r0", "r1", "rinf"],
     "tower": ["tower", "--base", "r1", "--semibrick", "r1", "--levels", "4"],
     "endtower": ["endtower", "--base", "r0", "--semibrick", "r0", "--levels", "4"],

@@ -35,7 +35,6 @@ from quiverfilt import (
     universal_sequence,
 )
 from quiverfilt import homext
-from quiverfilt.bricks import _MODULAR_PRIME
 from quiverfilt.errors import InvariantError, UndecidedError
 from quiverfilt.homext import (
     _check_intertwines,
@@ -578,6 +577,10 @@ def test_hom_basis_matches_the_reference_kernel(quiver, field, data):
     assert [f.blocks for f in hom_basis(m, n)] == want
 
 
+# The prime that QQ reps are reduced modulo, 2^31 - 1.
+_PRIME = 2**31 - 1
+
+
 def _reduced_mod(m, p):
     """m over QQ with its arrow maps reduced into GF(p)."""
     f = GF(p)
@@ -611,13 +614,15 @@ def _sparse_rank_input(data, quiver, field):
 )
 def test_sparse_rank_of_phi_rows_matches_dense_rank(field, quiver, data):
     """``sparse_rank`` of Phi's item rows against ``rank`` of the dense Phi,
-    over GF(p) and over QQ reduced modulo 2^31 - 1; the sparse pivots are
-    those of forward elimination, and the item rows written out are Phi's rows."""
+    over QQ, over GF(p), and over QQ reduced modulo 2^31 - 1; the sparse
+    pivots are those of forward elimination, and the item rows written out
+    are Phi's rows."""
     m = _sparse_rank_input(data, quiver, field)
     n = m if data.draw(st.booleans()) else _sparse_rank_input(data, quiver, field)
     if field == QQ:
         qq_rank = rank(reference_intertwine_matrix(m, n))
-        m, n = _reduced_mod(m, _MODULAR_PRIME), _reduced_mod(n, _MODULAR_PRIME)
+        assert sparse_rank(_intertwine_rows(m, n), 0) == qq_rank
+        m, n = _reduced_mod(m, _PRIME), _reduced_mod(n, _PRIME)
     p = m.field.characteristic
     phi = reference_intertwine_matrix(m, n)
     rows = _intertwine_rows(m, n)
