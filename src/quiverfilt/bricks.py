@@ -3,7 +3,8 @@
 Certification policy: a representation earns ``certified_brick`` only when
 its endomorphism algebra is one-dimensional.  That is decided by one exact
 rank of the intertwining system before any End basis is built; only
-dim End > 1 goes on to ``end_algebra``.  Larger endomorphism algebras are
+dim End > 1 goes on to the End algebra, whose basis is solved from that
+rank's elimination.  Larger endomorphism algebras are
 either refuted by an explicit witness (a nontrivial idempotent or a
 non-invertible non-nilpotent element, both re-checkable) or reported as
 ``local_not_certified`` together with trace-form radical evidence in
@@ -14,10 +15,12 @@ characteristic 0, the radical of tr(y o x) on M, J(End M).  Deciding
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .errors import InvariantError
-from .homext import ExtSpace, _hom_layout, _intertwine_rows, hom_basis
-from .linalg import Matrix, sparse_rank, unit_vectors, vstack
+from .homext import ExtSpace, _hom_basis_of_echelon, _hom_layout, _intertwine_rows, hom_basis
+from .linalg import _sparse_echelon, unit_vectors
 from .reps import Morphism, Rep, is_isomorphic, linear_combination, trace_pairing_rank
 
 
@@ -100,55 +103,141 @@ def end_coordinates(basis: list):
     own free column of the intertwining system, a 0 at the other free
     columns, and nonzero entries only at pivot columns before its own.  So
     its free column is its last nonzero entry, and the coordinates of an
-    endomorphism are its flattened entries at the free columns.  One product
-    (the combination of the basis with those coordinates) checks that the
-    endomorphism lies in the span; ``InvariantError`` if not.
+    endomorphism are its flattened entries at the free columns.  They are
+    checked as ``end_algebra`` checks its table, on the nonzero integer
+    items of the blocks (``_span_coordinates``); ``InvariantError`` if the
+    endomorphism does not lie in the span.
     """
     free = _free_entries(basis)
+    nums, den = _numerators(basis)
 
     def coords_of(morphism: Morphism) -> list:
-        coords = [morphism.blocks[v].entries[j] for v, j in free]
-        if linear_combination(basis, coords).blocks != morphism.blocks:
+        (items,), _ = _numerators([morphism])
+        target = {v: dict(flat) for v, (flat, _) in items.items()}
+        if _span_coordinates(nums, free, target, den, morphism.source.field.characteristic) is None:
             raise InvariantError("endomorphism does not lie in the End basis span")
-        return coords
+        return [morphism.blocks[v].entries[j] for v, j in free]
 
     return coords_of
 
 
 def _free_entries(basis: list) -> list:
     """Each basis element's free column, its last nonzero flattened entry, as
-    (vertex, index into that block)."""
+    (vertex, index into that block), read off the blocks' ``_pattern``."""
     out = []
     for b in basis:
-        v = next(v for v in reversed(b.source.quiver.vertices) if any(b.blocks[v].entries))
-        out.append((v, max(j for j, x in enumerate(b.blocks[v].entries) if x)))
+        v = next(v for v in reversed(b.source.quiver.vertices) if any(b.blocks[v]._pattern()))
+        rows = b.blocks[v]._pattern()
+        r = max(r for r, items in enumerate(rows) if items)
+        out.append((v, r * b.blocks[v].cols + rows[r][-1][0]))
     return out
 
 
-def end_algebra(m: Rep) -> AlgebraPresentation:
-    """The endomorphism algebra of m with honestly computed structure constants.
+def _numerators(morphisms: list) -> tuple[list, int]:
+    """The blocks of ``morphisms`` times one common denominator D, and D.
 
-    ``S_v``, the blocks ``b_k,v`` of the basis stacked, times ``b_i,v`` holds
-    every composite ``compose(b_i, b_j)`` at v; row i of the table is read
-    off these products at the free columns, as in ``end_coordinates``.  The
-    span check is one product per (i, v): row i of the table times ``F_v``,
-    the blocks ``b_k,v`` flattened into rows, must equal ``S_v * b_i,v``;
-    ``InvariantError`` if not.
+    Over QQ, D is the lcm of the blocks' integer-form denominators; over
+    GF(p) it is 1 and the numerators are the residues.  Each block N at v
+    comes as ``(flat, rows)``: its nonzero ``(row * cols + column, value)``
+    items, and the nonzero ``(column, value)`` items of each row.
     """
-    basis = hom_basis(m, m)
+    def den_of(block):
+        return 1 if block.field.characteristic else block._integer_form()[1]
+
+    den = lcm(*[den_of(b) for g in morphisms for b in g.blocks.values()])
+    nums = []
+    for g in morphisms:
+        items = {}
+        for v, block in g.blocks.items():
+            s, n = den // den_of(block), block.cols
+            rows = [[(c, s * x) for c, x in row] for row in block._pattern()]
+            items[v] = ([(r * n + c, x) for r, row in enumerate(rows) for c, x in row], rows)
+        nums.append(items)
+    return nums, den
+
+
+def _composite(left: list, right: list, n: int, p: int) -> dict:
+    """The nonzero items ``{flat index: value}`` of the n x n product of two
+    numerator blocks, the left one given by its ``flat`` items and the right
+    one by its ``rows``: each item (r, l) of the left meets only row l of the
+    right (Gustavson, ACM TOMS 4(3), 1978).  Over GF(p) the values are
+    reduced."""
+    out: dict = {}
+    for idx, a in left:
+        l = idx % n
+        base = idx - l
+        for c, b in right[l]:
+            out[base + c] = out.get(base + c, 0) + a * b
+    if p:
+        return {j: x % p for j, x in out.items() if x % p}
+    return {j: x for j, x in out.items() if x}
+
+
+def _span_sum(q: list, nums: list, v, p: int) -> dict:
+    """The nonzero items of sum_l q_l N_l at vertex v (reduced over GF(p))."""
+    out: dict = {}
+    for ql, num in zip(q, nums):
+        if ql:
+            for j, x in num[v][0]:
+                out[j] = out.get(j, 0) + ql * x
+    if p:
+        return {j: x % p for j, x in out.items() if x % p}
+    return {j: x for j, x in out.items() if x}
+
+
+def _span_coordinates(nums: list, free: list, target: dict, den: int, p: int) -> list | None:
+    """The values q_l of ``target`` at the free entries when they are its
+    coordinates, else None.
+
+    ``nums`` and ``den`` are ``_numerators`` of an End basis, so basis[l] is
+    N_l / den, and ``target`` maps every vertex to the nonzero items of an
+    endomorphism's block times some common T.  Its coordinates are then q_l / T,
+    and it lies in the span iff sum_l q_l N_l == den * target at every
+    vertex: compared as nonzero items, modulo p over GF(p), where den is 1.
+    """
+    q = [target[v].get(j, 0) for v, j in free]
+    for v, want in target.items():
+        if not p:
+            want = {j: den * x for j, x in want.items()}
+        if _span_sum(q, nums, v, p) != want:
+            return None
+    return q
+
+
+def end_algebra(m: Rep) -> AlgebraPresentation:
+    """The endomorphism algebra of m with honestly computed structure
+    constants, on the basis ``hom_basis(m, m)``, built from the nonzero
+    integer items of the basis blocks only.
+
+    Over one common denominator D the blocks are integer numerators N_k,v
+    (residues over GF(p), where D = 1).  Entry (i, k) of the table holds the
+    coordinates of ``compose(b_i, b_k)``: the values q of the composite
+    N_k,v * N_i,v at the free entries, as in ``end_coordinates``, so
+    ``Fraction(q, D**2)`` over QQ.  Only the composite's nonzero items are
+    built (``_composite``), and each composite is checked exactly on
+    integers: sum_l q_l N_l,v must equal D times it at every vertex
+    (``_span_coordinates``); ``InvariantError`` if not.
+    """
+    return _end_algebra_of(m, hom_basis(m, m))
+
+
+def _end_algebra_of(m: Rep, basis: list) -> AlgebraPresentation:
+    """``end_algebra(m)`` on the End basis ``basis``."""
     if not basis:
         return AlgebraPresentation(m, [], [], [])
-    f, d, vertices = m.field, len(basis), m.quiver.vertices
+    f = m.field
+    p, zero = f.characteristic, f.zero
     free = _free_entries(basis)
-    stacked = {v: vstack([b.blocks[v] for b in basis]) for v in vertices}
-    flat = {v: Matrix(f, d, m.dims[v] ** 2, stacked[v].entries) for v in vertices}
+    nums, den = _numerators(basis)
     table = []
-    for bi in basis:
-        prods = {v: stacked[v].mul(bi.blocks[v]) for v in vertices}
-        row = [[prods[v].entries[k * m.dims[v] ** 2 + j] for v, j in free] for k in range(d)]
-        coeffs = Matrix(f, d, d, [x for coords in row for x in coords])
-        if any(coeffs.mul(flat[v]).entries != prods[v].entries for v in vertices):
-            raise InvariantError("a composite of End basis elements leaves their span")
+    for ni in nums:
+        row = []
+        for nk in nums:
+            comp = {v: _composite(nk[v][0], ni[v][1], m.dims[v], p) for v in ni}
+            q = _span_coordinates(nums, free, comp, den, p)
+            if q is None:
+                raise InvariantError("a composite of End basis elements leaves their span")
+            row.append(q if p else [Fraction(x, den * den) if x else zero for x in q])
         table.append(row)
     unit = end_coordinates(basis)(Morphism.identity(m))
     return AlgebraPresentation(m, basis, table, unit)
@@ -185,34 +274,43 @@ _SCALARS_ONLY = BrickReport(
 )
 
 
-def _end_is_scalars_by_rank(m: Rep) -> bool:
-    """True exactly when dim End(m) = 1, read off one rank of the intertwining system.
+def _end_basis_unless_scalars(m: Rep) -> list | None:
+    """None exactly when dim End(m) = 1, read off one rank of the intertwining
+    system; otherwise ``hom_basis(m, m)``, solved from the same elimination.
 
     End(m) is the kernel of Phi, the intertwining system of (m, m), and the
     identity lies in it, so dim End = 1 exactly when rank Phi = cols - 1.
     Phi is never built densely: its rows come as their nonzero items
     straight from the arrow maps (``_intertwine_rows``, a few per row) and
-    ``sparse_rank`` eliminates them exactly, over QQ as over GF(p).
+    ``_sparse_echelon`` eliminates them exactly, over QQ as over GF(p).
+    When dim End > 1 that echelon is solved at its free columns and the
+    basis checked (``homext._hom_basis_of_echelon``), so Phi is eliminated
+    once.
     """
-    return sparse_rank(_intertwine_rows(m, m), m.field.characteristic) == _hom_layout(m, m)[1] - 1
+    echelon = _sparse_echelon(_intertwine_rows(m, m), m.field.characteristic)
+    if len(echelon) == _hom_layout(m, m)[1] - 1:
+        return None
+    return _hom_basis_of_echelon(m, m, echelon)
 
 
 def is_brick(m: Rep) -> BrickReport:
     """Certify dim End = 1, or refute brickness with a checkable witness.
 
-    dim End = 1 is first certified from one rank (``_end_is_scalars_by_rank``),
-    without building End(m).  Otherwise the verdict is read off
-    ``end_algebra(m)`` by ``_brick_report_of_end``.
+    dim End = 1 is first certified from one rank
+    (``_end_basis_unless_scalars``), without building End(m).  Otherwise the
+    verdict is read off the End algebra on the basis solved from that rank's
+    elimination, by ``_brick_report_of_end``.
     """
     if m.dim_total == 0:
         return BrickReport("not_brick", 0, None, None, None, None, "zero module")
-    if _end_is_scalars_by_rank(m):
+    basis = _end_basis_unless_scalars(m)
+    if basis is None:
         return _SCALARS_ONLY
-    return _brick_report_of_end(m)
+    return _brick_report_of_end(_end_algebra_of(m, basis))
 
 
-def _brick_report_of_end(m: Rep) -> BrickReport:
-    """The brick verdict of a nonzero m read off its endomorphism algebra.
+def _brick_report_of_end(alg: AlgebraPresentation) -> BrickReport:
+    """The brick verdict of a nonzero m read off its endomorphism algebra ``alg``.
 
     A witness is a nontrivial idempotent or an endomorphism that is neither
     an automorphism nor nilpotent.  Otherwise the verdict is
@@ -223,7 +321,6 @@ def _brick_report_of_end(m: Rep) -> BrickReport:
     dim End/J = 1, End/J = k and End is local, so every element is a unit or
     nilpotent, 0 and 1 are the only idempotents, and no candidate is searched.
     """
-    alg = end_algebra(m)
     d = alg.dimension
     if d == 1:
         return _SCALARS_ONLY

@@ -15,17 +15,17 @@ from dataclasses import dataclass
 from .bricks import SemiBrickCert
 from .errors import InvariantError
 from .homext import hom_basis
-from .linalg import Matrix, hstack, rank
+from .linalg import Matrix, hstack, quotient_map_free, rank
 from .reps import (
     Morphism,
     Rep,
     SubrepInclusion,
+    _kernel_of_blocks,
     cokernel,
     compose,
     direct_sum,
     factor_through_inclusion,
     image,
-    kernel,
     subrep_from_spans,
 )
 
@@ -169,7 +169,10 @@ def x_socle_filtration(m: Rep, sb: SemiBrickCert) -> FiltrationResult:
                     "layer_diagnostics": dec.diagnostics,
                 },
             )
-        chain.append(kernel(compose(proj, cokernel(soc.inclusion)[1])))
+        # Y(k+1) is the kernel of m -> m/Y(k) -> (m/Y(k))/socle: only the
+        # second projection's blocks are needed, not that quotient's rep.
+        qs = {v: quotient_map_free(b)[0] for v, b in soc.inclusion.blocks.items()}
+        chain.append(_kernel_of_blocks(m, {v: qs[v].mul(proj.blocks[v]) for v in qs}))
         layers.append(dec)
         layer_reps.append(soc.sub)
     raise InvariantError("socle filtration failed to terminate")

@@ -173,21 +173,29 @@ def hom_basis(m: Rep, n: Rep) -> list[Morphism]:
     shape says it is sparse, ``ncols >= _SPARSE_RATIO * w`` with w = max
     over arrows a: s -> t of m_t + n_s, its longest possible row; else as
     dense rows (``_row_forward_echelon``).  Both return the one echelon
-    format, which ``_kernel_at_free`` solves at the free columns, so the
-    basis is the same.  ``_row_kernel_forms`` reads each vector's integer
-    form off the solved rows; the whole basis is checked once on these
-    by ``_check_intertwines``, and each element is built from its form
-    through ``Morphism._trusted``, its blocks born with their own
-    (``_blocks_of_form``).
+    format, which ``_hom_basis_of_echelon`` solves at the free columns
+    (``_kernel_at_free``), so the basis is the same; ``bricks.is_brick``
+    hands it the echelon of its rank test.  ``_row_kernel_forms`` reads
+    each vector's integer form off the solved rows; the whole basis is
+    checked once on these by ``_check_intertwines``, and each element is
+    built from its form through ``Morphism._trusted``, its blocks born with
+    their own (``_blocks_of_form``).
     """
     width = max([ma.rows + na.cols for ma, na in _arrow_pairs(m, n)], default=0)
-    shapes = [(v, n.dims[v], m.dims[v]) for v in m.quiver.vertices]
-    ncols = sum(r * c for _, r, c in shapes)
+    _, ncols = _hom_layout(m, n)
     p = m.field.characteristic
     if ncols >= _SPARSE_RATIO * width:
         echelon = _sparse_echelon(_intertwine_rows(m, n), p)
     else:
         echelon = _row_forward_echelon(_phi_rows(m, n), ncols, p)
+    return _hom_basis_of_echelon(m, n, echelon)
+
+
+def _hom_basis_of_echelon(m: Rep, n: Rep, echelon: dict) -> list[Morphism]:
+    """``hom_basis(m, n)`` from an echelon of Phi built by either elimination."""
+    shapes = [(v, n.dims[v], m.dims[v]) for v in m.quiver.vertices]
+    ncols = sum(r * c for _, r, c in shapes)
+    p = m.field.characteristic
     solved, _, free = _kernel_at_free(echelon, ncols, p)
     forms = _row_kernel_forms(solved, free, ncols, p)
     _check_intertwines(m, n, [ints for ints, _ in forms])

@@ -347,14 +347,21 @@ def _subrep_on_basis(ambient: Rep, bases: dict, rows: dict) -> SubrepInclusion:
 
 
 def kernel(f: Morphism) -> SubrepInclusion:
+    return _kernel_of_blocks(f.source, f.blocks)
+
+
+def _kernel_of_blocks(source: Rep, blocks: dict) -> SubrepInclusion:
+    """The subrep of ``source`` spanned by the kernels of ``blocks``, one
+    matrix per vertex with ``source.dims[v]`` columns; raises unless they
+    are arrow-stable, as the kernel of a morphism is."""
     spans = {}
-    for v in f.blocks:
-        vecs = nullspace_basis(f.blocks[v])
+    for v in blocks:
+        vecs = nullspace_basis(blocks[v])
         if vecs:
             spans[v] = hstack(vecs)
         else:
-            spans[v] = Matrix.zeros(f.source.field, f.source.dims[v], 0)
-    return subrep_from_spans(f.source, spans)
+            spans[v] = Matrix.zeros(source.field, source.dims[v], 0)
+    return subrep_from_spans(source, spans)
 
 
 def image(f: Morphism) -> SubrepInclusion:

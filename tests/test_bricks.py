@@ -5,6 +5,7 @@ import itertools
 import os
 from dataclasses import astuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +40,7 @@ from conftest import (
     field_scalar,
     make_x11,
     operator_matrix,
+    reference_linear_combination,
     reference_trace,
     reference_trace_radical,
 )
@@ -158,6 +160,192 @@ def test_end_algebra_span_check_refuses_a_basis_not_closed_under_composition(
         monkeypatch.setattr("quiverfilt.bricks.hom_basis", lambda m, n: fake)
         with pytest.raises(InvariantError, match="leaves their span"):
             end_algebra(mm)
+
+
+@functools.lru_cache(maxsize=None)
+def _tower_levels_for_the_table(field, quiver_name, height):
+    """Tower levels whose End algebras grow: R_2 on K2 (k[t]/(t^n)) and
+    x11:1,0,0 on K3 (dim End 2^n - 1)."""
+    if quiver_name == "K2":
+        base = quasi_simple(field, field.of(2))
+    else:
+        base = make_x11(kronecker(3), field, [1, 0, 0])
+    return tuple(tower(base, check_semibrick([base]), height).levels)
+
+
+def _reference_coordinates(basis, morphism):
+    """Test-local: the entries of ``morphism`` at each basis element's last
+    nonzero flattened entry, checked entry by entry against the field's own
+    sum of the basis (``reference_linear_combination``)."""
+    coords = []
+    for b in basis:
+        v = [v for v in b.source.quiver.vertices if not b.blocks[v].is_zero()][-1]
+        j = max(j for j, x in enumerate(b.blocks[v].entries) if x)
+        coords.append(morphism.blocks[v].entries[j])
+    assert reference_linear_combination(basis, coords) == morphism.blocks
+    return coords
+
+
+def _rescaled(m, scales):
+    """m in the basis scaled by ``scales[v][i]`` at vertex v: M_a becomes
+    S_t M_a S_s^-1.  Over QQ the End basis then carries denominators."""
+    f = m.field
+    maps = {}
+    for aid, s, t in m.quiver.arrows:
+        a = m.arrow_maps[aid]
+        maps[aid] = Matrix(f, a.rows, a.cols, [
+            f.mul(f.mul(scales[t][i], a.at(i, j)), f.inv(scales[s][j]))
+            for i in range(a.rows) for j in range(a.cols)
+        ])
+    return Rep(m.quiver, f, m.dims, maps)
+
+
+@st.composite
+def _table_inputs(draw):
+    field = draw(st.sampled_from([QQ, GF(2), GF(101)]))
+    kind = draw(st.sampled_from(["rep", "level", "level-sum"]))
+    if kind == "rep":
+        quiver = draw(st.sampled_from([kronecker(2), kronecker(3), linear_quiver(3)]))
+        m = draw_rep(SimpleNamespace(draw=draw), quiver, field)
+    else:
+        name = draw(st.sampled_from(["K2", "K3"]))
+        levels = _tower_levels_for_the_table(field, name, 4 if name == "K2" else 3)
+        m = draw(st.sampled_from(levels))
+        if kind == "level-sum":
+            # a level plus a lower one: End is not local, its table has idempotents
+            m = direct_sum([m, draw(st.sampled_from(levels))])[0]
+    if draw(st.booleans()):
+        scalar = st.integers(1, 6).map(field.of).filter(bool)
+        m = _rescaled(m, {
+            v: draw(st.lists(scalar, min_size=m.dims[v], max_size=m.dims[v]))
+            for v in m.quiver.vertices
+        })
+    return m
+
+
+@settings(max_examples=120, deadline=None)
+@given(_table_inputs())
+def test_items_table_and_unit_match_the_compose_reference(m):
+    alg = end_algebra(m)
+    assert alg.basis == hom_basis(m, m)
+    coords_of = end_coordinates(alg.basis)
+    reference = [
+        [_reference_coordinates(alg.basis, compose(bi, bk)) for bk in alg.basis]
+        for bi in alg.basis
+    ]
+    assert reference == [
+        [coords_of(compose(bi, bk)) for bk in alg.basis] for bi in alg.basis
+    ]
+    assert alg.multiplication_table == reference
+    assert all(
+        type(x) is type(y)
+        for got, ref in zip(alg.multiplication_table, reference)
+        for grow, rrow in zip(got, ref)
+        for x, y in zip(grow, rrow)
+    )
+    if alg.dimension:
+        unit = _reference_coordinates(alg.basis, Morphism.identity(m))
+        assert alg.unit_coordinates == unit == coords_of(Morphism.identity(m))
+
+
+# Faults injected into the items path, on three modules with dim End > 1
+# over each field: each fault must make end_algebra and end_coordinates raise.
+_FAULT_CASES = [
+    (field, kind) for field in (QQ, GF(2), GF(101)) for kind in ("y2", "k3-level", "sum")
+]
+
+
+def _fault_module(field, kind):
+    if kind == "y2":
+        return _y2(field)
+    if kind == "k3-level":
+        return _tower_levels_for_the_table(field, "K3", 3)[1]
+    return direct_sum(list(_tower_levels_for_the_table(field, "K2", 4)[:2]))[0]
+
+
+@pytest.mark.parametrize("field, kind", _FAULT_CASES)
+def test_span_check_refuses_a_composite_missing_one_item(field, kind, monkeypatch):
+    m = _fault_module(field, kind)
+    basis = hom_basis(m, m)
+    free = {j for _, j in bricks._free_entries(basis)}
+    composite = bricks._composite
+    dropped = []
+
+    def dropping(left, right, n, p):
+        out = composite(left, right, n, p)
+        j = next((j for j in out if j not in free), None)
+        if not dropped and j is not None:
+            dropped.append(out.pop(j))
+        return out
+
+    monkeypatch.setattr(bricks, "_composite", dropping)
+    with pytest.raises(InvariantError, match="leaves their span"):
+        end_algebra(m)
+    assert dropped
+    # the same composite with one entry zeroed is refused by end_coordinates
+    coords_of = end_coordinates(basis)
+    for bi, bk in itertools.product(basis, repeat=2):
+        c = compose(bi, bk)
+        v, j = next(
+            ((v, j) for v in c.blocks for j, x in enumerate(c.blocks[v].entries)
+             if x and j not in free),
+            (None, None),
+        )
+        if v is not None:
+            break
+    entries = list(c.blocks[v].entries)
+    entries[j] = field.zero
+    blocks = dict(c.blocks)
+    blocks[v] = Matrix(field, c.blocks[v].rows, c.blocks[v].cols, entries)
+    with pytest.raises(InvariantError, match="does not lie in the End basis span"):
+        coords_of(Morphism._trusted(m, m, blocks))
+
+
+@pytest.mark.parametrize("field, kind", _FAULT_CASES)
+def test_span_check_refuses_a_sum_missing_one_term(field, kind, monkeypatch):
+    m = _fault_module(field, kind)
+    basis = hom_basis(m, m)
+    coords_of = end_coordinates(basis)
+    span_sum = bricks._span_sum
+
+    def dropping(q, nums, v, p):
+        q = list(q)
+        i = next((i for i, x in enumerate(q) if x), None)
+        if i is not None:
+            q[i] = 0
+        return span_sum(q, nums, v, p)
+
+    monkeypatch.setattr(bricks, "_span_sum", dropping)
+    with pytest.raises(InvariantError, match="leaves their span"):
+        end_algebra(m)
+    with pytest.raises(InvariantError, match="does not lie in the End basis span"):
+        coords_of(Morphism.identity(m))
+
+
+@pytest.mark.parametrize("field, kind", _FAULT_CASES)
+def test_span_check_refuses_a_basis_block_tampered_after_the_basis_was_built(
+    field, kind, monkeypatch
+):
+    m = _fault_module(field, kind)
+    basis = hom_basis(m, m)
+    unit = end_algebra(m).unit_coordinates
+    # an element the identity needs, changed at the first entry of the first
+    # vertex, which lies before its free entry, so that stays where it was
+    first = m.quiver.vertices[0]
+    free = bricks._free_entries(basis)
+    l = next(i for i, c in enumerate(unit) if c and free[i] != (first, 0))
+    block = basis[l].blocks[first]
+    entries = list(block.entries)
+    entries[0] = field.add(entries[0], field.one)
+    blocks = dict(basis[l].blocks)
+    blocks[first] = Matrix(field, block.rows, block.cols, entries)
+    tampered = list(basis)
+    tampered[l] = Morphism._trusted(m, m, blocks)
+    monkeypatch.setattr(bricks, "hom_basis", lambda a, b: tampered)
+    with pytest.raises(InvariantError):
+        end_algebra(m)
+    with pytest.raises(InvariantError, match="does not lie in the End basis span"):
+        end_coordinates(tampered)(Morphism.identity(m))
 
 
 def _reference_multiply(alg, a, b):
@@ -420,19 +608,23 @@ def test_is_brick_agrees_with_the_end_algebra_path(field, quiver, data):
     if m.dim_total == 0:
         return
     report = is_brick(m)
-    assert report == _brick_report_of_end(m)
-    d = end_algebra(m).dimension
-    assert bricks._end_is_scalars_by_rank(m) == (d == 1)
+    alg = end_algebra(m)
+    assert report == _brick_report_of_end(alg)
+    basis = bricks._end_basis_unless_scalars(m)
+    assert (basis is None) == (alg.dimension == 1)
+    # dim End > 1: the basis solved from the rank test's echelon is hom_basis's
+    assert basis is None or basis == alg.basis
 
 
 def _count_end_algebra_calls(monkeypatch):
     calls = []
+    build = bricks._end_algebra_of
 
-    def counting(m):
+    def counting(m, basis):
         calls.append(m)
-        return end_algebra(m)
+        return build(m, basis)
 
-    monkeypatch.setattr(bricks, "end_algebra", counting)
+    monkeypatch.setattr(bricks, "_end_algebra_of", counting)
     return calls
 
 
@@ -459,7 +651,7 @@ def test_rank_certifies_rationals_with_any_denominator(k2, monkeypatch):
         make_x11(k2, QQ, [1, Fraction(1, 2**31 - 1)]),
     ]
     for m in mods:
-        assert bricks._end_is_scalars_by_rank(m)
+        assert bricks._end_basis_unless_scalars(m) is None
         assert astuple(is_brick(m)) == _SCALARS_REPORT
     assert calls == []
 
@@ -471,9 +663,9 @@ def test_rank_certifies_a_brick_whose_reduction_is_not_one(k2, monkeypatch):
     x = make_x11(k2, QQ, [3, 0])
     reduced = make_x11(k2, GF(3), [3, 0])
     assert len(hom_basis(reduced, reduced)) == 2
-    assert not bricks._end_is_scalars_by_rank(reduced)
+    assert bricks._end_basis_unless_scalars(reduced) == hom_basis(reduced, reduced)
     calls = _count_end_algebra_calls(monkeypatch)
-    assert bricks._end_is_scalars_by_rank(x)
+    assert bricks._end_basis_unless_scalars(x) is None
     report = is_brick(x)
     assert calls == []
     assert report == is_brick(quasi_simple(QQ, QQ.of(0)))
@@ -487,7 +679,7 @@ def test_modular_certificate_on_a_preprojective_level_matches_the_rational_rank(
     sb = check_semibrick(members)
     level = tower(standard_module(kronecker(2), QQ, "projective", 1), sb, 2).levels[-1]
     assert (level.dims[1], level.dims[2]) == (4, 3)
-    assert bricks._end_is_scalars_by_rank(level)
+    assert bricks._end_basis_unless_scalars(level) is None
     assert len(hom_basis(level, level)) == 1
 
 

@@ -30,7 +30,10 @@ before ``hom_basis`` checked each basis once on integers.  The
 ``tower-k3`` and ``endtower-k3`` reports here, over QQ and GF(101), and
 ``endtower-k3-qq-6.json`` (CI compares the 6-level K3 QQ ``endtower``
 report with it; Phi of Y(6) is 11,907 x 7,938) were recorded before QQ
-forward elimination pivoted on the entry of least absolute value.  A
+forward elimination pivoted on the entry of least absolute value, and
+``endtower-k3-qq-7.json`` (the 7-level report, compared in CI, dim End
+127 at the top) before ``end_algebra`` built only the nonzero items of
+its composites.  A
 refactor or speed-up must reproduce them exactly; a
 deliberate output change re-records them with
 
