@@ -14,13 +14,13 @@ characteristic 0, the radical of tr(y o x) on M, J(End M).  Deciding
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from math import lcm
 
 from .errors import InvariantError
 from .homext import ExtSpace, _hom_basis_of_echelon, _hom_layout, _intertwine_rows, hom_basis
-from .linalg import _sparse_echelon, unit_vectors
+from .linalg import _integer_multiple, _sparse_echelon, nonzero_items, unit_vectors
 from .reps import Morphism, Rep, is_isomorphic, linear_combination, trace_pairing_rank
 
 
@@ -31,12 +31,54 @@ class AlgebraPresentation:
     ``multiplication_table[i][j]`` holds the coordinates of ``basis[i]``
     followed by ``basis[j]`` (left-to-right composition), and
     ``unit_coordinates`` those of the identity.
+
+    The table is the only source of truth.  Its nonzero entries are also
+    kept, privately, as integer items over one denominator ``den``:
+    ``items[i][j]`` lists the ``(l, q)`` with ``table[i][j][l] == q / den``
+    and q nonzero, ``den`` = D**2 over QQ for an ``end_algebra`` (its basis
+    blocks over the common denominator D) and 1 over GF(p), where q is the
+    residue.  ``end_algebra`` builds the table from the items it computes;
+    a presentation built by hand derives them from its own table on first
+    use (``_table_items``).  ``multiply`` and the checks of
+    ``towers.end_ring_tower`` read the items, never the Fraction table.
     """
 
     rep: Rep
     basis: list
     multiplication_table: list
     unit_coordinates: list
+    _items: tuple | None = dataclass_field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def _of_items(cls, rep: Rep, basis: list, items: list, den: int, unit: list) -> "AlgebraPresentation":
+        """The presentation whose table has the integer ``items`` over ``den``."""
+        f = rep.field
+        d, zero = len(basis), f.zero
+        table = []
+        for plane in items:
+            row = []
+            for cell in plane:
+                c = [zero] * d
+                for l, q in cell:
+                    c[l] = q if f.characteristic else Fraction(q, den)
+                row.append(c)
+            table.append(row)
+        out = cls(rep, basis, table, unit)
+        object.__setattr__(out, "_items", (items, den))
+        return out
+
+    def _table_items(self) -> tuple[list, int]:
+        """``(items, den)`` of the table, derived from it if not given."""
+        if self._items is None:
+            table = self.multiplication_table
+            p = self.field.characteristic
+            den = 1 if p else lcm(*[x.denominator for plane in table for c in plane for x in c])
+            items = [
+                [[(l, x if p else x.numerator * (den // x.denominator)) for l, x in enumerate(c) if x] for c in plane]
+                for plane in table
+            ]
+            object.__setattr__(self, "_items", (items, den))
+        return self._items
 
     @property
     def dimension(self) -> int:
@@ -47,22 +89,27 @@ class AlgebraPresentation:
         return self.rep.field
 
     def multiply(self, a: list, b: list) -> list:
-        p = self.field.characteristic
-        table = self.multiplication_table
-        out = [self.field.zero] * self.dimension
-        for ai, plane in zip(a, table):
-            if not ai:
-                continue
-            for bj, tij in zip(b, plane):
-                if not bj:
-                    continue
-                coeff = ai * bj
-                for l, x in enumerate(tij):
-                    if x:
-                        out[l] += coeff * x
+        """The coordinates of a * b, accumulated on integers from the table
+        items: over QQ a and b are read as integer vectors over their own
+        denominators, and each nonzero result entry is built once."""
+        f = self.field
+        p = f.characteristic
+        items, den = self._table_items()
+        if not p:
+            (a, da), (b, db) = _integer_multiple(a), _integer_multiple(b)
+            den *= da * db
+        bs = nonzero_items(b)
+        acc = [0] * self.dimension
+        for x, plane in zip(a, items):
+            if x:
+                for j, y in bs:
+                    xy = x * y
+                    for l, q in plane[j]:
+                        acc[l] += xy * q
         if p:
-            out = [x % p for x in out]
-        return out
+            return [x % p for x in acc]
+        zero = f.zero
+        return [Fraction(x, den) if x else zero for x in acc]
 
     def element(self, coords: list) -> Morphism:
         return linear_combination(self.basis, coords)
@@ -109,12 +156,13 @@ def end_coordinates(basis: list):
     endomorphism does not lie in the span.
     """
     free = _free_entries(basis)
+    free_at = _free_index(free)
     nums, den = _numerators(basis)
 
     def coords_of(morphism: Morphism) -> list:
         (items,), _ = _numerators([morphism])
         target = {v: dict(flat) for v, (flat, _) in items.items()}
-        if _span_coordinates(nums, free, target, den, morphism.source.field.characteristic) is None:
+        if _span_coordinates(nums, free_at, target, den, morphism.source.field.characteristic) is None:
             raise InvariantError("endomorphism does not lie in the End basis span")
         return [morphism.blocks[v].entries[j] for v, j in free]
 
@@ -185,23 +233,40 @@ def _span_sum(q: list, nums: list, v, p: int) -> dict:
     return {j: x for j, x in out.items() if x}
 
 
-def _span_coordinates(nums: list, free: list, target: dict, den: int, p: int) -> list | None:
-    """The values q_l of ``target`` at the free entries when they are its
-    coordinates, else None.
+def _free_index(free: list) -> dict:
+    """``{vertex: {index into its block: l}}`` of the free entries ``free``."""
+    out: dict = {}
+    for l, (v, j) in enumerate(free):
+        out.setdefault(v, {})[j] = l
+    return out
+
+
+def _span_coordinates(nums: list, free_at: dict, target: dict, den: int, p: int) -> list | None:
+    """The nonzero values ``(l, q_l)`` of ``target`` at the free entries, in
+    increasing l, when they are its coordinates, else None.
 
     ``nums`` and ``den`` are ``_numerators`` of an End basis, so basis[l] is
-    N_l / den, and ``target`` maps every vertex to the nonzero items of an
-    endomorphism's block times some common T.  Its coordinates are then q_l / T,
-    and it lies in the span iff sum_l q_l N_l == den * target at every
-    vertex: compared as nonzero items, modulo p over GF(p), where den is 1.
+    N_l / den, ``free_at`` is the ``_free_index`` of its free entries, and
+    ``target`` maps every vertex to the nonzero items of an endomorphism's
+    block times some common T.  Its coordinates are then q_l / T, and it
+    lies in the span iff sum_l q_l N_l == den * target at every vertex:
+    compared as nonzero items, modulo p over GF(p), where den is 1.
     """
-    q = [target[v].get(j, 0) for v, j in free]
+    q, items = [0] * len(nums), []
+    for v, want in target.items():
+        at = free_at.get(v, {})
+        for j, x in want.items():
+            l = at.get(j)
+            if l is not None:
+                q[l] = x
+                items.append((l, x))
     for v, want in target.items():
         if not p:
             want = {j: den * x for j, x in want.items()}
         if _span_sum(q, nums, v, p) != want:
             return None
-    return q
+    items.sort()
+    return items
 
 
 def end_algebra(m: Rep) -> AlgebraPresentation:
@@ -213,7 +278,8 @@ def end_algebra(m: Rep) -> AlgebraPresentation:
     (residues over GF(p), where D = 1).  Entry (i, k) of the table holds the
     coordinates of ``compose(b_i, b_k)``: the values q of the composite
     N_k,v * N_i,v at the free entries, as in ``end_coordinates``, so
-    ``Fraction(q, D**2)`` over QQ.  Only the composite's nonzero items are
+    ``Fraction(q, D**2)`` over QQ; the nonzero q are kept as the
+    presentation's items over D**2.  Only the composite's nonzero items are
     built (``_composite``), and each composite is checked exactly on
     integers: sum_l q_l N_l,v must equal D times it at every vertex
     (``_span_coordinates``); ``InvariantError`` if not.
@@ -225,22 +291,21 @@ def _end_algebra_of(m: Rep, basis: list) -> AlgebraPresentation:
     """``end_algebra(m)`` on the End basis ``basis``."""
     if not basis:
         return AlgebraPresentation(m, [], [], [])
-    f = m.field
-    p, zero = f.characteristic, f.zero
-    free = _free_entries(basis)
+    p = m.field.characteristic
+    free_at = _free_index(_free_entries(basis))
     nums, den = _numerators(basis)
-    table = []
+    items = []
     for ni in nums:
         row = []
         for nk in nums:
             comp = {v: _composite(nk[v][0], ni[v][1], m.dims[v], p) for v in ni}
-            q = _span_coordinates(nums, free, comp, den, p)
+            q = _span_coordinates(nums, free_at, comp, den, p)
             if q is None:
                 raise InvariantError("a composite of End basis elements leaves their span")
-            row.append(q if p else [Fraction(x, den * den) if x else zero for x in q])
-        table.append(row)
+            row.append(q)
+        items.append(row)
     unit = end_coordinates(basis)(Morphism.identity(m))
-    return AlgebraPresentation(m, basis, table, unit)
+    return AlgebraPresentation._of_items(m, basis, items, 1 if p else den * den, unit)
 
 
 @dataclass(frozen=True)

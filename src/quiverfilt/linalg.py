@@ -541,11 +541,12 @@ def _product(ae: list, pattern: list, n: int, k: int, zero) -> list:
 def combination(coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
     """The sum of ``c * m`` over canonical coefficients and same-shape matrices.
 
-    Accumulated on integer forms (over GF(p) the entries), skipping zero
-    coefficients.  Over QQ each nonzero entry is built once, and the result
-    is born with its integer form ``(acc/g, den/g)``, ``g = gcd(den, *acc)``,
-    which is ``_integer_multiple`` of its entries.  A single coefficient 1
-    returns its matrix itself.
+    Accumulated on integer forms, skipping zero coefficients.  Over GF(p)
+    each term adds only the nonzero items of its kept ``_pattern``.  Over
+    QQ each nonzero entry is built once, and the result is born with its
+    integer form ``(acc/g, den/g)``, ``g = gcd(den, *acc)``, which is
+    ``_integer_multiple`` of its entries.  A single coefficient 1 returns
+    its matrix itself.
     """
     first = mats[0]
     f = first.field
@@ -555,8 +556,12 @@ def combination(coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
     p = f.characteristic
     acc = [0] * len(first.entries)
     if p:
+        n = first.cols
         for c, m in terms:
-            acc = [x + c * y for x, y in zip(acc, m.entries)]
+            for r, items in enumerate(m._pattern()):
+                base = r * n
+                for j, y in items:
+                    acc[base + j] += c * y
         return Matrix(f, first.rows, first.cols, [x % p for x in acc])
     forms = [(c, m._integer_form()) for c, m in terms]
     den = lcm(*[c.denominator * d for c, (_, d) in forms])

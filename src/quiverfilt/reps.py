@@ -157,7 +157,9 @@ class Morphism:
         """A morphism whose blocks are known to intertwine; validates nothing.
 
         Only for results of arithmetic on valid morphisms, with a fresh
-        ``blocks`` dict that the caller does not keep.
+        ``blocks`` dict that the caller does not keep, or for blocks handed
+        straight to a check that proves them a morphism, as
+        ``towers._restriction_coords`` hands them to ``end_coordinates``.
         """
         out = object.__new__(cls)
         out.source = source

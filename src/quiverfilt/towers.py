@@ -27,9 +27,14 @@ from .homext import (
 )
 from .linalg import (
     Matrix,
+    _integer_multiple,
+    _kernel_at_free,
+    _row_kernel_forms,
+    _sparse_echelon,
     hstack,
     is_invertible,
     mat_from_cols,
+    nonzero_items,
     nullspace_basis,
     rank,
     rref,
@@ -274,7 +279,10 @@ def _restriction_coords(coords_of, incl: Morphism, endos: list) -> list:
 
     ``coords_of`` is the ``end_coordinates`` function of End(sub).  Each
     vertex takes one solve, ``incl_v * X = [e_1,v * incl_v | ...]``, checked
-    exactly.
+    exactly: so each endomorphism preserves the sub.  The solved blocks go
+    to ``coords_of`` without being validated as a ``Morphism``: its exact
+    span check puts them in the span of End(sub)'s basis, which proves them
+    a morphism, and raises ``InvariantError`` otherwise.
     """
     sub = incl.source
     blocks = [{} for _ in endos]
@@ -289,7 +297,7 @@ def _restriction_coords(coords_of, incl: Morphism, endos: list) -> list:
         w = iv.cols
         for k, b in enumerate(blocks):
             b[v] = sol.cols_at(range(k * w, (k + 1) * w))
-    return [coords_of(Morphism(sub, sub, b)) for b in blocks]
+    return [coords_of(Morphism._trusted(sub, sub, b)) for b in blocks]
 
 
 def _ideal_basis(alg: AlgebraPresentation, incl_from_base: Morphism) -> list:
@@ -312,49 +320,118 @@ def _ideal_checks(alg: AlgebraPresentation, ideal: list) -> tuple[int, bool, int
     its nilpotency index.
 
     The index is the first power n <= d + 1 at which the products of n
-    ideal vectors span zero, else None.  Every product is read off matrix
-    products with the multiplication table T: with I stacking the ideal
-    vectors as rows, row b of ``I * [T[i][j][l]]_(j, (i, l))`` is the d x d
-    matrix ``M_b`` whose row i is ``e_i * b``, and row b of
-    ``I * [T[i][j][l]]_(i, (j, l))`` holds ``b * e_j`` for every j.  The
-    products of the rows of a matrix A with every ideal vector are the rows
-    of ``A * [M_1 | ... | M_n]`` cut into d-vectors.  The ideal is
-    two-sided iff stacking every product under I keeps its rank; each
-    power is spanned by the nonzero rows of the rref of its products.
+    ideal vectors span zero, else None.  All three depend only on the span
+    I of ``ideal``, and all are decided on integers, from the table items
+    (``AlgebraPresentation._table_items``) and ``_sparse_echelon`` pivot
+    rows; a positive factor of a row changes no span.  The pivot rows of
+    ``ideal`` give dim I and a basis B of I.  Each right multiplication R_b,
+    b in B, whose row i is e_i * b, is built once from the items, and so is
+    each left multiplication, whose row j is b * e_j.  I is two-sided iff
+    every such row lies in I, which is tested against the integer kernel
+    forms of I's pivot rows (``_row_kernel_forms``): v lies in I iff every
+    kernel form w has w . v = 0.  The power I^(k+1) is spanned by the rows
+    x * R_b, for x the pivot rows of I^k and b in B, and kept as their
+    pivot rows.
     """
-    f = alg.field
+    p = alg.field.characteristic
     d = alg.dimension
-    n = len(ideal)
-    table = alg.multiplication_table
-    stacked = _stack(f, d, ideal)
-    times_left = stacked.mul(
-        Matrix(f, d, d * d, [table[i][j][l] for j in range(d) for i in range(d) for l in range(d)])
+    items, _ = alg._table_items()
+    echelon = _sparse_echelon(_integer_rows(alg.field, ideal), p)
+    dim = len(echelon)
+    basis = _pivot_rows(echelon)
+    rights = [[_times(b, plane, p) for plane in items] for b in basis]
+    solved, _, free = _kernel_at_free(echelon, d, p)
+    forms = [ints for ints, _ in _row_kernel_forms(solved, free, d, p)]
+    columns = list(zip(*items))
+    two_sided = all(
+        _annihilated(forms, row, p)
+        for b, right in zip(basis, rights)
+        for row in right + [_times(b, col, p) for col in columns]
     )
-    times_right = stacked.mul(
-        Matrix(f, d, d * d, [x for plane in table for c in plane for x in c])
-    )
-    dim = rank(stacked)
-    everything = stacked.entries + times_left.entries + times_right.entries
-    two_sided = rank(Matrix(f, n + 2 * n * d, d, everything)) == dim
-    # [M_1 | ... | M_n]: entry (i, (b, l)) is entry (b, (i, l)) of times_left
-    e = times_left.entries
-    ops = Matrix(f, d, n * d, [e[(b * d + i) * d + l] for i in range(d) for b in range(n) for l in range(d)])
-    current = stacked
+    current = echelon
     for power in range(1, d + 2):
-        if current.is_zero():
+        if not current:
             return dim, two_sided, power
-        red, pivots = rref(Matrix(f, current.rows * n, d, current.mul(ops).entries))
-        current = red.rows_at(range(len(pivots)))
+        current = _sparse_echelon(
+            (_times(x, right, p) for x in _pivot_rows(current) for right in rights), p
+        )
     return dim, two_sided, None
+
+
+def _integer_rows(f, vectors: list) -> list:
+    """Coordinate vectors as rows of nonzero integer ``(column, value)``
+    items: over QQ each times the lcm of its denominators, over GF(p) the
+    residues."""
+    p = f.characteristic
+    return [nonzero_items(vec if p else _integer_multiple(vec)[0]) for vec in vectors]
+
+
+def _annihilated(forms: list, row: list, p: int) -> bool:
+    """Whether every dense integer form w in ``forms`` has w . row = 0 (mod
+    p over GF(p)), for ``row`` given by its nonzero items."""
+    for w in forms:
+        t = sum(w[l] * x for l, x in row)
+        if t % p if p else t:
+            return False
+    return True
+
+
+def _pivot_rows(echelon: dict) -> list:
+    """The pivot rows of an echelon as rows of nonzero items."""
+    return [[(pc, a), *after] for pc, (a, after) in echelon.items()]
+
+
+def _times(x: list, rows: list, p: int) -> list:
+    """The nonzero items of sum_i x_i rows[i], for x given by its nonzero
+    items and each row by its items; reduced over GF(p)."""
+    acc: dict = {}
+    for i, y in x:
+        for l, v in rows[i]:
+            acc[l] = acc.get(l, 0) + y * v
+    if p:
+        return [(l, v % p) for l, v in acc.items() if v % p]
+    return [(l, v) for l, v in acc.items() if v]
+
+
+def _psi_multiplicative(psi: Matrix, big: AlgebraPresentation, small: AlgebraPresentation) -> bool:
+    """Whether psi(e_a e_b) == psi(e_a) psi(e_b) for every pair of basis
+    elements of ``big``, decided on integers.
+
+    With psi = P / dp (its integer form; the residues and dp = 1 over GF(p))
+    and the tables as items over ``den_big`` and ``den_small``,
+    psi(e_a e_b) = sum_l T_big[a][b][l] P[:, l] / (den_big * dp) and
+    psi(e_a) psi(e_b) = sum_(i, j) P[i][a] P[j][b] T_small[i][j] /
+    (dp**2 * den_small).  Both integer sums are built from nonzero items
+    (the second as row i of R_b, sum_j P[j][b] T_small[i][j], once per b)
+    and compared cross-multiplied by the other side's denominators.
+    """
+    p = psi.field.characteristic
+    ints, dp = (psi.entries, 1) if p else psi._integer_form()
+    n = psi.cols
+    cols = [nonzero_items(ints[a::n]) for a in range(n)]
+    big_items, den_big = big._table_items()
+    small_items, den_small = small._table_items()
+    s, t = dp * den_small, den_big
+    for b in range(n):
+        right_b = [_times(cols[b], plane, p) for plane in small_items]
+        for a in range(n):
+            left = _times(big_items[a][b], cols, p)
+            right = _times(cols[a], right_b, p)
+            if {l: s * v for l, v in left} != {l: t * v for l, v in right}:
+                return False
+    return True
 
 
 def end_ring_tower(t: Tower) -> EndTower:
     """End algebras of every level with restriction maps and locality evidence.
 
     Each restriction map is re-derived from scratch (solve the intertwining
-    of the inclusion, then re-coordinate), checked to be a surjective unital
-    algebra map; the ideal of endomorphisms killing the base is checked
-    two-sided and nilpotent, with the residue dimension reported.
+    of the inclusion, then re-coordinate, ``_restriction_coords``), checked
+    to be a surjective unital algebra map; the ideal of endomorphisms killing
+    the base is checked two-sided and nilpotent, with the residue dimension
+    reported (``_ideal_checks``).  Multiplicativity and the ideal checks run
+    on integers, on the nonzero items of the multiplication tables
+    (``AlgebraPresentation._table_items``), never on the Fraction tables.
     """
     base_is_member = any(t.base == m for m in t.semibrick.members)
     if not base_is_member:
@@ -394,17 +471,7 @@ def end_ring_tower(t: Tower) -> EndTower:
                 psi.mul(Matrix(f, big.dimension, 1, list(big.unit_coordinates)))
                 == Matrix(f, d, 1, list(alg.unit_coordinates))
             )
-            # psi(e_a e_b) = psi(e_a) psi(e_b), all pairs read off one product
-            n = big.dimension
-            images = psi.mul(
-                mat_from_cols(f, n, [c for row in big.multiplication_table for c in row])
-            )
-            psi_cols = [psi.col(a) for a in range(n)]
-            multiplicative = all(
-                images.col(a * n + b) == alg.multiply(psi_cols[a], psi_cols[b])
-                for a in range(n)
-                for b in range(n)
-            )
+            multiplicative = _psi_multiplicative(psi, big, alg)
             report["psi_surjective"] = surjective
             report["psi_unital"] = unital
             report["psi_multiplicative"] = multiplicative

@@ -3,7 +3,7 @@
 import functools
 import itertools
 import os
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -32,7 +32,7 @@ from quiverfilt import (
 from quiverfilt import bricks
 from quiverfilt.bricks import AlgebraPresentation, _brick_report_of_end, end_coordinates
 from quiverfilt.errors import InvariantError
-from quiverfilt.linalg import inverse, rank
+from quiverfilt.linalg import inverse, rank, unit_vectors
 from quiverfilt.reps import compose, linear_combination, trace_pairing_rank
 
 from conftest import (
@@ -778,3 +778,51 @@ def test_end_dim_additivity(r0, r1):
         + len(hom_basis(r1, r0))
     )
     assert end_algebra(s).dimension == expected
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=repr)
+def test_a_presentation_rebuilt_with_a_tampered_table_reads_its_own_table(field):
+    """``replace`` with a tampered table, after the original's items were
+    read: the new presentation derives its items from its own table, so its
+    products see the tampered entry and ``verify`` fails."""
+    alg = end_algebra(_y2(field))
+    assert alg.verify()
+    table = [[list(c) for c in plane] for plane in alg.multiplication_table]
+    u = next(i for i, c in enumerate(alg.unit_coordinates) if c != field.zero)
+    table[u][0][0] = field.add(table[u][0][0], field.one)
+    bad = replace(alg, multiplication_table=table)
+    assert bad.multiplication_table is table
+    units = unit_vectors(field, alg.dimension)
+    assert bad.multiply(units[u], units[0]) == table[u][0]
+    assert alg.multiply(units[u], units[0]) == alg.multiplication_table[u][0]
+    assert not bad.verify()
+    assert alg.verify()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_table_inputs(), st.data())
+def test_multiply_on_items_matches_the_table(m, data):
+    """``multiply`` reads the items ``end_algebra`` built, a copy built by
+    hand derives its own from the table, and both agree with Fraction (or
+    residue) arithmetic on the public table, entry types included."""
+    alg = end_algebra(m)
+    f, d = alg.field, alg.dimension
+    copy = AlgebraPresentation(alg.rep, alg.basis, alg.multiplication_table, alg.unit_coordinates)
+    vec = st.lists(field_scalar(f), min_size=d, max_size=d)
+    a, b = data.draw(vec), data.draw(vec)
+    want = [f.zero] * d
+    for ai, plane in zip(a, alg.multiplication_table):
+        for bj, c in zip(b, plane):
+            for l, x in enumerate(c):
+                want[l] = f.add(want[l], f.mul(f.mul(ai, bj), x))
+    for got in (alg.multiply(a, b), copy.multiply(a, b)):
+        assert got == want
+        assert all(type(x) is (int if f.characteristic else Fraction) for x in got)
+    items, den = alg._table_items()
+    assert all(
+        f.of(Fraction(q, den)) == alg.multiplication_table[i][j][l] and q
+        for i, plane in enumerate(items) for j, cell in enumerate(plane) for l, q in cell
+    )
+    assert sum(map(len, (c for plane in items for c in plane))) == sum(
+        1 for plane in alg.multiplication_table for c in plane for x in c if x
+    )

@@ -24,6 +24,7 @@ from quiverfilt.linalg import (
     _solve_at_free,
     _sparse_echelon,
     column_space_pivots,
+    combination,
     forward_echelon,
     hstack,
     inverse,
@@ -1065,3 +1066,27 @@ def test_unit_vectors_are_canonical_standard_basis():
         assert Matrix.from_rows(field, units) == Matrix.identity(field, 3)
         assert all(x is field.zero or x is field.one for e in units for x in e)
         assert unit_vectors(field, 0) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(101)]), st.data())
+def test_combination_matches_scale_and_add(field, data):
+    """``combination`` against ``scale`` and ``add`` in ``Field`` arithmetic,
+    on matrices that are mostly zero; over GF(p) each term adds only its
+    nonzero items, read from its kept pattern."""
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, 4))
+    mats = [
+        Matrix(field, rows, cols, data.draw(st.lists(field_scalar(field), min_size=rows * cols, max_size=rows * cols)))
+        for _ in range(k)
+    ]
+    coeffs = data.draw(st.lists(field_scalar(field), min_size=k, max_size=k))
+    before = [list(m.entries) for m in mats]
+    want = Matrix.zeros(field, rows, cols)
+    for c, m in zip(coeffs, mats):
+        want = want.add(m.scale(c))
+    got = combination(coeffs, mats)
+    assert got == want
+    assert [m.entries for m in mats] == before
+    if field.characteristic:
+        assert all(type(x) is int and 0 <= x < field.characteristic for x in got.entries)

@@ -42,19 +42,26 @@ from quiverfilt import (
     uniserial_check,
     universal_sequence,
 )
-from quiverfilt.bricks import end_coordinates
+from quiverfilt.bricks import AlgebraPresentation, end_coordinates
 from quiverfilt.errors import BudgetError, InapplicableError, InvariantError
 from quiverfilt.homext import ShortExactSequence
 from quiverfilt.linalg import (
     _integer_multiple,
+    hstack,
+    inverse,
+    mat_from_cols,
+    rank,
+    rref,
     solve,
     unit_vectors,
 )
 from quiverfilt.reps import linear_combination
 from quiverfilt.towers import (
     _assemble_universal,
+    _ideal_basis,
     _ideal_checks,
     _restriction_coords,
+    _stack,
     _universal_data,
 )
 
@@ -826,3 +833,215 @@ def test_ext_classes_die_in_next_level(r0, sb0):
         target = ExtSpace(r0, t.levels[i])
         for e in classes:
             assert target.is_zero_class(e.pushed_forward(incl))
+
+
+# ---------------------------------------------------------------------------
+# end_ring_tower against a test-local copy of its dense checks: the ideal
+# checks on dense d x d^2 products and rrefs, psi's multiplicativity on the
+# d x d^2 table columns and one Fraction product per pair, and restrictions
+# validated as morphisms before their coordinates are read.
+
+
+def _table_multiply(alg, a, b):
+    """a * b in Fraction (or residue) arithmetic on the public table."""
+    f = alg.field
+    out = [f.zero] * alg.dimension
+    for ai, plane in zip(a, alg.multiplication_table):
+        for bj, tij in zip(b, plane):
+            for l, x in enumerate(tij):
+                out[l] = f.add(out[l], f.mul(f.mul(ai, bj), x))
+    return out
+
+
+def _dense_ideal_checks(alg, ideal):
+    f, d, n = alg.field, alg.dimension, len(ideal)
+    table = alg.multiplication_table
+    stacked = _stack(f, d, ideal)
+    times_left = stacked.mul(
+        Matrix(f, d, d * d, [table[i][j][l] for j in range(d) for i in range(d) for l in range(d)])
+    )
+    times_right = stacked.mul(Matrix(f, d, d * d, [x for plane in table for c in plane for x in c]))
+    dim = rank(stacked)
+    everything = stacked.entries + times_left.entries + times_right.entries
+    two_sided = rank(Matrix(f, n + 2 * n * d, d, everything)) == dim
+    e = times_left.entries
+    ops = Matrix(f, d, n * d, [e[(b * d + i) * d + l] for i in range(d) for b in range(n) for l in range(d)])
+    current = stacked
+    for power in range(1, d + 2):
+        if current.is_zero():
+            return dim, two_sided, power
+        red, pivots = rref(Matrix(f, current.rows * n, d, current.mul(ops).entries))
+        current = red.rows_at(range(len(pivots)))
+    return dim, two_sided, None
+
+
+def _dense_restriction_coords(coords_of, incl, endos):
+    sub = incl.source
+    blocks = [{} for _ in endos]
+    for v in sub.quiver.vertices:
+        iv = incl.blocks[v]
+        rhs = hstack([e.blocks[v].mul(iv) for e in endos])
+        sol = solve(iv, rhs)
+        assert sol is not None and iv.mul(sol) == rhs
+        for k, b in enumerate(blocks):
+            b[v] = sol.cols_at(range(k * iv.cols, (k + 1) * iv.cols))
+    return [coords_of(Morphism(sub, sub, b)) for b in blocks]
+
+
+def _dense_end_ring_tower(t):
+    """``end_ring_tower``'s reports, psi maps and ideal bases, every check dense."""
+    f = t.base.field
+    algebras = [end_algebra(level) for level in t.levels]
+    psi_maps, reports, ideal_bases = [], [], []
+    for i, incl_base in enumerate(t._inclusions_from(1)):
+        alg = algebras[i]
+        d = alg.dimension
+        ideal = _ideal_basis(alg, incl_base)
+        ideal_bases.append(ideal)
+        ideal_rank, two_sided, index = _dense_ideal_checks(alg, ideal)
+        report = {
+            "level": i + 1,
+            "end_dim": d,
+            "ideal_dim": ideal_rank,
+            "ideal_two_sided": two_sided,
+            "ideal_nilpotent": index is not None,
+            "nilpotency_index": index,
+            "residue_dim": d - ideal_rank,
+            "local_evidence": index is not None and d - ideal_rank == 1,
+        }
+        if i + 1 < t.height:
+            big = algebras[i + 1]
+            n = big.dimension
+            cols = _dense_restriction_coords(end_coordinates(alg.basis), t.sequences[i].incl, big.basis)
+            psi = mat_from_cols(f, d, cols)
+            psi_maps.append(psi)
+            images = psi.mul(mat_from_cols(f, n, [c for row in big.multiplication_table for c in row]))
+            psi_cols = [psi.col(a) for a in range(n)]
+            report["psi_surjective"] = rank(psi) == d
+            report["psi_unital"] = psi.mul(Matrix(f, n, 1, list(big.unit_coordinates))) == Matrix(
+                f, d, 1, list(alg.unit_coordinates)
+            )
+            report["psi_multiplicative"] = all(
+                images.col(a * n + b) == _table_multiply(alg, psi_cols[a], psi_cols[b])
+                for a in range(n)
+                for b in range(n)
+            )
+        reports.append(report)
+    return algebras, psi_maps, ideal_bases, reports
+
+
+def _diagonal(f, scalars):
+    n = len(scalars)
+    return Matrix(f, n, n, [scalars[i] if i == j else f.zero for i in range(n) for j in range(n)])
+
+
+def _rescaled_tower(t, scales):
+    """t with each level i >= 2 in its basis scaled by ``scales[i - 2]``
+    (a list of scalars per vertex): arrow maps S M S^-1, inclusions
+    S' I S^-1 and projections P S^-1.  Over QQ the End bases of the
+    rescaled levels carry denominators."""
+    f = t.base.field
+    vertices = t.base.quiver.vertices
+    mats = [None] + [{v: _diagonal(f, s[v]) for v in vertices} for s in scales]
+    invs = [None] + [{v: inverse(m[v]) for v in vertices} for m in mats[1:]]
+    levels = [t.base]
+    for level, s, si in zip(t.levels[1:], mats[1:], invs[1:]):
+        maps = {aid: s[tv].mul(level.arrow_maps[aid]).mul(si[sv]) for aid, sv, tv in level.quiver.arrows}
+        levels.append(Rep(level.quiver, f, level.dims, maps))
+    seqs = []
+    for i, seq in enumerate(t.sequences):
+        incl = {v: mats[i + 1][v].mul(seq.incl.blocks[v]) for v in vertices}
+        if i:
+            incl = {v: incl[v].mul(invs[i][v]) for v in vertices}
+        proj = {v: seq.proj.blocks[v].mul(invs[i + 1][v]) for v in vertices}
+        seqs.append(ShortExactSequence(
+            levels[i], levels[i + 1], seq.quot,
+            Morphism(levels[i], levels[i + 1], incl), Morphism(levels[i + 1], seq.quot, proj),
+        ))
+    return Tower(t.base, t.semibrick, levels, seqs)
+
+
+@cache
+def _differential_tower(field, name, height):
+    if name == "K2":
+        base = quasi_simple(field, field.of(2))
+    elif name == "K3":
+        base = make_x11(kronecker(3), field, [1, 0, 0])
+    else:
+        base = make_x11(kronecker(4), field, [1, 0, 0, 0])
+    return tower(base, check_semibrick([base]), height)
+
+
+@st.composite
+def _endtower_cases(draw):
+    field = draw(st.sampled_from([QQ, GF(2), GF(101)]))
+    name = draw(st.sampled_from(["K2", "K3", "K4"]))
+    height = draw(st.integers(1, {"K2": 5, "K3": 4, "K4": 3}[name]))
+    t = _differential_tower(field, name, height)
+    if height > 1 and draw(st.booleans()):
+        scalar = st.integers(1, 6).map(field.of).filter(bool)
+        t = _rescaled_tower(t, [
+            {v: draw(st.lists(scalar, min_size=y.dims[v], max_size=y.dims[v])) for v in y.quiver.vertices}
+            for y in t.levels[1:]
+        ])
+    return t
+
+
+@settings(max_examples=40, deadline=None)
+@given(_endtower_cases())
+def test_end_ring_tower_matches_its_dense_checks(t):
+    et = end_ring_tower(t)
+    algebras, psi_maps, ideal_bases, reports = _dense_end_ring_tower(t)
+    assert [a.multiplication_table for a in et.algebras] == [a.multiplication_table for a in algebras]
+    assert et.psi_maps == psi_maps
+    assert et.ideal_bases == ideal_bases
+    if t.height > 1:
+        assert "composite_kernel_matches_ideal" in et.level_reports[-1]
+    got = [{k: v for k, v in r.items() if k != "composite_kernel_matches_ideal"} for r in et.level_reports]
+    assert got == reports
+    assert et.ok
+    for alg, ideal in zip(et.algebras, et.ideal_bases):
+        assert _ideal_checks(alg, ideal) == _dense_ideal_checks(alg, ideal)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=repr)
+@pytest.mark.parametrize("name", ["K2", "K3"])
+def test_a_tampered_entry_of_the_larger_table_breaks_psi_multiplicativity(field, name, monkeypatch):
+    """One entry T[a][b][l] of End(Y(3))'s table, at an l whose psi(e_l) is
+    nonzero, moved by 1: psi(e_a e_b) moves by psi(e_l), psi(e_a) psi(e_b)
+    does not, and only the level whose psi reads that table is refused."""
+    from quiverfilt import towers
+
+    t = _differential_tower(field, name, 3)
+    big = end_algebra(t.levels[-1])
+    psi = end_ring_tower(t).psi_maps[-1]
+    l = next(l for l in range(psi.cols) if any(psi.col(l)))
+    table = [[list(c) for c in plane] for plane in big.multiplication_table]
+    table[-1][-1][l] = field.add(table[-1][-1][l], field.one)
+    tampered = AlgebraPresentation(big.rep, big.basis, table, list(big.unit_coordinates))
+    real = towers.end_algebra
+    monkeypatch.setattr(towers, "end_algebra", lambda m: tampered if m == big.rep else real(m))
+    et = end_ring_tower(t)
+    assert et.level_reports[-2]["psi_multiplicative"] is False
+    assert et.level_reports[-3]["psi_multiplicative"] is True
+    assert et.ok is False
+    assert _dense_end_ring_tower(t)[3][-2]["psi_multiplicative"] is True  # the reference reads end_algebra
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=repr)
+def test_restriction_coords_refuse_a_restriction_outside_the_end_span(field):
+    """Blocks (1 at vertex 1, 0 at vertex 2) on Y(2) preserve every graded
+    subspace, so the solve-and-compare accepts them, but their restriction
+    to Y(1) does not intertwine its nonzero arrow: only the span check of
+    ``end_coordinates`` can refuse it, and nothing validates it as a
+    ``Morphism`` first."""
+    t = _differential_tower(field, "K2", 2)
+    y2 = t.levels[1]
+    blocks = {
+        1: Matrix.identity(field, y2.dims[1]),
+        2: Matrix.zeros(field, y2.dims[2], y2.dims[2]),
+    }
+    fake = Morphism._trusted(y2, y2, blocks)
+    coords_of = end_coordinates(hom_basis(t.base, t.base))
+    with pytest.raises(InvariantError, match="does not lie in the End basis span"):
+        _restriction_coords(coords_of, t.sequences[0].incl, [Morphism.identity(y2), fake])
