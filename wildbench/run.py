@@ -3,10 +3,10 @@
 Run from the repository root:
 
     python3 wildbench/run.py                         # every operation, best of 3
-    python3 wildbench/run.py --repeat 5 --out wild.json
+    python3 wildbench/run.py --repeat 5 --out wildbench/out/change.json
     python3 wildbench/run.py --only endtower-k3-qq-6 --repeat 7
     python3 wildbench/run.py --quick                 # one untimed pass, digests only
-    python3 wildbench/run.py --compare parent.json change.json
+    python3 wildbench/run.py --compare wildbench/out/parent.json wildbench/out/change.json
     python3 -m unittest discover -s wildbench -p "test_*.py"   # self-test
 
 The inputs are fixed: the towers of X = x11:1,0,0 on K3 and of
@@ -257,6 +257,7 @@ def main(argv=None) -> int:
         reference = json.load(fh)["digests"]
     result = run(names, 0 if args.quick else args.repeat, not args.quick, {} if args.record else reference)
     if args.out:
+        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
         with open(args.out, "w") as fh:
             json.dump(result, fh, indent=2, sort_keys=True)
             fh.write("\n")
