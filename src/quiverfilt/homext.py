@@ -8,8 +8,9 @@ For representations M, N the intertwining operator
 has kernel Hom(M, N); because path algebras of acyclic quivers are
 hereditary its cokernel is Ext^1(M, N) and there are no higher cocycle
 conditions.  ``hom_basis`` proves its kernel vectors are morphisms once
-per basis, on integers from the arrow maps (``_check_intertwines``), and
-returns them without a per-element ``Morphism(...)`` check.  Extension
+per basis (``_check_intertwines``), through the package's one square check
+``reps._first_broken_square`` on integers from the arrow maps, and returns
+them without a per-element ``Morphism(...)`` check.  Extension
 classes are always compared through ``ExtSpace`` reduction against the
 coboundary space, never by raw component equality;
 ``is_split`` is the zero test of a sequence's class.  Linear conditions on
@@ -33,8 +34,6 @@ from .linalg import (
     _integer_multiple,
     _kernel_at_free,
     _kernel_vectors,
-    _pattern_of,
-    _product,
     _row_forward_echelon,
     _row_kernel_forms,
     _solve_at_free,
@@ -50,6 +49,7 @@ from .linalg import (
 from .reps import (
     Morphism,
     Rep,
+    _first_broken_square,
     _subrep_on_basis,
     cokernel,
     compose,
@@ -177,9 +177,10 @@ def hom_basis(m: Rep, n: Rep) -> list[Morphism]:
     (``_kernel_at_free``), so the basis is the same; ``bricks.is_brick``
     hands it the echelon of its rank test.  ``_row_kernel_forms`` reads
     each vector's integer form off the solved rows; the whole basis is
-    checked once on these by ``_check_intertwines``, and each element is
-    built from its form through ``Morphism._trusted``, its blocks born with
-    their own (``_blocks_of_form``).
+    checked once on their numerators by ``_check_intertwines``, through
+    ``reps._first_broken_square``, and each element is built from its form
+    through ``Morphism._trusted``, its blocks born with their own
+    (``_blocks_of_form``).
     """
     width = max([ma.rows + na.cols for ma, na in _arrow_pairs(m, n)], default=0)
     _, ncols = _hom_layout(m, n)
@@ -209,47 +210,38 @@ def _check_intertwines(m: Rep, n: Rep, vecs: list[list]) -> None:
 
     The vectors are integer: residues over GF(p), over QQ the numerators of
     kernel vectors, whose denominators cancel in these homogeneous squares.
-    The squares are read off the arrow maps' own integer forms, not off Phi,
-    so a fault in building Phi is caught as ``Morphism(...)`` catches it.
-    Over GF(p) each vector takes one product pair per arrow, compared modulo
-    p.  Over QQ, with M_a = Mi/dM and N_a = Ni/dN, a square holds iff the
-    residual F_t Mi dN - Ni F_s dM is zero, and its entries are at most
-    ``bound = kmax * (m_t max|Mi| dN + n_s max|Ni| dM)``, kmax the largest
-    |entry| of the vectors.  With B = 2 bound + 1 the residual of P = sum_i
-    B^i v_i has the residuals of the v_i as its balanced base-B digits,
-    which are unique, so one product pair per arrow decides the whole basis.
+    Each vector is cut into blocks and handed to ``reps._first_broken_square``
+    as forms over 1, so the squares are read off the arrow maps, not off
+    Phi, and a fault in building Phi is caught as ``Morphism(...)`` catches
+    it.  Over GF(p) every vector is checked.  Over QQ, with M_a = Mi/dM and
+    N_a = Ni/dN, a square's residual F_t Mi dN - Ni F_s dM has entries at
+    most ``bound = kmax * (m_t max|Mi| dN + n_s max|Ni| dM)``, kmax the
+    largest |entry| of the vectors.  With B = 2 bound + 1 the residual of
+    P = sum_i B^i v_i has the residuals of the v_i as its balanced base-B
+    digits, which are unique, so the one vector P decides the whole basis.
     """
     if not vecs:
         return
     col_off, _ = _hom_layout(m, n)
-    p = m.field.characteristic
-    form = (lambda a: (a.entries, 1)) if p else Matrix._integer_form
-    squares = [(aid, s, t, *form(m.arrow_maps[aid]), *form(n.arrow_maps[aid]))
-               for aid, s, t in m.quiver.arrows]
-    if not p:
+    if not m.field.characteristic:
         kmax = max(max(map(abs, v)) for v in vecs)
-        bound = kmax * max([0] + [
-            m.dims[t] * max(map(abs, mi), default=0) * dn
-            + n.dims[s] * max(map(abs, ni), default=0) * dm
-            for _, s, t, mi, dm, ni, dn in squares
-        ])
+        bound = 0
+        for aid, s, t in m.quiver.arrows:
+            mi, dm = m.arrow_maps[aid]._integer_form()
+            ni, dn = n.arrow_maps[aid]._integer_form()
+            bound = max(bound, kmax * (m.dims[t] * max(map(abs, mi), default=0) * dn
+                                       + n.dims[s] * max(map(abs, ni), default=0) * dm))
         base = 2 * bound + 1
         packed = vecs[-1]
         for v in reversed(vecs[:-1]):
             packed = [x * base + y for x, y in zip(packed, v)]
         vecs = [packed]
-    for v in vecs:
-        for aid, s, t, _, dm, ni, dn in squares:
-            ft = v[col_off[t] : col_off[t] + n.dims[t] * m.dims[t]]
-            fs = _pattern_of(v[col_off[s] : col_off[s] + n.dims[s] * m.dims[s]], n.dims[s], m.dims[s])
-            left = _product(ft, m.arrow_maps[aid]._pattern(), n.dims[t], m.dims[s], 0)
-            right = _product(ni, fs, n.dims[t], m.dims[s], 0)
-            if p:
-                ok = not any((x - y) % p for x, y in zip(left, right))
-            else:
-                ok = all(x * dn == y * dm for x, y in zip(left, right))
-            if not ok:
-                raise InvariantError(f"hom basis does not intertwine arrow {aid!r}")
+    sizes = {v: n.dims[v] * m.dims[v] for v in m.quiver.vertices}
+    for vec in vecs:
+        forms = {v: (vec[col_off[v] : col_off[v] + sizes[v]], 1) for v in sizes}
+        aid = _first_broken_square(m, n, forms)
+        if aid is not None:
+            raise InvariantError(f"hom basis does not intertwine arrow {aid!r}")
 
 
 class ExtCocycle:

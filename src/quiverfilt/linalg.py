@@ -23,9 +23,9 @@ There are two eliminations and one echelon format.  The dense loop,
 as their nonzero ``(column, value)`` items and eliminates them one at a
 time in column order, pivoting on each row's leftmost nonzero column.
 Both return ``{pivot column: (pivot entry, the nonzero items after it)}``,
-the entry 1 over GF(p) and positive over QQ; ``rank`` and ``sparse_rank``
-count the pivots.  There is one back-solve: ``_solve_at_free`` solves the
-rref rows at given non-pivot columns only, from the pivot rows of either
+the entry 1 over GF(p) and positive over QQ; a rank is the pivot count
+of either.  There is one back-solve: ``_solve_at_free`` solves the rref
+rows at given non-pivot columns only, from the pivot rows of either
 elimination, last pivot first, and nothing clears a column above a pivot.
 ``_kernel_at_free`` solves them at all free columns, for ``rref``, which
 assembles the reduced matrix building each entry once, and for the row
@@ -47,14 +47,12 @@ their integer forms the same way.  Both results are born with their own
 integer form, ``(acc/g, den/g)`` with ``g = gcd(den, *acc)``, as are the
 blocks ``_blocks_of_form`` cuts from a kernel vector's form.  A matrix read
 as a right factor keeps the nonzero items of its rows (``_pattern``), so a
-factor used again is not scanned again.  ``products_equal(a, b, c, d)`` decides
-``a*b == c*d`` on integers and builds no field element: over QQ it compares
-the integer products of the four integer forms by cross-multiplying with
-the other side's denominators; over GF(p) it compares the unreduced products
-modulo p.  ``Matrix.mul`` and ``products_equal`` share one zero-skipping
-product loop.  The kernels skip zeros by truthiness, so they require
-canonical entries, the values ``Field.of`` returns: a ``Fraction`` over QQ,
-an ``int`` in [0, p) over GF(p).
+factor used again is not scanned again.  ``Matrix.mul`` and the one
+commuting-square check, ``reps._first_broken_square``, share one
+zero-skipping product loop, ``_product``, on these integer forms.  The
+kernels skip zeros by truthiness, so they require canonical entries, the
+values ``Field.of`` returns: a ``Fraction`` over QQ, an ``int`` in [0, p)
+over GF(p).
 
 Matrices are immutable by convention: no public routine mutates its inputs,
 and ``Matrix`` instances may be shared freely.  The cached integer form
@@ -592,37 +590,6 @@ def _integer_multiple(values: list) -> tuple[list, int]:
     return out, den
 
 
-def products_equal(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:
-    """Whether ``a*b == c*d``, decided on integers without building a field element.
-
-    Over GF(p) the entries are integers already, and the two unreduced
-    products are compared modulo p.  Over QQ each factor is read in its
-    cached integer form, the entries times the lcm of their denominators, so
-    ``a*b = A*B / (la*lb)`` and ``c*d = C*D / (lc*ld)``; the integer products
-    are compared by cross-multiplying each with the other side's denominators.
-    """
-    f = a.field
-    if b.field != f or c.field != f or d.field != f:
-        raise InvariantError("field mismatch")
-    if a.cols != b.rows or c.cols != d.rows:
-        raise InvariantError(
-            f"cannot multiply {a.shape} by {b.shape} or {c.shape} by {d.shape}"
-        )
-    if (a.rows, b.cols) != (c.rows, d.cols):
-        return False
-    p = f.characteristic
-    if p:
-        left = _product(a.entries, b._pattern(), a.rows, b.cols, 0)
-        right = _product(c.entries, d._pattern(), c.rows, d.cols, 0)
-        return not any((x - y) % p for x, y in zip(left, right))
-    ai, la = a._integer_form()
-    ci, lc = c._integer_form()
-    left = _product(ai, b._pattern(), a.rows, b.cols, 0)
-    right = _product(ci, d._pattern(), c.rows, d.cols, 0)
-    s, t = lc * d._integer_form()[1], la * b._integer_form()[1]
-    return all(x * s == y * t for x, y in zip(left, right))
-
-
 # -- elimination -----------------------------------------------------------
 
 
@@ -771,12 +738,6 @@ def rank(m: Matrix) -> int:
     """The rank of m: the number of pivot rows ``forward_echelon`` keys by
     their pivots, so no reduced matrix is built."""
     return len(forward_echelon(m))
-
-
-def sparse_rank(rows: Iterable[list], p: int) -> int:
-    """The rank of the rows given by their nonzero ``(column, value)`` items,
-    raw as ``_sparse_echelon`` takes them: the pivot count of its echelon."""
-    return len(_sparse_echelon(rows, p))
 
 
 def _sparse_echelon(rows: Iterable[list], p: int) -> dict:

@@ -13,16 +13,19 @@ Conventions used throughout the package:
 
 Public constructors, parsing and the certificate checkers validate their
 data eagerly and raise ``InvariantError`` on malformed input, so downstream
-code can assume well-formed objects.  ``Morphism(...)`` checks every
-commuting square with ``linalg.products_equal``, on integers: the same
-squares as a comparison of ``Fraction`` products, with the same verdict.  Morphism arithmetic on morphisms that
-are already valid (``compose``, ``add``, ``sub``, ``scale``, ``inverse``,
+code can assume well-formed objects.  One function decides the commuting
+squares f_t * M_a == N_a * f_s: ``_first_broken_square``, on the integer
+forms of the blocks and the arrow maps, with the verdict of a comparison of
+``Fraction`` products.  ``Morphism(...)`` calls it on its blocks,
+``homext.hom_basis`` on its kernel vectors, and ``subrep_from_spans`` and
+``cokernel`` on the inclusion or projection whose arrow maps they have just
+read off, once per arrow; those two then build it through
+``Morphism._trusted``.  Morphism arithmetic on morphisms that are already
+valid (``compose``, ``add``, ``sub``, ``scale``, ``inverse``,
 ``linear_combination``, ``zero``, ``identity``) yields morphisms by
 linearity or by construction; with exact arithmetic nothing can drift, so
 those results are built through ``Morphism._trusted`` without re-checking
-the intertwining squares.  ``homext.hom_basis`` returns trusted morphisms
-too, after its own exact check of the whole basis at once, on integers
-read off the arrow maps.
+the intertwining squares.
 """
 
 from __future__ import annotations
@@ -35,13 +38,14 @@ from .errors import InvariantError, UndecidedError
 from .linalg import (
     Field,
     Matrix,
+    _pattern_of,
+    _product,
     column_space_pivots,
     combination,
     hstack,
     inverse,
     is_invertible,
     nullspace_basis,
-    products_equal,
     quotient_map_free,
     rank,
     solve,
@@ -143,11 +147,9 @@ class Morphism:
                     f"block at {v!r}: shape {b.shape}, expected "
                     f"{(target.dims[v], source.dims[v])}"
                 )
-        for aid, s, t in source.quiver.arrows:
-            if not products_equal(
-                blocks[t], source.arrow_maps[aid], target.arrow_maps[aid], blocks[s]
-            ):
-                raise InvariantError(f"blocks do not intertwine arrow {aid!r}")
+        aid = _first_broken_square(source, target, _forms(blocks))
+        if aid is not None:
+            raise InvariantError(f"blocks do not intertwine arrow {aid!r}")
         self.source = source
         self.target = target
         self.blocks = dict(blocks)
@@ -157,7 +159,8 @@ class Morphism:
         """A morphism whose blocks are known to intertwine; validates nothing.
 
         Only for results of arithmetic on valid morphisms, with a fresh
-        ``blocks`` dict that the caller does not keep, or for blocks handed
+        ``blocks`` dict that the caller does not keep, for blocks that
+        ``_first_broken_square`` has just passed, or for blocks handed
         straight to a check that proves them a morphism, as
         ``towers._restriction_coords`` hands them to ``end_coordinates``.
         """
@@ -230,6 +233,48 @@ class Morphism:
 
     def __repr__(self):
         return f"Morphism({self.source!r} -> {self.target!r})"
+
+
+def _forms(blocks: dict) -> dict:
+    """Each block's integer form as ``_first_broken_square`` reads it: the
+    cached ``_integer_form()`` over QQ, the residues over 1 over GF(p)."""
+    return {v: (b.entries, 1) if b.field.characteristic else b._integer_form()
+            for v, b in blocks.items()}
+
+
+def _first_broken_square(source: Rep, target: Rep, forms: dict):
+    """The first arrow a: s -> t at which F_t M_a != N_a F_s, or None.
+
+    M and N are the arrow maps of ``source`` and ``target``; ``forms[v]`` is
+    the block F_v of shape ``target.dims[v] x source.dims[v]`` as a flat
+    integer form ``(ints, d)`` with F_v = ints / d: residues with d = 1 over
+    GF(p).  No field element is built.  The arrow maps are read in their
+    own integer forms (the entries over GF(p)), with M_a = Mi / dM and
+    N_a = Ni / dN, and the square holds iff Ft Mi dN ds == Ni Fs dM dt, the
+    two unreduced integer products cross-multiplied by the other side's
+    denominators; over GF(p) both products are compared modulo p.  This is
+    the package's one check of a commuting square.
+    """
+    p = source.field.characteristic
+    patterns = {}
+    for aid, s, t in source.quiver.arrows:
+        ma, na = source.arrow_maps[aid], target.arrow_maps[aid]
+        (ft, dt), (fs, ds) = forms[t], forms[s]
+        if s not in patterns:
+            patterns[s] = _pattern_of(fs, target.dims[s], source.dims[s])
+        rows, cols = target.dims[t], source.dims[s]
+        left = _product(ft, ma._pattern(), rows, cols, 0)
+        if p:
+            right = _product(na.entries, patterns[s], rows, cols, 0)
+            if any((x - y) % p for x, y in zip(left, right)):
+                return aid
+        else:
+            ni, dn = na._integer_form()
+            right = _product(ni, patterns[s], rows, cols, 0)
+            u, w = dn * ds, dt * ma._integer_form()[1]
+            if any(x * u != y * w for x, y in zip(left, right)):
+                return aid
+    return None
 
 
 def _same_rep(a: Rep, b: Rep) -> bool:
@@ -331,21 +376,19 @@ def subrep_from_spans(ambient: Rep, spans: dict) -> SubrepInclusion:
 def _subrep_on_basis(ambient: Rep, bases: dict, rows: dict) -> SubrepInclusion:
     """The subrepresentation with the given basis columns at each vertex.
 
-    ``bases[v]`` carries an identity at the rows ``rows[v]``, so an arrow map
-    is read off the pushed basis at the target's rows, then checked exactly:
-    ``basis_t * map == pushed``.
+    ``bases[v]`` carries an identity at the rows ``rows[v]``, so the arrow
+    map of a: s -> t is the rows ``rows[t]`` of M_a times ``bases[s]``.  The
+    spans are stable iff the inclusion's squares ``basis_t * map == M_a *
+    basis_s`` all hold, checked once by ``_first_broken_square``.
     """
-    sub_maps = {}
-    for aid, s, t in ambient.quiver.arrows:
-        pushed = ambient.arrow_maps[aid].mul(bases[s])
-        sol = pushed.rows_at(rows[t])
-        if bases[t].mul(sol) != pushed:
-            raise InvariantError(f"spans are not stable under arrow {aid!r}")
-        sub_maps[aid] = sol
+    sub_maps = {aid: ambient.arrow_maps[aid].rows_at(rows[t]).mul(bases[s])
+                for aid, s, t in ambient.quiver.arrows}
     sub_dims = {v: bases[v].cols for v in bases}
     sub = Rep(ambient.quiver, ambient.field, sub_dims, sub_maps)
-    incl = Morphism(sub, ambient, bases)
-    return SubrepInclusion(sub, ambient, incl)
+    aid = _first_broken_square(sub, ambient, _forms(bases))
+    if aid is not None:
+        raise InvariantError(f"spans are not stable under arrow {aid!r}")
+    return SubrepInclusion(sub, ambient, Morphism._trusted(sub, ambient, bases))
 
 
 def kernel(f: Morphism) -> SubrepInclusion:
@@ -374,25 +417,22 @@ def image(f: Morphism) -> SubrepInclusion:
 def cokernel(f: Morphism) -> tuple[Rep, Morphism]:
     """The quotient target/im(f) with its projection, in canonical coordinates.
 
-    An arrow map X is read off ``q_t * M_a`` at the free columns of the
-    projection ``q_s``, then checked exactly: ``X * q_s == q_t * M_a``.
+    The projection ``q_s`` carries an identity at its free columns, so the
+    arrow map X of a: s -> t is ``q_t * M_a`` at the columns ``free[s]``.
+    It is well defined iff the projection's squares ``q_t * M_a == X * q_s``
+    all hold, checked once by ``_first_broken_square``.
     """
-    field = f.target.field
     projections = {}
     free = {}
     for v in f.blocks:
         projections[v], free[v] = quotient_map_free(f.blocks[v])
     dims = {v: projections[v].rows for v in projections}
-    maps = {}
-    for aid, s, t in f.target.quiver.arrows:
-        rhs = projections[t].mul(f.target.arrow_maps[aid])
-        sol = rhs.cols_at(free[s])
-        if sol.mul(projections[s]) != rhs:
-            raise InvariantError("cokernel arrow map is not well defined")
-        maps[aid] = sol
-    quot = Rep(f.target.quiver, field, dims, maps)
-    proj = Morphism(f.target, quot, projections)
-    return quot, proj
+    maps = {aid: projections[t].mul(f.target.arrow_maps[aid]).cols_at(free[s])
+            for aid, s, t in f.target.quiver.arrows}
+    quot = Rep(f.target.quiver, f.target.field, dims, maps)
+    if _first_broken_square(f.target, quot, _forms(projections)) is not None:
+        raise InvariantError("cokernel arrow map is not well defined")
+    return quot, Morphism._trusted(f.target, quot, projections)
 
 
 def factor_through_inclusion(f: Morphism, si: SubrepInclusion) -> Morphism:

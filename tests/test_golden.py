@@ -33,7 +33,9 @@ report with it; Phi of Y(6) is 11,907 x 7,938) were recorded before QQ
 forward elimination pivoted on the entry of least absolute value, and
 ``endtower-k3-qq-7.json`` (the 7-level report, compared in CI, dim End
 127 at the top) before ``end_algebra`` built only the nonzero items of
-its composites.  A
+its composites.  ``membership-k3-y7-qq.json`` (CI compares the
+``membership`` report of Y(7) of that K3 tower, 254-dim, with it) was
+recorded before one function decided every commuting square.  A
 refactor or speed-up must reproduce them exactly; a
 deliberate output change re-records them with
 

@@ -53,7 +53,6 @@ from quiverfilt.linalg import (
     mat_from_cols,
     rank,
     solve,
-    sparse_rank,
 )
 from quiverfilt.reps import linear_combination
 
@@ -613,15 +612,15 @@ def _sparse_rank_input(data, quiver, field):
     st.data(),
 )
 def test_sparse_rank_of_phi_rows_matches_dense_rank(field, quiver, data):
-    """``sparse_rank`` of Phi's item rows against ``rank`` of the dense Phi,
-    over QQ, over GF(p), and over QQ reduced modulo 2^31 - 1; the sparse
-    pivots are those of forward elimination, and the item rows written out
-    are Phi's rows."""
+    """The pivot count of ``_sparse_echelon`` on Phi's item rows against
+    ``rank`` of the dense Phi, over QQ, over GF(p), and over QQ reduced
+    modulo 2^31 - 1; the sparse pivots are those of forward elimination,
+    and the item rows written out are Phi's rows."""
     m = _sparse_rank_input(data, quiver, field)
     n = m if data.draw(st.booleans()) else _sparse_rank_input(data, quiver, field)
     if field == QQ:
         qq_rank = rank(reference_intertwine_matrix(m, n))
-        assert sparse_rank(_intertwine_rows(m, n), 0) == qq_rank
+        assert len(_sparse_echelon(_intertwine_rows(m, n), 0)) == qq_rank
         m, n = _reduced_mod(m, _PRIME), _reduced_mod(n, _PRIME)
     p = m.field.characteristic
     phi = reference_intertwine_matrix(m, n)
@@ -633,7 +632,7 @@ def test_sparse_rank_of_phi_rows_matches_dense_rank(field, quiver, data):
             assert x and not written[j]
             written[j] = x
         assert written == phi.row(i)
-    got = sparse_rank(rows, p)
+    got = len(_sparse_echelon(rows, p))
     assert got == rank(phi)
     assert sorted(_sparse_echelon(rows, p)) == list(forward_echelon(phi))
     assert got == phi.cols - len(hom_basis(m, n))

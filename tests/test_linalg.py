@@ -10,8 +10,9 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from hypothesis import example, given, settings, strategies as st
 
-from quiverfilt import GF, QQ, Matrix, formats, quasi_simple
+from quiverfilt import GF, QQ, Matrix, Rep, formats, linear_quiver, quasi_simple
 from quiverfilt.errors import FormatError, InvariantError
+from quiverfilt.reps import Morphism, _first_broken_square, _forms
 from quiverfilt.linalg import (
     _MR_LIMIT,
     _integer_multiple,
@@ -32,12 +33,10 @@ from quiverfilt.linalg import (
     mat_from_cols,
     nonzero_items,
     nullspace_basis,
-    products_equal,
     quotient_map_free,
     rank,
     rref,
     solve,
-    sparse_rank,
     unit_vectors,
     vstack,
 )
@@ -155,6 +154,7 @@ _REFUSE_BEYOND_THE_BOUND = """
 import json
 from quiverfilt import GF, formats, quasi_simple
 from quiverfilt.errors import FormatError, InvariantError
+from quiverfilt.reps import Morphism, _first_broken_square, _forms
 p = 2**89 - 1
 try:
     GF(p)
@@ -608,7 +608,7 @@ def test_mul_matches_reference_and_keeps_inputs(pair):
 
 
 # ---------------------------------------------------------------------------
-# products_equal against comparing the two Matrix.mul products
+# the commuting-square check against comparing the two Matrix.mul products
 
 
 def _pe_entry(field):
@@ -646,8 +646,9 @@ def _invertible(draw, field, n):
 
 @st.composite
 def _product_case(draw):
-    """(a, b, c, d, expected): about half equal by construction, a quarter
-    one entry off by 1/7, the rest independent factors of any shape."""
+    """(a, b, c, d, expected) with a*b and c*d both n x k: about half equal
+    by construction, a quarter one entry off by 1/7, the rest independent
+    factors."""
     field = draw(st.sampled_from([QQ, F2, GF(101)]))
     dim = st.integers(min_value=0, max_value=6)
     n, m, k = draw(dim), draw(dim), draw(dim)
@@ -663,36 +664,60 @@ def _product_case(draw):
         off = list(ab.entries)
         off[i] = field.add(off[i], field.of(Fraction(1, 7)))
         return a, b, Matrix(field, n, k, off), Matrix.identity(field, k), False
-    rows = draw(st.sampled_from([n, draw(dim)]))
     inner = draw(dim)
-    cols = draw(st.sampled_from([k, draw(dim)]))
-    return a, b, _pe_matrix(draw, field, rows, inner), _pe_matrix(draw, field, inner, cols), None
+    return a, b, _pe_matrix(draw, field, n, inner), _pe_matrix(draw, field, inner, k), None
+
+
+def _square_holds(a, b, c, d, forms=None):
+    """Whether ``_first_broken_square`` passes the square F_t M_a == N_a F_s
+    of the one arrow a: s -> t of A2 with F_t = a, M_a = b, N_a = c and
+    F_s = d, that is a*b == c*d; the blocks are read as ``forms``, by
+    default their ``_forms`` as ``Morphism(...)`` reads them."""
+    (aid, s, t), = linear_quiver(2).arrows
+    m = Rep(linear_quiver(2), a.field, {t: b.rows, s: b.cols}, {aid: b})
+    n = Rep(linear_quiver(2), a.field, {t: c.rows, s: c.cols}, {aid: c})
+    broken = _first_broken_square(m, n, forms or _forms({t: a, s: d}))
+    assert broken in (None, aid)
+    return broken is None
 
 
 @settings(max_examples=150, deadline=None)
-@given(_product_case())
-def test_products_equal_matches_mul_comparison(case):
+@given(_product_case(), st.integers(min_value=1, max_value=2**70), st.integers(1, 2**70))
+def test_square_check_matches_mul_comparison(case, gt, gs):
+    """Over QQ the blocks are also read as forms times a common factor
+    (``gt`` at t, ``gs`` at s), which is harmless; the forms and the
+    matrices are left as they were."""
     a, b, c, d, expected = case
     before = [list(x.entries) for x in (a, b, c, d)]
-    verdict = products_equal(a, b, c, d)
+    verdict = _square_holds(a, b, c, d)
     assert verdict == (a.mul(b) == c.mul(d))
     if expected is not None:
         assert verdict is expected
+    if a.field == QQ:
+        (ai, da), (di, dd) = a._integer_form(), d._integer_form()
+        forms = {1: ([x * gt for x in ai], da * gt), 2: ([x * gs for x in di], dd * gs)}
+        kept = {v: (list(ints), den) for v, (ints, den) in forms.items()}
+        assert _square_holds(a, b, c, d, forms) is verdict
+        assert forms == kept
     assert [x.entries for x in (a, b, c, d)] == before
 
 
-def test_products_equal_rejects_mismatched_factors():
-    with pytest.raises(InvariantError):
-        products_equal(mq([[1, 2]]), mq([[1]]), mq([[1]]), mq([[1]]))
-    one = Matrix.identity(F5, 1)
-    with pytest.raises(InvariantError):
-        products_equal(mq([[1]]), mq([[1]]), one, one)
+def test_square_check_cross_multiplies_and_reduces_mod_p():
+    """Blocks of the wrong shape or field never reach the check:
+    ``Morphism(...)`` refuses them first."""
+    (aid, s, t), = linear_quiver(2).arrows
+    rep = Rep(linear_quiver(2), QQ, {1: 1, 2: 1}, {aid: mq([[1]])})
+    with pytest.raises(InvariantError, match="shape"):
+        Morphism(rep, rep, {t: mq([[1, 2]]), s: mq([[1]])})
+    with pytest.raises(InvariantError, match="wrong field"):
+        Morphism(rep, rep, {t: mq([[1]]), s: Matrix.identity(F5, 1)})
     # denominators on both sides that cancel only after cross-multiplication
     half = mq([["1/2"]])
-    assert products_equal(half, mq([[3]]), mq([[3]]), half)
-    assert not products_equal(half, mq([[1]]), mq([[1]]), mq([[1]]))
+    assert _square_holds(half, mq([[3]]), mq([[3]]), half)
+    assert not _square_holds(half, mq([[1]]), mq([[1]]), mq([[1]]))
     # equal modulo p, unequal as integers
-    assert products_equal(Matrix(F5, 1, 1, [4]), Matrix(F5, 1, 1, [4]), one, one)
+    one = Matrix.identity(F5, 1)
+    assert _square_holds(Matrix(F5, 1, 1, [4]), Matrix(F5, 1, 1, [4]), one, one)
 
 
 @st.composite
@@ -888,16 +913,16 @@ def test_sparse_kernel_matches_the_dense_one_and_the_rref_reference(m, rng, scal
     raw rows (rows and items in a random order, over QQ every row times a
     common ``scale``) equals ``_kernel_at_free`` of ``_row_forward_echelon``
     on the dense rows: the same rref rows at the free columns, as canonical
-    ``(vals, den)`` pairs, the same pivots and free columns.  ``sparse_rank``
-    counts those pivots, and the kernel forms read off the solved rows are
-    the reference kernel."""
+    ``(vals, den)`` pairs, the same pivots and free columns, as many pivots
+    as ``_sparse_echelon`` returns rows, and the kernel forms read off the
+    solved rows are the reference kernel."""
     f, p = m.field, m.field.characteristic
     items = _shuffled_items(m, rng, scale)
     got = _kernel_at_free(_sparse_echelon(items, p), m.cols, p)
     assert got == _kernel_at_free(_row_forward_echelon(_rows(m), m.cols, p), m.cols, p)
     solved, pivots, free = got
     red, ref_pivots = reference_rref(m)
-    assert tuple(pivots) == ref_pivots and sparse_rank(items, p) == len(pivots)
+    assert tuple(pivots) == ref_pivots and len(_sparse_echelon(items, p)) == len(pivots)
     assert free == [c for c in range(m.cols) if c not in ref_pivots]
     for k, pc in enumerate(pivots):
         want = [red.at(k, c) for c in free]
@@ -1038,19 +1063,19 @@ def test_qq_mul_on_integer_forms_matches_fraction_reference(pair):
 
 @settings(max_examples=150, deadline=None)
 @given(_product_case(), st.data())
-def test_products_equal_reads_cached_forms_in_any_order(case, data):
+def test_square_check_reads_cached_forms_in_any_order(case, data):
     a, b, c, d, _ = case
     factors = [a, b, c, d]
     if a.field == QQ:
         order = data.draw(st.permutations(range(4)))
         for i in order[: data.draw(st.integers(min_value=0, max_value=4))]:
             factors[i]._integer_form()
-    verdict = products_equal(a, b, c, d)
+    verdict = _square_holds(a, b, c, d)
     assert verdict == (_reference_mul(a, b) == _reference_mul(c, d))
     assert verdict == (a.mul(b) == c.mul(d))
     # every operand cached now, and the sides swapped
-    assert products_equal(a, b, c, d) == verdict == products_equal(c, d, a, b)
-    assert products_equal(a, b, a, b)
+    assert _square_holds(a, b, c, d) == verdict == _square_holds(c, d, a, b)
+    assert _square_holds(a, b, a, b)
     if a.field == QQ:
         for x in factors:
             _assert_fresh_integer_form(x)

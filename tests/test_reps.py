@@ -34,6 +34,7 @@ from quiverfilt.linalg import (
     inverse,
     nullspace_basis,
     quotient_map_free,
+    rank,
     solve,
 )
 from quiverfilt.reps import factor_through_inclusion, linear_combination
@@ -211,6 +212,69 @@ def test_subrep_from_spans(k2, r0):
     p2 = standard_module(k2, QQ, "projective", 2)
     with pytest.raises(InvariantError, match="not stable under arrow"):
         subrep_from_spans(p2, {1: Matrix.zeros(QQ, 2, 0), 2: mq([[1]])})
+
+
+@pytest.mark.parametrize(
+    "field, points",
+    [(QQ, (Fraction(1, 2), Fraction(1, 3))), (GF(2), (0, 1)), (GF(101), (2, 3))],
+)
+def test_morphism_refuses_every_block_entry_off_by_one(field, points):
+    """On R_a + R_b (arrow a1 acts as the identity at both vertices) no map
+    supported at one vertex is a morphism, so 1/7 times the identity with
+    any one block entry moved by one is refused at arrow a1."""
+    m = direct_sum([quasi_simple(field, field.of(c)) for c in points])[0]
+    f = Morphism.identity(m).scale(field.of(Fraction(1, 7)))
+    Morphism(m, m, f.blocks)
+    for v in m.quiver.vertices:
+        for i in range(len(f.blocks[v].entries)):
+            entries = list(f.blocks[v].entries)
+            entries[i] = field.add(entries[i], field.one)
+            blocks = dict(f.blocks)
+            blocks[v] = Matrix(field, 2, 2, entries)
+            with pytest.raises(InvariantError, match="do not intertwine arrow 'a1'"):
+                Morphism(m, m, blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(2), GF(101)]),
+    st.sampled_from([kronecker(2), linear_quiver(3)]),
+    st.data(),
+)
+def test_subrep_from_spans_refuses_exactly_the_unstable_spans(field, quiver, data):
+    """Spans of random columns, or the image of a random endomorphism (which
+    is stable) with one entry moved by one: ``subrep_from_spans`` raises
+    "not stable under arrow" iff some arrow a: s -> t takes the span at s
+    out of the span at t, by ranks; otherwise it matches the solve
+    reference."""
+    m = draw_rep(data, quiver, field, max_dim=3)
+    ends = hom_basis(m, m)
+    if ends and data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(field_scalar(field), min_size=len(ends), max_size=len(ends)))
+        spans = dict(linear_combination(ends, coeffs).blocks)
+        v = data.draw(st.sampled_from([v for v in quiver.vertices if m.dims[v]]))
+        entries = list(spans[v].entries)
+        i = data.draw(st.integers(min_value=0, max_value=len(entries) - 1))
+        entries[i] = field.add(entries[i], field.one)
+        spans[v] = Matrix(field, m.dims[v], m.dims[v], entries)
+    else:
+        spans = {}
+        for v in quiver.vertices:
+            k = data.draw(st.integers(min_value=1, max_value=2))
+            n = m.dims[v] * k
+            entries = data.draw(st.lists(field_scalar(field), min_size=n, max_size=n))
+            spans[v] = Matrix(field, m.dims[v], k, entries)
+    stable = all(
+        rank(hstack([spans[t], m.arrow_maps[aid].mul(spans[s])])) == rank(spans[t])
+        for aid, s, t in quiver.arrows
+    )
+    if stable:
+        incl = subrep_from_spans(m, spans)
+        assert (incl.inclusion.blocks, incl.sub.arrow_maps) == _subrep_reference(m, spans)
+        Morphism(incl.sub, m, incl.inclusion.blocks)
+    else:
+        with pytest.raises(InvariantError, match="not stable under arrow"):
+            subrep_from_spans(m, spans)
 
 
 def test_factor_through_inclusion(k2, r0):
